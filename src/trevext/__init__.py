@@ -7,7 +7,7 @@ reductions at micro scale, and parameter calculators for the composition
 theorems.
 """
 
-from .bitfield import BinaryField, BitString, PrimeField, inner_product_gf2
+from .bitfield import BinaryField, BitString, inner_product_gf2
 from .code_extractor import CodeSpec, code_params, extract_bit, min_symbol_size
 from .entropy import (
     Distribution,
@@ -65,7 +65,6 @@ __all__ = [
     "ExtractorParams",
     "JointDistribution",
     "ParameterError",
-    "PrimeField",
     "SizeGuardError",
     "ToeplitzSpec",
     "TrevisanInstance",

@@ -13,12 +13,9 @@ Conventions (fixed so that outputs are bit-exact across platforms):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ParameterError
-
-MSB_FIRST = True  # documented byte-packing constant; the only supported order
 
 # Lexicographically least irreducible polynomial of degree s over GF(2),
 # encoded as an integer with bit i = coefficient of x^i (bit s always set).
@@ -204,49 +201,7 @@ class BitString:
         return v
 
 
-class Field:
-    """Common interface: order, add/sub/mul/inv on integer representatives."""
-
-    order: int
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.order if value >= 0 else value % self.order, self)
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.__dict__ == other.__dict__
-
-    def __hash__(self):
-        return hash((type(self).__name__, tuple(sorted(self.__dict__.items()))))
-
-
-class PrimeField(Field):
-    """GF(p) for prime p."""
-
-    def __init__(self, p: int):
-        if p < 2 or not _is_prime(p):
-            raise ParameterError(f"{p} is not prime")
-        self.p = p
-        self.order = p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-
-class BinaryField(Field):
+class BinaryField:
     """GF(2^s) with the fixed modulus from ``IRREDUCIBLE_POLY``.
 
     Elements are integers in [0, 2^s); bit i is the coefficient of x^i.
@@ -263,8 +218,6 @@ class BinaryField(Field):
 
     def add(self, a: int, b: int) -> int:
         return a ^ b
-
-    sub = add
 
     def mul(self, a: int, b: int) -> int:
         s, mod, r = self.s, self.modulus, 0
@@ -292,77 +245,8 @@ class BinaryField(Field):
             e >>= 1
         return r
 
-    def element_bits(self, value: int) -> BitString:
-        """Big-endian bit string of an element: bit 0 = coefficient of x^(s-1)."""
-        return BitString(self.s, value)
-
     def __repr__(self):
         return f"GF(2^{self.s})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    value: int
-    field: Field
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.order:
-            raise ParameterError(
-                f"value {self.value} outside [0, {self.field.order})"
-            )
-
-    def _check(self, other: "FieldElement"):
-        if self.field != other.field:
-            raise ParameterError("field mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.field.add(self.value, other.value), self.field)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.field.sub(self.value, other.value), self.field)
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.field.mul(self.value, other.value), self.field)
-
-    def inverse(self):
-        return FieldElement(self.field.inv(self.value), self.field)
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Coefficients lowest degree first, all over one field."""
-
-    coefficients: tuple
-
-    @classmethod
-    def from_ints(cls, coeffs: Sequence[int], field: Field) -> "Polynomial":
-        return cls(tuple(FieldElement(c, field) for c in coeffs))
-
-    @property
-    def field(self):
-        return self.coefficients[0].field if self.coefficients else None
-
-    def degree(self) -> int:
-        d = -1
-        for i, c in enumerate(self.coefficients):
-            if c.value != 0:
-                d = i
-        return d
-
-
-def poly_eval(p: Polynomial, a: FieldElement) -> FieldElement:
-    """Evaluate p at a by Horner's rule."""
-    f = a.field
-    for c in p.coefficients:
-        if c.field != f:
-            raise ParameterError("field mismatch")
-    acc = 0
-    for c in reversed(p.coefficients):
-        acc = f.add(f.mul(acc, a.value), c.value)
-    return FieldElement(acc, f)
 
 
 def inner_product_gf2(u: BitString, v: BitString) -> int:
@@ -370,36 +254,3 @@ def inner_product_gf2(u: BitString, v: BitString) -> int:
     if u.length != v.length:
         raise ParameterError("length mismatch")
     return (u.value & v.value).bit_count() & 1
-
-
-def next_prime_geq(x: int) -> int:
-    """Least prime >= x (x >= 2)."""
-    if x < 2:
-        raise ParameterError("x must be >= 2")
-    n = x
-    while not _is_prime(n):
-        n += 1
-    return n
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True

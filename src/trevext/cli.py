@@ -11,6 +11,7 @@ import argparse
 import os
 import secrets
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from .errors import (
     VerificationError,
 )
 from .params import params_report_json, params_report_text, preset
-from .trevisan import TrevisanInstance, extract_bytes
+from .trevisan import TrevisanInstance, extract_stream
 from .weak_design import (
     SERIAL_VERSION,
     block_design,
@@ -57,16 +58,27 @@ def _cache_path(cache_dir: str, kind: str, t: int, m: int, r: Fraction) -> str:
 
 
 def _load_or_build_design(kind: str, t: int, m: int, r: Fraction, cache_dir=None):
+    """Design from the cache when present (checked against the request),
+    else built and cached.  Block designs are always r = 1 designs."""
+    if kind == "block":
+        r = Fraction(1)
     if cache_dir:
         path = _cache_path(cache_dir, kind, t, m, r)
         if os.path.exists(path):
             with open(path, "rb") as fh:
-                return deserialize_design(fh.read())
+                design = deserialize_design(fh.read())
+            if (design.t, design.m) != (t, m) or design.r_certified > r:
+                raise VerificationError(
+                    f"cached design {path} has t={design.t} m={design.m} "
+                    f"r_certified={design.r_certified}; expected t={t} m={m} r<={r}"
+                )
+            return design
     design = block_design(t, m) if kind == "block" else greedy_basic_design(t, m, r)
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-        with open(_cache_path(cache_dir, kind, t, m, r), "wb") as fh:
+        with tempfile.NamedTemporaryFile(dir=cache_dir, suffix=".tmp", delete=False) as fh:
             fh.write(serialize_design(design))
+        os.replace(fh.name, path)
     return design
 
 
@@ -96,24 +108,32 @@ def cmd_extract(args) -> int:
             return EXIT_PARAMETER
 
     design = _load_or_build_design("block", p.t, p.m, Fraction(1), args.design_cache)
+    if design.d != p.d:
+        raise VerificationError(f"design seed length {design.d} != d={p.d}")
     code = CodeSpec(n=args.n, s=p.s_bits, delta=p.delta)
     inst = TrevisanInstance(design, code, params=p)
 
-    with open(getattr(args, "in"), "rb") as fh:
-        data = fh.read()
-    if args.seed_file:
-        with open(args.seed_file, "rb") as fh:
-            seed = fh.read()
-    else:
-        nblocks = (8 * len(data)) // args.n + 1
-        nbits = inst.d if args.reuse_seed else inst.d * nblocks
-        seed = secrets.token_bytes((nbits + 7) // 8)
-        with open(args.out + ".seed", "wb") as fh:
-            fh.write(seed)
+    source = getattr(args, "in")
+    seed_file = args.seed_file
+    if not seed_file:
+        nblocks = 8 * os.path.getsize(source) // args.n + 1
+        nbytes = (inst.d * (1 if args.reuse_seed else nblocks) + 7) // 8
+        seed_file = args.out + ".seed"
+        with open(seed_file, "wb") as fh:
+            for off in range(0, nbytes, 1 << 20):
+                fh.write(secrets.token_bytes(min(1 << 20, nbytes - off)))
 
-    out, report = extract_bytes(inst, data, seed, reuse_seed=args.reuse_seed)
-    with open(args.out, "wb") as fh:
-        fh.write(out)
+    # write beside the output and move into place, so a failed run leaves none
+    tmp = args.out + ".tmp"
+    try:
+        with open(source, "rb") as src, open(seed_file, "rb") as seed, \
+                open(tmp, "wb") as sink:
+            report = extract_stream(inst, src, seed, sink, reuse_seed=args.reuse_seed)
+        os.replace(tmp, args.out)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     print(
         f"extracted {report.blocks} block(s): n={args.n} -> m={p.m} bits each; "
         f"advertised (k, eps) = ({p.k:.2f}, {float(p.eps):.3g})"
@@ -296,9 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--in", dest="in", default=None)
     pd.add_argument("--out", default=None)
     pd.add_argument("--design-cache", default=None)
-    pd.add_argument("--exact-verify", action="store_true",
-                    help="certification is always exact; flag kept for "
-                    "interface stability")
     pd.set_defaults(fn=cmd_design)
 
     ps = sub.add_parser("selftest", help="run the built-in analysis checks")

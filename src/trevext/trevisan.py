@@ -5,16 +5,17 @@ positions of design set S_{i+1} (1-based in the usual presentation), taken
 in ascending index order; if the design's set size exceeds the code's seed
 length t, only the first t of those bits are consumed.
 
-For a fixed seed the whole map x -> Ext(x, y) is GF(2)-linear, so a seed can
-be compiled once into m parity masks over the input bits
-(:func:`seed_masks`); streaming with a reused seed runs entirely on those
-masks and is verified bit-exact against :func:`extract` in the tests.
+For a fixed seed the whole map x -> Ext(x, y) is GF(2)-linear, so a seed is
+compiled into m parity masks over the input bits (:func:`seed_masks`).
+Streaming runs every block on those masks, whether the seed is reused or
+fresh; the bit-serial :func:`extract` is the reference oracle they are
+tested against.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO, Optional
 
 import numpy as np
@@ -55,7 +56,11 @@ def _bit_seed(inst: TrevisanInstance, y: BitString, i: int) -> BitString:
 
 
 def extract(inst: TrevisanInstance, x: BitString, y: BitString) -> BitString:
-    """m output bits, bit i from the one-bit extractor on y_{S_{i+1}}."""
+    """m output bits, bit i from the one-bit extractor on y_{S_{i+1}}.
+
+    The bit-serial reference oracle: the analysis harness and the tests use
+    it; streaming runs on compiled masks (:func:`seed_masks`).
+    """
     if x.length != inst.n:
         raise ParameterError(f"input length {x.length} != n={inst.n}")
     if y.length != inst.d:
@@ -65,66 +70,60 @@ def extract(inst: TrevisanInstance, x: BitString, y: BitString) -> BitString:
     )
 
 
-def seed_masks(inst: TrevisanInstance, y: BitString) -> list:
-    """Compile a seed into m integer masks: output bit i = parity(x & mask_i).
+def seed_masks(inst: TrevisanInstance, y: BitString) -> CompiledMasks:
+    """Compile a seed into m parity masks: output bit i = parity(x & mask_i).
 
     Uses the GF(2)-linearity of the code: <p_x(a), z> decomposes over the
     message symbols as sum_j <c_j, (M_a^T)^j z>, with M_a the multiply-by-a
-    matrix on symbol bits.
+    matrix on symbol bits.  All m output bits advance together, one symbol
+    per step, on s-bit vectors held in uint64 words.  Mask bit p selects bit
+    p of the input's integer value, so symbol j (big-endian, zero-padded at
+    the high-index end) occupies bits [n - (j+1)*s, n - j*s).
     """
     if y.length != inst.d:
         raise ParameterError(f"seed length {y.length} != d={inst.d}")
     spec = inst.code
-    f = spec.field()
-    s, ell, n = spec.s, spec.ell, spec.n
-    masks = []
-    for i in range(inst.m):
-        v = _bit_seed(inst, y, i)
-        a = v.chunk(0, s)
-        z = v.chunk(s, s)
-        # transpose of multiply-by-a: row b holds the bits of a*x^b
-        at = np.zeros((s, s), dtype=np.uint8)
-        for b in range(s):
-            col = f.mul(1 << b, a)
-            for r in range(s):
-                at[b, r] = (col >> r) & 1
-        u = np.array([(z >> r) & 1 for r in range(s)], dtype=np.uint8)
-        bits = np.zeros(n, dtype=np.uint8)  # indexed by integer bit position
-        for j in range(ell):
-            shift = n - (j + 1) * s
-            if shift >= 0:
-                bits[shift : shift + s] = u
-            else:
-                bits[: s + shift] = u[-shift:]
-            if j + 1 < ell:
-                u = (at @ u) & 1
-        mask = int.from_bytes(np.packbits(bits[::-1]).tobytes(), "big") >> ((-n) % 8)
-        masks.append(mask)
-    return masks
-
-
-def extract_with_masks(masks: list, x_value: int) -> int:
-    """Output as an integer (bit 0 of the output = highest integer bit)."""
-    out = 0
-    for mask in masks:
-        out = (out << 1) | ((x_value & mask).bit_count() & 1)
-    return out
+    s, ell, n, m = spec.s, spec.ell, spec.n, inst.m
+    seeds = [_bit_seed(inst, y, i) for i in range(m)]
+    a = np.array([v.chunk(0, s) for v in seeds], dtype=np.uint64)
+    u = np.array([v.chunk(s, s) for v in seeds], dtype=np.uint64)
+    # rows[i, b] = a_i * x^b in GF(2^s): bit b of M_a^T u_i is <rows[i, b], u_i>
+    low = np.uint64(spec.field().modulus ^ (1 << s))  # x^s reduced
+    rows = np.empty((m, s), dtype=np.uint64)
+    for b in range(s):
+        rows[:, b] = a
+        a = (a << np.uint64(1)) ^ (((a >> np.uint64(s - 1)) & np.uint64(1)) * low)
+        a &= np.uint64((1 << s) - 1)
+    weights = np.uint64(1) << np.arange(s, dtype=np.uint64)
+    steps = np.empty((ell, m), dtype=np.uint64)  # steps[j] = (M_a^T)^j z
+    for j in range(ell):
+        steps[j] = u
+        parity = np.bitwise_count(rows & u[:, None]) & np.uint8(1)
+        u = (parity.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+    words = (n + 63) // 64
+    matrix = np.empty((m, words), dtype=np.uint64)
+    bits = np.zeros(64 * words, dtype=np.uint8)  # indexed by integer bit position
+    for i in range(m):
+        # symbol ell-1 lowest; bit r of each s-bit vector ascending
+        vec = steps[::-1, i].astype("<u8").view(np.uint8).reshape(ell, 8)
+        sym = np.unpackbits(vec, axis=1, bitorder="little")[:, :s]
+        bits[:n] = sym.reshape(-1)[ell * s - n :]
+        matrix[i] = np.packbits(bits, bitorder="little").view(np.uint64)
+    return CompiledMasks(matrix, n)
 
 
 class CompiledMasks:
-    """Masks packed into a (m, n/64) uint64 matrix for batch AND-parity."""
+    """m parity masks as a (m, ceil(n/64)) uint64 matrix; word w, bit b of a
+    row selects bit 64*w + b of the input's integer value."""
 
-    def __init__(self, masks: list, n: int):
-        self.m = len(masks)
+    def __init__(self, matrix: np.ndarray, n: int):
+        self.m = matrix.shape[0]
         self.n = n
-        self._words = (n + 63) // 64
-        rows = [
-            np.frombuffer(mask.to_bytes(self._words * 8, "little"), dtype=np.uint64)
-            for mask in masks
-        ]
-        self._matrix = np.vstack(rows)
+        self._words = matrix.shape[1]
+        self._matrix = matrix
 
     def apply(self, x_value: int) -> int:
+        """Output as an integer (bit 0 of the output = highest integer bit)."""
         xw = np.frombuffer(x_value.to_bytes(self._words * 8, "little"), dtype=np.uint64)
         par = (np.bitwise_count(self._matrix & xw).sum(axis=1) & 1).astype(np.uint8)
         packed = int.from_bytes(np.packbits(par).tobytes(), "big")
@@ -194,6 +193,13 @@ class _BitWriter:
             self._nbits = 0
 
 
+def _next_masks(inst: TrevisanInstance, seeds: _BitReader) -> CompiledMasks:
+    y = seeds.read_bits(inst.d)
+    if y is None:
+        raise ParameterError("seed source exhausted")
+    return seed_masks(inst, y)
+
+
 def extract_stream(
     inst: TrevisanInstance,
     source: BinaryIO,
@@ -203,33 +209,22 @@ def extract_stream(
 ) -> StreamReport:
     """Extract every n-bit block of `source`, writing m-bit outputs.
 
-    With ``reuse_seed`` a single d-bit seed is read once, compiled to parity
-    masks, and applied to every block; the report carries the union-bound
-    error factor.  Otherwise d fresh seed bits are consumed per block.  A
-    short final source block is an error; nothing is implicitly padded.
+    Every block runs on compiled parity masks.  With ``reuse_seed`` a single
+    d-bit seed is read and compiled once and applied to every block; the
+    report carries the union-bound error factor.  Otherwise each block is
+    read first and then compiled with d fresh seed bits, so a clean end of
+    input consumes no further seed.  A short final source block is an error;
+    nothing is implicitly padded.
     """
     reader = _BitReader(source)
     seeds = _BitReader(seed_source)
     writer = _BitWriter(sink)
     report = StreamReport(seed_reused=reuse_seed)
-    masks = None
-    if reuse_seed:
-        y = seeds.read_bits(inst.d)
-        if y is None:
-            raise ParameterError("seed source exhausted")
-        masks = CompiledMasks(seed_masks(inst, y), inst.n)
-    while True:
-        x = reader.read_bits(inst.n)
-        if x is None:
-            break
-        if reuse_seed:
-            out = BitString(inst.m, masks.apply(x.value))
-        else:
-            y = seeds.read_bits(inst.d)
-            if y is None:
-                raise ParameterError("seed source exhausted")
-            out = extract(inst, x, y)
-        writer.write(out)
+    masks = _next_masks(inst, seeds) if reuse_seed else None
+    while (x := reader.read_bits(inst.n)) is not None:
+        if not reuse_seed:
+            masks = _next_masks(inst, seeds)
+        writer.write(BitString(inst.m, masks.apply(x.value)))
         report.blocks += 1
     writer.flush()
     report.joint_error_factor = report.blocks if reuse_seed else 1

@@ -121,11 +121,11 @@ def ceil_div_ln(t: int, r: Fraction) -> int:
     r = Fraction(r)
     dps = 40
     while dps <= 10000:
-        mp.dps = dps
-        lo = mpf(t) / (mp.log(mpf(r.numerator)) - mp.log(mpf(r.denominator)))
-        # directed rounding surrogate: widen by one ulp on each side
-        eps = mp.mpf(2) ** (int(mp.mag(lo)) - mp.prec + 4)
-        clo, chi = mp.ceil(lo - eps), mp.ceil(lo + eps)
+        with mp.workdps(dps):
+            lo = mpf(t) / (mp.log(mpf(r.numerator)) - mp.log(mpf(r.denominator)))
+            # directed rounding surrogate: widen by one ulp on each side
+            eps = mp.mpf(2) ** (int(mp.mag(lo)) - mp.prec + 4)
+            clo, chi = mp.ceil(lo - eps), mp.ceil(lo + eps)
         if clo == chi:
             return int(clo)
         dps *= 2

@@ -7,12 +7,7 @@ from trevext.bitfield import (
     MAX_BINARY_FIELD_DEGREE,
     BinaryField,
     BitString,
-    FieldElement,
-    Polynomial,
-    PrimeField,
     inner_product_gf2,
-    next_prime_geq,
-    poly_eval,
 )
 from trevext.errors import ParameterError
 
@@ -210,46 +205,9 @@ def test_unsupported_degree():
         BinaryField(MAX_BINARY_FIELD_DEGREE + 1)
 
 
-def test_prime_field():
-    f = PrimeField(7)
-    assert f.mul(3, 5) == 1
-    assert f.inv(3) == 5
-    assert f.sub(2, 5) == 4
-    with pytest.raises(ParameterError):
-        PrimeField(6)
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
-
-
-def test_field_element_mismatch():
-    a = FieldElement(1, BinaryField(2))
-    b = FieldElement(1, BinaryField(3))
-    with pytest.raises(ParameterError):
-        a + b
-    with pytest.raises(ParameterError):
-        a * b
-
-
-def test_poly_eval_horner():
-    f = BinaryField(2)
-    # p(x) = 1 + x: p(3) = 1 ^ 3 = 2
-    p = Polynomial.from_ints([1, 1], f)
-    assert poly_eval(p, FieldElement(3, f)).value == 2
-    assert p.degree() == 1
-    assert Polynomial.from_ints([0, 0], f).degree() == -1
-    with pytest.raises(ParameterError):
-        poly_eval(p, FieldElement(1, BinaryField(3)))
-
-
 def test_inner_product():
     u = BitString.from_str("1101")
     v = BitString.from_str("1011")
     assert inner_product_gf2(u, v) == (1 + 0 + 0 + 1) % 2
     with pytest.raises(ParameterError):
         inner_product_gf2(u, BitString.from_str("101"))
-
-
-def test_next_prime():
-    assert next_prime_geq(2) == 2
-    assert next_prime_geq(90) == 97
-    assert next_prime_geq(1 << 20) == (1 << 20) + 7

@@ -12,7 +12,7 @@ from trevext.cli import (
 from trevext.code_extractor import CodeSpec
 from trevext.params import preset
 from trevext.trevisan import TrevisanInstance, extract_bytes
-from trevext.weak_design import block_design, serialize_design
+from trevext.weak_design import block_design, greedy_basic_design, serialize_design
 
 # smallest constructible preset instance: one symbol, Hadamard-only code
 MICRO = dict(n=16, m=2, eps="1/2")
@@ -126,6 +126,8 @@ def test_extract_short_seed_rejected(tmp_path, capsys):
               "--seed-file", tmp_path / "seed.bin"])
     assert rc == EXIT_PARAMETER
     assert "parameter error" in capsys.readouterr().err
+    assert not (tmp_path / "out.bin").exists()
+    assert not (tmp_path / "out.bin.tmp").exists()
 
 
 def test_extract_low_k_warns_and_refuses(tmp_path, capsys):
@@ -187,3 +189,30 @@ def test_selftest_quick(capsys):
     for name in ("weak designs", "hybrid decomposition", "reduction witness",
                  "two-universality", "smoothing robustness"):
         assert f"ok {name}" in out
+
+
+def test_planted_cached_design_rejected(tmp_path, capsys):
+    # a design of the wrong shape at the cor1 n=16 m=2 cache path
+    inst, _, _ = _write_micro_inputs(tmp_path, blocks=2)
+    argv = ["extract", "--preset", "cor1", "--n", 16, "--m", 2, "--eps", "1/2",
+            "--in", tmp_path / "in.bin", "--out", tmp_path / "out.bin",
+            "--seed-file", tmp_path / "seed.bin", "--design-cache", tmp_path / "cache"]
+    assert run(argv) == EXIT_OK
+    (cached,) = (tmp_path / "cache").iterdir()
+    cached.write_bytes(serialize_design(greedy_basic_design(inst.design.t, 5, 2)))
+    (tmp_path / "out.bin").unlink()
+    capsys.readouterr()
+    assert run(argv) == EXIT_VERIFICATION
+    assert "cached design" in capsys.readouterr().err
+    assert not (tmp_path / "out.bin").exists()
+
+
+def test_generated_block_design_cache_reused_by_extract(tmp_path):
+    cache = tmp_path / "cache"
+    assert run(["design", "generate", "--kind", "block", "--t", 32, "--m", 2,
+                "--design-cache", cache, "--out", tmp_path / "design.bin"]) == EXIT_OK
+    (tmp_path / "in.bin").write_bytes(b"\x12\x34")
+    assert run(["extract", "--preset", "cor1", "--n", 16, "--m", 2, "--eps", "1/2",
+                "--in", tmp_path / "in.bin", "--out", tmp_path / "out.bin",
+                "--reuse-seed", "--design-cache", cache]) == EXIT_OK
+    assert len(list(cache.iterdir())) == 1

@@ -12,7 +12,6 @@ from trevext.trevisan import (
     extract,
     extract_bytes,
     extract_stream,
-    extract_with_masks,
     seed_masks,
 )
 from trevext.weak_design import WeakDesign
@@ -61,9 +60,10 @@ def test_seed_masks_equivalence():
     for _ in range(30):
         y = BitString(6, rng.randrange(64))
         masks = seed_masks(inst, y)
+        assert (masks.m, masks.n) == (inst.m, inst.n)
         for xv in range(16):
             direct = extract(inst, BitString(4, xv), y)
-            assert extract_with_masks(masks, xv) == direct.value
+            assert masks.apply(xv) == direct.value
 
 
 def test_length_checks():
@@ -127,3 +127,56 @@ def test_seed_exhaustion():
         extract_stream(
             inst, io.BytesIO(b"\xaa"), io.BytesIO(b""), io.BytesIO(), reuse_seed=True
         )
+
+
+def _random_instance(rng, n, s, delta, m, extra):
+    """Random design whose sets are `extra` bits wider than the code seed."""
+    code = CodeSpec(n=n, s=s, delta=delta)
+    t = code.t + extra
+    d = t + rng.randrange(1, 12)
+    sets = [rng.sample(range(d), t) for _ in range(m)]
+    return TrevisanInstance(WeakDesign.from_sets(d, sets), code)
+
+
+@pytest.mark.parametrize(
+    "n, s, delta, m, extra",
+    [
+        (10, 4, Fraction(1, 3), 3, 0),  # n not a multiple of s
+        (13, 5, Fraction(1, 3), 11, 2),  # ... and sets wider than code.t
+        (16, 4, Fraction(3, 8), 9, 1),  # multi-byte output with a 1-bit tail
+        (70, 7, Fraction(2, 5), 21, 3),  # several symbols, 64-bit word boundary
+        (128, 64, Fraction(1, 3), 5, 1),  # largest field: symbols fill a word
+    ],
+)
+def test_stream_matches_blockwise_extract(n, s, delta, m, extra):
+    rng = random.Random(n * 1000 + m)
+    inst = _random_instance(rng, n, s, delta, m, extra)
+    blocks = 7
+    # block boundaries fall inside bytes unless 8 | n
+    data = BitString(n * blocks, rng.getrandbits(n * blocks))
+    seeds = BitString(inst.d * blocks, rng.getrandbits(inst.d * blocks))
+    xs = [data.substring(range(n * b, n * (b + 1))) for b in range(blocks)]
+    ys = [seeds.substring(range(inst.d * b, inst.d * (b + 1))) for b in range(blocks)]
+
+    fresh, report = extract_bytes(inst, data.to_bytes(), seeds.to_bytes())
+    want = BitString(0, 0)
+    for x, y in zip(xs, ys):
+        want = want.concat(extract(inst, x, y))
+    assert report.blocks == blocks and fresh == want.to_bytes()
+
+    reused, report = extract_bytes(
+        inst, data.to_bytes(), ys[0].to_bytes(), reuse_seed=True
+    )
+    want = BitString(0, 0)
+    for x in xs:
+        want = want.concat(extract(inst, x, ys[0]))
+    assert report.joint_error_factor == blocks and reused == want.to_bytes()
+
+
+def test_fresh_stream_needs_no_seed_past_last_block():
+    inst = micro_instance()
+    seed = BitString(12, 0xABC).to_bytes()  # exactly two 6-bit seeds
+    out, report = extract_bytes(inst, b"\xa5", seed)
+    assert report.blocks == 2 and len(out) == 1
+    with pytest.raises(ParameterError):
+        extract_bytes(inst, b"\xa5\x50", seed)  # a third block

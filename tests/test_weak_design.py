@@ -69,6 +69,14 @@ def test_ceil_div_ln_values():
     assert ceil_div_ln(3, Fraction(3, 2)) == math.ceil(3 / math.log(1.5))
 
 
+def test_ceil_div_ln_keeps_global_precision():
+    from mpmath import mp
+
+    with mp.workdps(15):
+        ceil_div_ln(124, 2)
+        assert mp.dps == 15
+
+
 def test_block_layout():
     assert block_layout(7) == (4, 2, 1)
     assert block_layout(1) == (1,)
