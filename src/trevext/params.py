@@ -16,6 +16,7 @@ from typing import Optional
 
 from .bitfield import MAX_BINARY_FIELD_DEGREE
 from .code_extractor import min_symbol_size
+from .entropy import _log2
 from .errors import ParameterError, UnsupportedParametersError
 from .weak_design import block_layout, ceil_div_ln
 
@@ -41,13 +42,6 @@ PINNED_CONSTANTS = {
     # one-bit weak-seed extractor threshold: k = 3 log2(1/eps) + 3.
     "weak_seed_one_bit_additive": 3.0,
 }
-
-
-def _log2(x: Fraction) -> float:
-    x = Fraction(x)
-    if x <= 0:
-        raise ParameterError("log of non-positive value")
-    return math.log2(x.numerator) - math.log2(x.denominator)
 
 
 @dataclass(frozen=True)

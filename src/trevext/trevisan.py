@@ -140,10 +140,12 @@ class StreamReport:
 
 
 class _BitReader:
-    """MSB-first bit reader over a binary stream."""
+    """MSB-first bit reader over a binary stream; `name` labels the stream
+    in errors."""
 
-    def __init__(self, stream: BinaryIO):
+    def __init__(self, stream: BinaryIO, name: str):
         self._stream = stream
+        self._name = name
         self._buf = 0
         self._nbits = 0
 
@@ -158,7 +160,7 @@ class _BitReader:
             if not chunk:
                 if self._nbits == 0 or (self._buf == 0 and self._nbits < 8):
                     return None
-                raise ParameterError("short final block in input stream")
+                raise ParameterError(f"short final block in {self._name} stream")
             self._buf = (self._buf << (8 * len(chunk))) | int.from_bytes(chunk, "big")
             self._nbits += 8 * len(chunk)
         self._nbits -= n
@@ -216,8 +218,8 @@ def extract_stream(
     input consumes no further seed.  A short final source block is an error;
     nothing is implicitly padded.
     """
-    reader = _BitReader(source)
-    seeds = _BitReader(seed_source)
+    reader = _BitReader(source, "input")
+    seeds = _BitReader(seed_source, "seed")
     writer = _BitWriter(sink)
     report = StreamReport(seed_reused=reuse_seed)
     masks = _next_masks(inst, seeds) if reuse_seed else None

@@ -10,12 +10,12 @@ starting at index m_out - 1 - i, which is what the implementation slices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .bitfield import BitString
+from .entropy import _log2
 from .errors import ParameterError
 
 
@@ -131,7 +131,3 @@ def compose(
     """Concatenated two-stage extraction with independent seeds y1, y2."""
     compose_params(ext1, ext2)
     return ext1(x, y1).concat(ext2(x, y2))
-
-
-def _log2(x: Fraction) -> float:
-    return math.log2(x.numerator) - math.log2(x.denominator)

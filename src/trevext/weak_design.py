@@ -12,6 +12,17 @@ constructions are provided:
   construction with budget 2 on its own disjoint universe, so cross-block
   overlaps contribute exactly 2^0 = 1 each.
 
+Free elements first: each greedy set takes the lowest-index elements that
+lie in no earlier set before any candidate is scored.  This is the greedy's
+own choice, not a shortcut.  Against an earlier set with current overlap o,
+a free element's marginal cost is exactly 0, while one of that set's
+elements costs 2^(o+1)·E[2^H'] − 2^o·E[2^H] > 0 whenever d > t, where H'
+and H are the (hypergeometric) overlaps of a uniform completion with the
+set's unchosen elements after picking that element or a free one; at d = t
+every set is the whole universe.  So the sequential greedy picks the free
+elements, in ascending order, and only the steps left once they run out are
+scored.
+
 Certification is always exact (big integers / rationals), independent of how
 the sets were produced.  Greedy candidate scoring uses floating point with
 exact tie resolution; the final per-set budget check is exact, so a scoring
@@ -44,8 +55,6 @@ class DesignCertificate:
     r_certified: Fraction  # max overlap sum / m
     checked_r: Fraction | None = None
     violating_index: int | None = None  # first i (0-based) exceeding checked_r * m
-    method: str = ""
-    block_layout: tuple = ()
 
     @property
     def ok(self) -> bool:
@@ -59,8 +68,6 @@ class WeakDesign:
     m: int
     sets: tuple  # m sorted tuples of distinct indices in [0, d)
     r_certified: Fraction
-    method: str = "explicit"
-    block_layout: tuple = ()
 
     def __post_init__(self):
         if len(self.sets) != self.m:
@@ -72,12 +79,12 @@ class WeakDesign:
                 raise ParameterError("set index outside universe")
 
     @classmethod
-    def from_sets(cls, d: int, sets: Sequence[Sequence[int]], method: str = "explicit"):
+    def from_sets(cls, d: int, sets: Sequence[Sequence[int]]):
         tsets = tuple(tuple(sorted(s)) for s in sets)
         t = len(tsets[0]) if tsets else 0
         sums = overlap_sums(tsets)
         r_cert = Fraction(max(sums), len(tsets)) if tsets else Fraction(0)
-        return cls(t=t, d=d, m=len(tsets), sets=tsets, r_certified=r_cert, method=method)
+        return cls(t=t, d=d, m=len(tsets), sets=tsets, r_certified=r_cert)
 
 
 def overlap_sums(sets: Sequence[Sequence[int]]) -> tuple:
@@ -108,8 +115,6 @@ def verify_design(design: WeakDesign, r: Fraction | int) -> DesignCertificate:
         r_certified=r_cert,
         checked_r=r,
         violating_index=violating,
-        method=design.method,
-        block_layout=design.block_layout,
     )
 
 
@@ -142,26 +147,6 @@ def _expected_weight_exact(n_remaining: int, picks: int, available: int) -> Frac
     for h in range(max(0, picks - (n_remaining - available)), min(available, picks) + 1):
         acc += math.comb(available, h) * math.comb(n_remaining - available, picks - h) * (1 << h)
     return Fraction(acc, total)
-
-
-def expected_overlap_weight(
-    partial: Sequence[int], fixed: Sequence[int], d: int, t: int
-) -> Fraction:
-    """E[2^{|S ∩ fixed|}] over uniform t-subsets S of [d] containing `partial`.
-
-    Exact rational; the kernel of the derandomized greedy choice.
-    """
-    pset, fset = frozenset(partial), frozenset(fixed)
-    if len(pset) > t:
-        raise ParameterError("partial larger than t")
-    for idx in pset | fset:
-        if not 0 <= idx < d:
-            raise ParameterError("index outside universe")
-    o = len(pset & fset)
-    n_remaining = d - len(pset)
-    picks = t - len(pset)
-    available = len(fset - pset)
-    return (1 << o) * _expected_weight_exact(n_remaining, picks, available)
 
 
 @lru_cache(maxsize=None)
@@ -217,16 +202,7 @@ def greedy_basic_design(t: int, m: int, r_target: Fraction | float) -> WeakDesig
     if r_target <= 1:
         raise ParameterError("r_target must be > 1")
     d = t * ceil_div_ln(t, r_target)
-    sets = _greedy_sets(t, m, d, r_target, universe_offset=0)
-    design = WeakDesign.from_sets(d, sets, method=f"greedy(r={r_target})")
-    return WeakDesign(
-        t=t,
-        d=d,
-        m=m,
-        sets=design.sets,
-        r_certified=design.r_certified,
-        method=design.method,
-    )
+    return WeakDesign.from_sets(d, _greedy_sets(t, m, d, r_target, universe_offset=0))
 
 
 def _greedy_sets(t, m, d, r_target, universe_offset):
@@ -237,19 +213,19 @@ def _greedy_sets(t, m, d, r_target, universe_offset):
     elems_np: list[np.ndarray] = []  # per previous set: its elements
     covered = np.zeros(d, dtype=bool)  # union of all previous sets
     for i in range(m):
-        overlaps = [0] * i
-        chosen: list[int] = []
+        # free elements cost exactly 0 and every covered one costs more
+        # (module docstring), so they come first, lowest index first
+        chosen = [int(e) for e in np.flatnonzero(~covered)[:t]]
         chosen_mask = np.zeros(d, dtype=bool)
-        for step in range(t):
+        chosen_mask[chosen] = True
+        overlaps = [0] * i
+        for step in range(len(chosen), t):
+            deltas = _score_deltas(d, t, step)
             scores = np.zeros(d)
-            if i:
-                deltas = _score_deltas(d, t, step)
-                for j in range(i):
-                    scores[elems_np[j]] += deltas[overlaps[j]]
+            for j in range(i):
+                scores[elems_np[j]] += deltas[overlaps[j]]
             scores[chosen_mask] = np.inf
-            e = _argmin_with_exact_ties(
-                scores, d, t, step, chosen, fsets, overlaps, covered
-            )
+            e = _argmin_with_exact_ties(scores, d, t, step, chosen, fsets, overlaps)
             chosen.append(e)
             chosen_mask[e] = True
             for j in range(i):
@@ -268,25 +244,20 @@ def _greedy_sets(t, m, d, r_target, universe_offset):
     return [tuple(x + universe_offset for x in s) for s in sets]
 
 
-def _argmin_with_exact_ties(scores, d, t, step, chosen, fsets, overlaps, covered):
+def _argmin_with_exact_ties(scores, d, t, step, chosen, fsets, overlaps):
     """First index attaining the float minimum; near-ties are re-scored with
     exact rationals so the winner (lowest index among exact minima) does not
     depend on rounding.
 
-    Candidates outside every previous set share the exact delta 0, so only
-    covered candidates plus the lowest uncovered one need exact scoring.
+    Scoring starts once the free elements are used up, so every candidate
+    lies in some earlier set.
     """
     e = int(np.argmin(scores))
     best = scores[e]
     tol = 1e-9 * (abs(best) + 1e-30)
     near = np.flatnonzero(scores <= best + tol)
-    if len(near) == 1 or not fsets:
-        return e
-    near_covered = near[covered[near]]
-    near_free = near[~covered[near]]
-    near = list(near_covered[:256]) + list(near_free[:1])
-    if len(near_covered) > 256:
-        # pathological tie cloud; fall back to the float winner
+    if len(near) == 1 or len(near) > 256:
+        # a single winner, or a pathological tie cloud: the float winner
         return e
     # exact conditional expectation restricted to candidate-dependent terms
     n_remaining = d - step - 1
@@ -330,37 +301,18 @@ def block_design(t: int, m: int) -> WeakDesign:
     """
     if t < 1 or m < 1:
         raise ParameterError("t and m must be >= 1")
-    layout = block_layout(m)
     d_block = t * ceil_div_ln(t, Fraction(2))
     all_sets: list[tuple] = []
     offset = 0
-    prev_count = 0
-    for size in layout:
-        # remaining-mass argument: earlier cross-block sets each contribute
-        # 2^0 and the within-block greedy sum is at most 2*(size-1)
-        if prev_count + 2 * (size - 1) > m:
-            raise ConstructionError("block layout violates the r=1 mass budget")
-        if size == 1:
-            block_sets = [tuple(range(offset, offset + t))]
-        else:
-            block_sets = _greedy_sets(t, size, d_block, Fraction(2), offset)
-        all_sets.extend(block_sets)
-        prev_count += size
+    for size in block_layout(m):
+        all_sets.extend(_greedy_sets(t, size, d_block, Fraction(2), offset))
         offset += d_block
-    design = WeakDesign.from_sets(offset, all_sets, method="block")
+    design = WeakDesign.from_sets(offset, all_sets)
     if design.r_certified > 1:
         raise ConstructionError(
             f"block design certification failed: r = {design.r_certified}"
         )
-    return WeakDesign(
-        t=t,
-        d=offset,
-        m=m,
-        sets=design.sets,
-        r_certified=design.r_certified,
-        method="block",
-        block_layout=layout,
-    )
+    return design
 
 
 def block_design_length_bound(t: int, m: int) -> int:
@@ -400,7 +352,7 @@ def deserialize_design(data: bytes) -> WeakDesign:
     for i in range(m):
         sets.append(struct.unpack_from(f"<{t}I", data, off + 4 * t * i))
     try:
-        design = WeakDesign.from_sets(d, sets, method="deserialized")
+        design = WeakDesign.from_sets(d, sets)
     except ParameterError as exc:
         # a well-formed header with inconsistent sets means the payload
         # was corrupted, not that the caller passed bad parameters
@@ -411,6 +363,4 @@ def deserialize_design(data: bytes) -> WeakDesign:
             f"stored r_certified {stored} does not match recomputation "
             f"{design.r_certified}",
         )
-    return WeakDesign(
-        t=t, d=d, m=m, sets=design.sets, r_certified=stored, method="deserialized"
-    )
+    return design

@@ -99,7 +99,7 @@ def test_extract_generates_and_records_seed(tmp_path):
               "--reuse-seed"])
     assert rc == EXIT_OK
     seed = (tmp_path / "out.bin.seed").read_bytes()
-    assert 8 * len(seed) >= 3008
+    assert len(seed) == 3008 // 8  # one d-bit seed
     expected, _ = extract_bytes(
         micro_instance(), b"\x12\x34\x56\x78", seed, reuse_seed=True
     )
@@ -125,9 +125,30 @@ def test_extract_short_seed_rejected(tmp_path, capsys):
               "--in", tmp_path / "in.bin", "--out", tmp_path / "out.bin",
               "--seed-file", tmp_path / "seed.bin"])
     assert rc == EXIT_PARAMETER
-    assert "parameter error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "parameter error" in err and "seed" in err
     assert not (tmp_path / "out.bin").exists()
     assert not (tmp_path / "out.bin.tmp").exists()
+
+
+def test_extract_block_design_m_off_the_powers_of_two(tmp_path):
+    (tmp_path / "in.bin").write_bytes(bytes(range(32)))  # 16 blocks of 16 bits
+    rc = run(["extract", "--preset", "cor1", "--n", 16, "--m", 17, "--eps", "1/2",
+              "--in", tmp_path / "in.bin", "--out", tmp_path / "out.bin"])
+    assert rc == EXIT_OK
+    assert len((tmp_path / "out.bin").read_bytes()) == 16 * 17 // 8
+    # a fresh seed per block, and not one bit more than the run reads
+    d = preset("cor1", 16, Fraction(1, 2), 17).d
+    assert len((tmp_path / "out.bin.seed").read_bytes()) == (16 * d + 7) // 8
+
+
+def test_failed_extract_leaves_no_files(tmp_path, capsys):
+    (tmp_path / "in.bin").write_bytes(b"\x12\x34\x56")  # short final block
+    rc = run(["extract", "--preset", "cor1", "--n", 16, "--m", 2, "--eps", "1/2",
+              "--in", tmp_path / "in.bin", "--out", tmp_path / "out.bin"])
+    assert rc == EXIT_PARAMETER
+    assert "input" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin"]
 
 
 def test_extract_low_k_warns_and_refuses(tmp_path, capsys):

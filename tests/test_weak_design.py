@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -5,11 +6,11 @@ import pytest
 from trevext.errors import ParameterError, VerificationError
 from trevext.weak_design import (
     WeakDesign,
+    _expected_weight_exact,
     block_design,
     block_layout,
     ceil_div_ln,
     deserialize_design,
-    expected_overlap_weight,
     greedy_basic_design,
     block_design_length_bound,
     overlap_sums,
@@ -57,8 +58,47 @@ def test_greedy_deterministic():
 def test_expected_overlap_weight_example():
     # one fixed set {1,2} in universe of size 4, new set picks 2 elements:
     # E[2^{overlap}] over uniform 2-subsets = 13/6
-    val = expected_overlap_weight(partial=(), fixed=(1, 2), d=4, t=2)
-    assert val == Fraction(13, 6)
+    assert _expected_weight_exact(4, 2, 2) == Fraction(13, 6)
+
+
+def test_covered_element_costs_more_than_free():
+    # the lemma behind free elements first: at elemental step `step`, picking
+    # an element of an earlier set whose overlap is o (so t - o of its
+    # elements are unchosen) raises the expected 2^overlap cost strictly
+    # more than picking an element outside it, whenever one exists (d > t)
+    for t in range(1, 9):
+        for d in range(t + 1, 4 * t + 1):
+            for step in range(t):
+                n_remaining, picks = d - step - 1, t - step - 1
+                for o in range(min(step, t - 1) + 1):
+                    a = t - o
+                    if a > n_remaining:
+                        continue  # no element outside the earlier set is left
+                    cost = (1 << (o + 1)) * _expected_weight_exact(
+                        n_remaining, picks, a - 1
+                    ) - (1 << o) * _expected_weight_exact(n_remaining, picks, a)
+                    assert cost > 0, (t, d, step, o)
+
+
+# serialize_design digests of the designs built before elements outside every
+# earlier set were taken without scoring; existing design caches stay valid
+PINNED = {
+    ("block", 124, 256): "89922768d94ac383bd54b394353f55ba3163342392fed2a83a5dd67b2c41fd62",
+    ("block", 3, 7): "10e6c5eaf92e6bea21060024bd1ad5c85bef16471322d9830aeed778f5825c11",
+    ("block", 4, 16): "4fb063bbe13c5ba8b3e813d876a2348a4b8b0c4c5db958d0c8c8592e1d2c7a8b",
+    ("block", 8, 64): "e1069955f5b1761c0e17fc2138d3d2907061008d58cbd20f017a2c3b9ddfea78",
+    ("greedy", 3, 8, 2): "16b4a1e0808d4aceb505c2b518d633a6adb32c7cd218dcda40817baee61a0975",
+    ("greedy", 4, 16, 2): "f1c4929ff5a13de0754344cc74a1e1e55c906cabf933de5be23208117bfd545a",
+    ("greedy", 8, 64, Fraction(3, 2)):
+        "3ba2d42a1bdb59af665ddaa205c0de59b2b1d1cc4a4fc6c4fbed91d23a281d77",
+}
+
+
+@pytest.mark.parametrize("shape", list(PINNED), ids=str)
+def test_design_bytes_pinned(shape):
+    build = block_design if shape[0] == "block" else greedy_basic_design
+    data = serialize_design(build(*shape[1:]))
+    assert hashlib.sha256(data).hexdigest() == PINNED[shape]
 
 
 def test_ceil_div_ln_values():
@@ -93,7 +133,6 @@ def test_block_t4_m2():
 
 def test_block_t3_m7():
     d = block_design(3, 7)
-    assert d.block_layout == (4, 2, 1)
     assert d.r_certified == Fraction(6, 7)
     assert verify_design(d, 1).ok
 
@@ -102,6 +141,13 @@ def test_block_t3_m7():
 def test_block_within_length_bound(t, m):
     d = block_design(t, m)
     assert d.d <= block_design_length_bound(t, m)
+    assert verify_design(d, 1).ok
+
+
+@pytest.mark.parametrize("m", [17, 25, 33, 100])
+def test_block_certifies_m_off_the_powers_of_two(m):
+    d = block_design(32, m)
+    assert d.m == m and d.r_certified <= 1
     assert verify_design(d, 1).ok
 
 
