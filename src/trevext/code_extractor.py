@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -124,32 +123,6 @@ def extract_bit(spec: CodeSpec, x: BitString, y: BitString) -> int:
     return (v & z).bit_count() & 1
 
 
-@lru_cache(maxsize=8)
-def _hadamard_rows(s: int) -> list:
-    """had[v] = integer whose bit z equals <v, z>, for z in [0, 2^s)."""
-    rows = [0]
-    for v in range(1, 1 << s):
-        r = 0
-        for z in range(1 << s):
-            r |= ((v & z).bit_count() & 1) << z
-        rows.append(r)
-    return rows
-
-
-def codeword_int(spec: CodeSpec, x: BitString) -> int:
-    """Full codeword as an integer; bit i is the bit at seed value i."""
-    if spec.n_bar > MAX_EXHAUSTIVE_NBAR:
-        raise SizeGuardError("codeword too long for exhaustive enumeration")
-    had = _hadamard_rows(spec.s)
-    symbols = message_symbols(spec, x)
-    cw = 0
-    for a in range(spec.q):
-        v = _eval_message(spec, symbols, a)
-        if v:
-            cw |= had[v] << (a << spec.s)
-    return cw
-
-
 def codeword_table(spec: CodeSpec) -> np.ndarray:
     """uint8 array (2^n, n_bar): all codewords, bit at seed value y in column y."""
     if spec.n > MAX_EXHAUSTIVE_N or spec.n_bar > MAX_EXHAUSTIVE_NBAR:
@@ -213,13 +186,9 @@ def list_size_at(spec: CodeSpec, center: BitString, radius: Fraction) -> int:
     if center.length != spec.n_bar:
         raise ParameterError("center length must equal n_bar")
     radius = Fraction(radius)
-    # center uses bit index i = seed value i, matching codeword_int
-    cint = 0
-    for i in range(spec.n_bar):
-        cint |= center[i] << i
-    count = 0
-    for xv in range(1 << spec.n):
-        cw = codeword_int(spec, BitString(spec.n, xv))
-        if Fraction((cw ^ cint).bit_count(), spec.n_bar) <= radius:
-            count += 1
-    return count
+    # center bit i is the codeword bit at seed value i, table column i
+    dist = (codeword_table(spec) != np.fromiter(center, np.uint8)).sum(axis=1)
+    return sum(
+        1 for dd in dist.tolist()
+        if dd * radius.denominator <= radius.numerator * spec.n_bar
+    )

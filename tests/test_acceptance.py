@@ -6,6 +6,7 @@ shows the full scorecard.  All probability computations are exact
 rationals unless noted; tolerances are stated inline.
 """
 
+import hashlib
 import math
 import random
 import sys
@@ -89,6 +90,20 @@ def test_criterion_01_design_certification():
     elapsed = time.time() - t0
     report(1, "weak-design certification", ok and elapsed < 300,
            f"{len(GRID)} grid points, {elapsed:.1f}s")
+
+
+# SHA-256 over serialize_design of the (block, greedy r=2) designs of each
+# GRID point in order, recorded before the greedy kept its earlier sets in
+# one index array and scored near-ties once per overlap level
+GRID_DESIGN_DIGEST = "9efde3d230074e36c274056c0d376cd871343928fbf07149196cc5fa5554e8cb"
+
+
+def test_grid_design_bytes_pinned(grid_designs):
+    digest = hashlib.sha256()
+    for t, m in GRID:
+        for design in grid_designs[(t, m)]:
+            digest.update(serialize_design(design))
+    assert digest.hexdigest() == GRID_DESIGN_DIGEST
 
 
 def test_criterion_02_design_seed_length(grid_designs):

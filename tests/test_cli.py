@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
 
 from trevext.cli import (
     EXIT_OK,
@@ -193,6 +194,45 @@ def test_design_corruption_detected(tmp_path, capsys):
     path.write_bytes(bytes(blob))
     assert run(["design", "verify", "--in", path]) == EXIT_VERIFICATION
     assert "verification failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["generate", "--m", 4, "--out", "d.bin"], "--t"),
+    (["generate", "--t", 3, "--out", "d.bin"], "--m"),
+    (["generate", "--t", 3, "--m", 4], "--out"),
+    (["verify"], "--in"),
+    (["export", "--out", "d.bin"], "--in"),
+    (["export", "--in", "d.bin"], "--out"),
+])
+def test_design_missing_flag_rejected(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.bin").write_bytes(serialize_design(block_design(3, 4)))
+    rc = run(["design", *argv, "--design-cache", tmp_path / "cache"])
+    assert rc == EXIT_PARAMETER
+    err = capsys.readouterr().err
+    assert "parameter error" in err and flag in err
+    # rejected before any work: nothing built, cached or written
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.bin"]
+
+
+def test_truncated_design_file_rejected(tmp_path, capsys):
+    path = tmp_path / "design.bin"
+    path.write_bytes(b"WDSN\x01")
+    assert run(["design", "verify", "--in", path]) == EXIT_PARAMETER
+    assert "length mismatch" in capsys.readouterr().err
+    # a cache file cut short inside its header
+    _write_micro_inputs(tmp_path, blocks=2)
+    argv = ["extract", "--preset", "cor1", "--n", 16, "--m", 2, "--eps", "1/2",
+            "--in", tmp_path / "in.bin", "--out", tmp_path / "out.bin",
+            "--seed-file", tmp_path / "seed.bin", "--design-cache", tmp_path / "cache"]
+    assert run(argv) == EXIT_OK
+    (cached,) = (tmp_path / "cache").iterdir()
+    cached.write_bytes(cached.read_bytes()[:20])
+    (tmp_path / "out.bin").unlink()
+    capsys.readouterr()
+    assert run(argv) == EXIT_PARAMETER
+    assert "length mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "out.bin").exists()
 
 
 def test_design_generate_deterministic(tmp_path):

@@ -7,7 +7,6 @@ from trevext.bitfield import BinaryField, BitString
 from trevext.code_extractor import (
     CodeSpec,
     code_params,
-    codeword_int,
     codeword_table,
     extract_bit,
     list_size_at,
@@ -62,23 +61,14 @@ def test_extract_bit_matches_inner_product_oracle():
                 assert extract_bit(spec, x, y) == (pa & z).bit_count() & 1
 
 
-def test_codeword_int_consistency():
-    spec = CodeSpec(n=4, s=2, delta=Fraction(3, 8))
-    for xv in range(16):
-        x = BitString(4, xv)
-        cw = codeword_int(spec, x)
-        for yv in range(spec.n_bar):
-            y = BitString(spec.t, yv)
-            assert (cw >> yv) & 1 == extract_bit(spec, x, y)
-
-
 def test_codeword_table_consistency():
     spec = CodeSpec(n=4, s=2, delta=Fraction(3, 8))
     table = codeword_table(spec)
     assert table.shape == (16, 16)
     for xv in range(16):
-        cw = codeword_int(spec, BitString(4, xv))
-        assert all(table[xv, y] == (cw >> y) & 1 for y in range(16))
+        x = BitString(4, xv)
+        for yv in range(spec.n_bar):
+            assert table[xv, yv] == extract_bit(spec, x, BitString(spec.t, yv))
 
 
 def test_min_distance_example():

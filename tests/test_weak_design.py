@@ -1,12 +1,15 @@
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from trevext.errors import ParameterError, VerificationError
 from trevext.weak_design import (
     WeakDesign,
+    _argmin_with_exact_ties,
     _expected_weight_exact,
+    _score_deltas,
     block_design,
     block_layout,
     ceil_div_ln,
@@ -78,6 +81,57 @@ def test_covered_element_costs_more_than_free():
                         n_remaining, picks, a - 1
                     ) - (1 << o) * _expected_weight_exact(n_remaining, picks, a)
                     assert cost > 0, (t, d, step, o)
+
+
+def _per_set_argmin(scores, d, t, step, chosen, fsets, overlaps):
+    """Reference tie-break: each near-tie candidate's exact cost summed set
+    by set over the earlier sets holding it."""
+    e = int(np.argmin(scores))
+    best = scores[e]
+    near = np.flatnonzero(scores <= best + 1e-9 * (abs(best) + 1e-30))
+    if len(near) == 1 or len(near) > 256:
+        return e
+    n_remaining, picks = d - step - 1, t - step - 1
+    pset = frozenset(chosen)
+
+    def exact_delta(cand):
+        acc = Fraction(0)
+        for j, fs in enumerate(fsets):
+            if cand in fs:
+                o = overlaps[j]
+                acc += (1 << (o + 1)) * _expected_weight_exact(
+                    n_remaining, picks, len(fs - pset) - 1
+                ) - (1 << o) * _expected_weight_exact(n_remaining, picks, len(fs - pset))
+        return acc
+
+    return min((exact_delta(int(c)), int(c)) for c in near)[1]
+
+
+def test_exact_tie_break_matches_per_set_oracle():
+    rng = np.random.default_rng(2024)
+    resolved = 0  # states whose exact winner is not the float argmin
+    for _ in range(1000):
+        t = int(rng.integers(2, 9))
+        d = t * int(rng.integers(2, 5))
+        prev = np.sort(
+            np.array([rng.choice(d, t, replace=False) for _ in range(rng.integers(1, 40))]),
+            axis=1,
+        )
+        step = int(rng.integers(1, t))
+        chosen = rng.choice(d, step, replace=False).tolist()
+        fsets = [frozenset(row) for row in prev.tolist()]
+        overlaps = np.array([len(fs.intersection(chosen)) for fs in fsets])
+        weights = np.repeat(_score_deltas(d, t, step)[overlaps], t)
+        scores = np.bincount(prev.ravel(), weights, minlength=d)
+        scores[chosen] = np.inf
+        # pull a few candidates onto the float minimum, within the tolerance
+        open_ = np.flatnonzero(np.isfinite(scores))
+        pulled = rng.choice(open_, min(len(open_), int(rng.integers(2, 12))), replace=False)
+        scores[pulled] = scores[open_].min() * (1 + rng.uniform(0, 1e-10, len(pulled)))
+        want = _per_set_argmin(scores, d, t, step, chosen, fsets, overlaps.tolist())
+        assert _argmin_with_exact_ties(scores, d, t, step, prev, overlaps) == want
+        resolved += want != int(np.argmin(scores))
+    assert resolved > 0
 
 
 # serialize_design digests of the designs built before elements outside every
@@ -174,6 +228,9 @@ def test_serialize_detects_corruption():
     data[-1] ^= 1  # flip a bit in the last stored index
     with pytest.raises((VerificationError, ParameterError)):
         deserialize_design(bytes(data))
+    for cut in (0, 5, 20):  # shorter than the 36-byte header
+        with pytest.raises(ParameterError, match="length mismatch"):
+            deserialize_design(bytes(data[:cut]))
 
 
 def test_from_sets_validation():
