@@ -42,11 +42,15 @@ EXIT_VERIFICATION = 3
 EXIT_IO = 4
 
 
-def _parse_eps(text: str) -> Fraction:
+def _parse_fraction(text: str, what: str) -> Fraction:
     try:
-        eps = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ParameterError(f"cannot parse error parameter {text!r}")
+        raise ParameterError(f"cannot parse {what} {text!r}") from None
+
+
+def _parse_eps(text: str) -> Fraction:
+    eps = _parse_fraction(text, "error parameter")
     if not 0 < eps < 1:
         raise ParameterError("eps must be in (0, 1)")
     return eps
@@ -142,6 +146,8 @@ def cmd_extract(args) -> int:
         f"advertised (k, eps) = ({p.k:.2f}, {float(p.eps):.3g})"
         + (f"; reused seed, union-bound factor {report.joint_error_factor}"
            if report.seed_reused else "")
+        + (f"; {report.seed_bits_unread} seed bit(s) after the last block left unread"
+           if report.seed_bits_unread else "")
     )
     return EXIT_OK
 
@@ -154,7 +160,7 @@ def cmd_design(args) -> int:
                if getattr(args, flag) is None]
     if missing:
         raise ParameterError(f"design {args.action} needs {', '.join(missing)}")
-    r = Fraction(args.r)
+    r = _parse_fraction(args.r, "overlap target --r")
     if args.action == "generate":
         design = _load_or_build_design(args.kind, args.t, args.m, r, args.design_cache)
         with open(args.out, "wb") as fh:

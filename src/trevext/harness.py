@@ -60,39 +60,72 @@ def _as_joint(source) -> JointDistribution:
 # -- extractor error oracle --------------------------------------------------
 
 
+def _scaled(mass: dict) -> Tuple[list, int]:
+    """Masses as integers over their common denominator L: ([(key, p*L)], L)."""
+    den = math.lcm(*(p.denominator for p in mass.values()))
+    return [(k, p.numerator * (den // p.denominator)) for k, p in mass.items()], den
+
+
+def _scaled_seed(ext, seed: Optional[Distribution]) -> Tuple[int, int, list, int]:
+    """(n, m, scaled seed masses, their denominator) under the size guard;
+    the seed defaults to uniform."""
+    n, d, m = _dims(ext)
+    if n > MAX_EXACT_SOURCE_N:
+        raise SizeGuardError(f"exact error oracle limited to n <= {MAX_EXACT_SOURCE_N}")
+    if seed is None:
+        seed = _uniform_seed(d)
+    return (n, m, *_scaled(seed.mass))
+
+
+def _output(ext, m: int, x: BitString, y: BitString) -> int:
+    z = _apply(ext, x, y)
+    if not isinstance(z, BitString) or z.length != m:
+        raise ParameterError(f"extractor output {z!r} is not a {m}-bit string")
+    return z.value
+
+
+def _error_cells(ext, m: int, sources: list, seeds: list) -> Dict[tuple, Dict[int, int]]:
+    """Integer masses by conditioning cell: (seed key, e) -> {Ext(x, y): px * py}.
+
+    `sources` holds ((x, e), px) and `seeds` holds ((y, seed key), py), both
+    as scaled by `_scaled`.
+    """
+    cells: Dict[tuple, Dict[int, int]] = {}
+    for (y, key), py in seeds:
+        for (x, e), px in sources:
+            cell = cells.setdefault((key, e), {})
+            z = _output(ext, m, x, y)
+            cell[z] = cell.get(z, 0) + px * py
+    return cells
+
+
+def _distance(cells, m: int, scale: int) -> Fraction:
+    """(1/2) sum over cells of || Z|cell - U_m * mass(cell) ||, exact.
+
+    Each cell maps output values to integer masses over the common
+    denominator `scale`; an absent output has mass 0, so it contributes
+    the uniform share of the cell's mass.
+    """
+    size = 1 << m
+    total = 0
+    for cell in cells:
+        p = sum(cell.values())
+        total += sum(abs(size * q - p) for q in cell.values()) + (size - len(cell)) * p
+    return Fraction(total, 2 * size * scale)
+
+
 def extractor_error(ext, source, seed: Optional[Distribution] = None) -> Fraction:
     """Exact (1/2)|| (Ext(X,Y), Y, E) - U_m x (Y, E) ||.
 
     `source` is a Distribution over n-bit inputs or a JointDistribution over
     (input, side symbol); the seed defaults to uniform and is always
-    independent of the source.
+    independent of the source.  Masses are summed as integers over the
+    common denominators of the source and the seed.
     """
-    n, d, m = _dims(ext)
-    if n > MAX_EXACT_SOURCE_N:
-        raise SizeGuardError(f"exact error oracle limited to n <= {MAX_EXACT_SOURCE_N}")
-    joint = _as_joint(source)
-    if seed is None:
-        seed = _uniform_seed(d)
-    out: Dict[tuple, Fraction] = {}
-    rest: Dict[tuple, Fraction] = {}
-    for (x, e), px in joint.mass.items():
-        for y, py in seed.mass.items():
-            z = _apply(ext, x, y)
-            p = px * py
-            out[(z, y, e)] = out.get((z, y, e), Fraction(0)) + p
-            rest[(y, e)] = rest.get((y, e), Fraction(0)) + p
-    u = Fraction(1, 1 << m)
-    total = Fraction(0)
-    for (y, e), p in rest.items():
-        seen = Fraction(0)
-        for zv in range(1 << m):
-            q = out.get((BitString(m, zv), y, e), Fraction(0))
-            total += abs(q - u * p)
-            seen += q
-        # sanity: no probability mass outside the enumerated outputs
-        if seen != p:
-            raise ParameterError("output mass inconsistent with conditioning mass")
-    return total / 2
+    _n, m, seeds, ly = _scaled_seed(ext, seed)
+    sources, lx = _scaled(_as_joint(source).mass)
+    cells = _error_cells(ext, m, sources, [((y, y.value), py) for y, py in seeds])
+    return _distance(cells.values(), m, lx * ly)
 
 
 @dataclass(frozen=True)
@@ -101,6 +134,32 @@ class FamilyErrorReport:
     regime: str  # "exhaustive" | "sampled"
     sources_checked: int
     worst_support: tuple
+
+
+def _flat_scorer(ext, seed: Optional[Distribution]):
+    """A function from a set of input values to the exact error of the flat
+    source on it.
+
+    Ext is tabulated once on every (input, seed) pair, so scoring a support
+    only counts table entries; the count goes through `_distance`.
+    """
+    n, m, seeds, ly = _scaled_seed(ext, seed)
+    columns = [
+        ([_output(ext, m, BitString(n, xv), y) for xv in range(1 << n)], py)
+        for y, py in seeds
+    ]
+
+    def score(support) -> Fraction:
+        cells = []
+        for column, py in columns:
+            cell: Dict[int, int] = {}
+            for xv in support:
+                z = column[xv]
+                cell[z] = cell.get(z, 0) + py
+            cells.append(cell)
+        return _distance(cells, m, len(support) * ly)
+
+    return score
 
 
 def max_error_flat_sources(
@@ -116,26 +175,31 @@ def max_error_flat_sources(
     Flat sources are the extreme points of the min-entropy-k polytope, so
     the max over them bounds the max over all k-sources.  Exhaustive when
     the number of supports is small; otherwise random supports plus greedy
-    single-swap hill climbing, deterministic in `rng_seed`.
+    single-swap hill climbing, deterministic in `rng_seed`.  Ext is
+    evaluated once per (input, seed) pair, whatever the number of supports.
     """
     n, _d, _m = _dims(ext)
     size = 1 << k
-    universe = [BitString(n, v) for v in range(1 << n)]
-    if size > len(universe):
+    if size > 1 << n:
         raise ParameterError("k exceeds n")
-
-    def err(support) -> Fraction:
-        p = Fraction(1, len(support))
-        return extractor_error(ext, Distribution({x: p for x in support}), seed)
+    score = _flat_scorer(ext, seed)
 
     if math.comb(1 << n, size) <= MAX_EXHAUSTIVE_FAMILIES:
         best, best_sup, count = Fraction(0), (), 0
-        for sup in itertools.combinations(universe, size):
+        for sup in itertools.combinations(range(1 << n), size):
             count += 1
-            e = err(sup)
+            e = score(sup)
             if e > best:
                 best, best_sup = e, sup
-        return FamilyErrorReport(best, "exhaustive", count, tuple(best_sup))
+        return FamilyErrorReport(
+            best, "exhaustive", count, tuple(BitString(n, v) for v in best_sup)
+        )
+
+    # the walk iterates sets of BitStrings, so their order fixes the result
+    universe = [BitString(n, v) for v in range(1 << n)]
+
+    def err(sup) -> Fraction:
+        return score([x.value for x in sup])
 
     rng = random.Random(rng_seed)
     best, best_sup, count = Fraction(0), (), 0
@@ -458,21 +522,10 @@ def weak_seed_split_check(
                 f"extractor exceeds eps on flat seed support {sup}", checked
             )
     # exact error with the seed correlated to Z
-    joint = _as_joint(source)
-    out: Dict[tuple, Fraction] = {}
-    rest: Dict[tuple, Fraction] = {}
-    for (y, z), pyz in J_yz.mass.items():
-        for (x, e), px in joint.mass.items():
-            zz = _apply(ext, x, y)
-            p = pyz * px
-            out[(zz, y, z, e)] = out.get((zz, y, z, e), Fraction(0)) + p
-            rest[(y, z, e)] = rest.get((y, z, e), Fraction(0)) + p
-    u = Fraction(1, 1 << m)
-    err = Fraction(0)
-    for (y, z, e), p in rest.items():
-        for zv in range(1 << m):
-            err += abs(out.get((BitString(m, zv), y, z, e), Fraction(0)) - u * p)
-    err /= 2
+    sources, lx = _scaled(_as_joint(source).mass)
+    seeds, lyz = _scaled(J_yz.mass)
+    cells = _error_cells(ext, m, sources, [((y, (y.value, z)), p) for (y, z), p in seeds])
+    err = _distance(cells.values(), m, lx * lyz)
     if err > 2 * eps:
         raise ParameterError("weak-seed splitting bound violated (internal error)")
     return WeakSeedReport(err, 2 * eps, hyz, True, None, checked)

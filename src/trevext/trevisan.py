@@ -137,6 +137,9 @@ class StreamReport:
     # with a reused public seed the per-block errors only compose by the
     # union bound; callers must budget blocks * epsilon
     joint_error_factor: int = 0
+    # seed bits after the last one used; a tail under one byte is padding
+    # and counts 0; None when the seed stream cannot seek
+    seed_bits_unread: Optional[int] = 0
 
 
 class _BitReader:
@@ -167,6 +170,16 @@ class _BitReader:
         v = self._buf >> self._nbits
         self._buf &= (1 << self._nbits) - 1
         return BitString(n, v)
+
+    def unread_bits(self) -> Optional[int]:
+        """Bits not yet returned, from the stream's size and position; the
+        rest of the stream is not read.  None when it cannot seek."""
+        if not self._stream.seekable():
+            return None
+        pos = self._stream.tell()
+        size = self._stream.seek(0, io.SEEK_END)
+        self._stream.seek(pos)
+        return self._nbits + 8 * (size - pos)
 
 
 class _BitWriter:
@@ -216,7 +229,8 @@ def extract_stream(
     report carries the union-bound error factor.  Otherwise each block is
     read first and then compiled with d fresh seed bits, so a clean end of
     input consumes no further seed.  A short final source block is an error;
-    nothing is implicitly padded.
+    nothing is implicitly padded.  Seed bits left after the last block are
+    reported, not rejected.
     """
     reader = _BitReader(source, "input")
     seeds = _BitReader(seed_source, "seed")
@@ -230,6 +244,8 @@ def extract_stream(
         report.blocks += 1
     writer.flush()
     report.joint_error_factor = report.blocks if reuse_seed else 1
+    unread = seeds.unread_bits()
+    report.seed_bits_unread = unread if unread is None or unread >= 8 else 0
     return report
 
 

@@ -119,6 +119,20 @@ def test_extract_empty_input(tmp_path, capsys):
     assert "extracted 0 block(s)" in capsys.readouterr().out
 
 
+def test_extract_reports_unread_seed_bits(tmp_path, capsys):
+    _, _, seed = _write_micro_inputs(tmp_path, blocks=2, reuse=True)
+    argv = ["extract", "--preset", "cor1", "--n", 16, "--m", 2, "--eps", "1/2",
+            "--in", tmp_path / "in.bin", "--out", tmp_path / "out.bin",
+            "--seed-file", tmp_path / "seed.bin", "--reuse-seed"]
+    assert run(argv) == EXIT_OK
+    exact = (tmp_path / "out.bin").read_bytes()
+    assert "unread" not in capsys.readouterr().out
+    (tmp_path / "seed.bin").write_bytes(seed + b"\x00")  # one byte too long
+    assert run(argv) == EXIT_OK
+    assert (tmp_path / "out.bin").read_bytes() == exact
+    assert "8 seed bit(s) after the last block left unread" in capsys.readouterr().out
+
+
 def test_extract_short_seed_rejected(tmp_path, capsys):
     (tmp_path / "in.bin").write_bytes(b"\x00\x00")
     (tmp_path / "seed.bin").write_bytes(b"\x01\x02")  # far fewer than d bits
@@ -213,6 +227,16 @@ def test_design_missing_flag_rejected(tmp_path, capsys, monkeypatch, argv, flag)
     assert "parameter error" in err and flag in err
     # rejected before any work: nothing built, cached or written
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.bin"]
+
+
+@pytest.mark.parametrize("kind", ["greedy", "block"])
+@pytest.mark.parametrize("r", ["abc", "1/0"])
+def test_design_unparsable_r_rejected(tmp_path, capsys, kind, r):
+    rc = run(["design", "generate", "--kind", kind, "--t", 3, "--m", 4, "--r", r,
+              "--out", tmp_path / "d.bin"])
+    assert rc == EXIT_PARAMETER
+    assert "parameter error" in capsys.readouterr().err
+    assert not (tmp_path / "d.bin").exists()
 
 
 def test_truncated_design_file_rejected(tmp_path, capsys):

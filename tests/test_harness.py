@@ -20,7 +20,7 @@ from trevext.harness import (
     smoothing_robustness_check,
     weak_seed_split_check,
 )
-from trevext.trevisan import TrevisanInstance
+from trevext.trevisan import TrevisanInstance, extract
 from trevext.universal_hash import AdvertisedExtractor, toeplitz_extractor
 from trevext.weak_design import WeakDesign
 
@@ -79,7 +79,103 @@ def test_error_matches_hybrid_total():
     assert rep.total == err
 
 
+def fraction_extractor_error(ext, source, seed=None):
+    """Reference: the exact error summed term by term over every output in
+    Fraction arithmetic."""
+    if not isinstance(source, JointDistribution):
+        source = JointDistribution({(x, None): p for x, p in source.mass.items()})
+    if seed is None:
+        seed = Distribution({BitString(ext.d, v): Fraction(1, 1 << ext.d)
+                             for v in range(1 << ext.d)})
+    out, rest = {}, {}
+    for (x, e), px in source.mass.items():
+        for y, py in seed.mass.items():
+            z = extract(ext, x, y) if isinstance(ext, TrevisanInstance) else ext(x, y)
+            out[(z, y, e)] = out.get((z, y, e), Fraction(0)) + px * py
+            rest[(y, e)] = rest.get((y, e), Fraction(0)) + px * py
+    u = Fraction(1, 1 << ext.m)
+    total = Fraction(0)
+    for (y, e), p in rest.items():
+        for zv in range(1 << ext.m):
+            total += abs(out.get((BitString(ext.m, zv), y, e), Fraction(0)) - u * p)
+    return total / 2
+
+
+def _random_mass(rng, keys):
+    weights = {k: rng.randint(1, 9) for k in keys}
+    tot = sum(weights.values())
+    return {k: Fraction(w, tot) for k, w in weights.items()}
+
+
+@pytest.mark.parametrize("ext", [toeplitz_extractor(4, 2, Fraction(1, 4)),
+                                 micro_instance()], ids=["toeplitz", "trevisan"])
+def test_error_matches_fraction_reference(ext):
+    rng = random.Random(ext.d)
+    for trial in range(200):
+        xs = rng.sample(range(1 << ext.n), rng.randint(1, 8))
+        source = JointDistribution(_random_mass(
+            rng, [(BitString(ext.n, xv), rng.randrange(3)) for xv in xs]))
+        seed = None if trial % 4 == 0 else Distribution(_random_mass(
+            rng, [BitString(ext.d, yv)
+                  for yv in rng.sample(range(1 << ext.d), rng.randint(1, 12))]))
+        assert extractor_error(ext, source, seed) == \
+            fraction_extractor_error(ext, source, seed)
+
+
+class _TruncatingExtractor:
+    """Declares m = 2 output bits and returns 1."""
+
+    n, d, m = 2, 0, 2
+
+    def __call__(self, x, y):
+        return x.prefix(1)
+
+
+def test_wrong_length_output_rejected():
+    ext = _TruncatingExtractor()
+    with pytest.raises(ParameterError, match="2-bit"):
+        extractor_error(ext, flat_source([BitString(2, 1)]))
+    with pytest.raises(ParameterError, match="2-bit"):
+        max_error_flat_sources(ext, k=1)
+
+
 # -- flat-source family search -----------------------------------------------
+
+
+@pytest.mark.parametrize("ext, k, kwargs, max_error, regime, checked, worst", [
+    (toeplitz_extractor(4, 2, Fraction(1, 4)), 2, {}, Fraction(21, 64),
+     "exhaustive", 1820, [0, 1, 4, 5]),
+    (toeplitz_extractor(4, 2, Fraction(1, 4)), 3, {}, Fraction(29, 128),
+     "exhaustive", 12870, [0, 1, 2, 3, 4, 8, 13, 15]),
+    (toeplitz_extractor(4, 2, Fraction(1, 4)), 4, {}, Fraction(9, 128),
+     "exhaustive", 1, list(range(16))),
+    (micro_instance(), 1, {}, Fraction(39, 64), "exhaustive", 120, [0, 1]),
+    (toeplitz_extractor(6, 2, Fraction(1, 4)), 3, {"samples": 15}, Fraction(123, 512),
+     "sampled", 212, [15, 21, 25, 30, 35, 58, 59, 63]),
+], ids=["toeplitz-k2", "toeplitz-k3", "toeplitz-k4", "trevisan-k1", "toeplitz6-sampled"])
+def test_flat_family_reports_pinned(ext, k, kwargs, max_error, regime, checked, worst):
+    rep = max_error_flat_sources(ext, k, **kwargs)
+    assert (rep.max_error, rep.regime, rep.sources_checked) == (max_error, regime, checked)
+    assert [x.value for x in rep.worst_support] == worst
+    assert all(x.length == ext.n for x in rep.worst_support)
+    assert extractor_error(ext, flat_source(rep.worst_support)) == max_error
+
+
+# -- flat-source family search -----------------------------------------------
+
+
+def test_flat_family_matches_reference_non_uniform_seed():
+    ext = toeplitz_extractor(4, 2, Fraction(1, 4))
+    rng = random.Random(5)
+    seed = Distribution(_random_mass(
+        rng, [BitString(5, yv) for yv in rng.sample(range(32), 20)]))
+    rep = max_error_flat_sources(ext, k=1, seed=seed)
+    errs = {(a, b): fraction_extractor_error(
+        ext, flat_source([BitString(4, a), BitString(4, b)]), seed)
+        for a in range(16) for b in range(a + 1, 16)}
+    assert rep.sources_checked == len(errs)
+    assert rep.max_error == max(errs.values())
+    assert errs[tuple(x.value for x in rep.worst_support)] == rep.max_error
 
 
 def test_flat_family_exhaustive_identity():
@@ -282,6 +378,7 @@ def test_weak_seed_independent_side_info():
     rep = weak_seed_split_check(ext, J_yz, src, s=1, eps=Fraction(1, 2))
     assert rep.premise_ok and rep.skipped_reason is None
     assert rep.error is not None and rep.error <= rep.bound == 1
+    assert rep.error == fraction_extractor_error(ext, src)
     assert rep.seed_sources_checked > 0
 
 

@@ -180,3 +180,25 @@ def test_fresh_stream_needs_no_seed_past_last_block():
     assert report.blocks == 2 and len(out) == 1
     with pytest.raises(ParameterError):
         extract_bytes(inst, b"\xa5\x50", seed)  # a third block
+
+
+class _Unseekable(io.BytesIO):
+    def seekable(self):
+        return False
+
+
+def test_unread_seed_bits_reported():
+    inst = micro_instance()  # d = 6: a one-byte seed ends in 2 padding bits
+    seed = BitString(6, 0b101101).to_bytes()
+    out, report = extract_bytes(inst, b"\xa5", seed, reuse_seed=True)
+    assert report.seed_bits_unread == 0
+    longer, report = extract_bytes(inst, b"\xa5", seed + b"\x00", reuse_seed=True)
+    assert longer == out and report.seed_bits_unread == 10
+    _, report = extract_bytes(inst, b"\xa5", b"\xab\xcd\xef")  # two fresh seeds
+    assert report.seed_bits_unread == 12
+    _, report = extract_bytes(inst, b"", b"\xab\xcd\xef")
+    assert report.seed_bits_unread == 24
+    report = extract_stream(
+        inst, io.BytesIO(b"\xa5"), _Unseekable(seed), io.BytesIO(), reuse_seed=True
+    )
+    assert report.blocks == 2 and report.seed_bits_unread is None
