@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import secrets
 import sys
 import tempfile
 import time
@@ -131,7 +130,7 @@ def cmd_extract(args) -> int:
             leftovers.append(seed_file)
             with open(seed_file, "wb") as fh:
                 for off in range(0, nbytes, 1 << 20):
-                    fh.write(secrets.token_bytes(min(1 << 20, nbytes - off)))
+                    fh.write(os.urandom(min(1 << 20, nbytes - off)))
         with open(source, "rb") as src, open(seed_file, "rb") as seed, \
                 open(tmp, "wb") as sink:
             report = extract_stream(inst, src, seed, sink, reuse_seed=args.reuse_seed)

@@ -84,9 +84,14 @@ def seed_masks(inst: TrevisanInstance, y: BitString) -> CompiledMasks:
         raise ParameterError(f"seed length {y.length} != d={inst.d}")
     spec = inst.code
     s, ell, n, m = spec.s, spec.ell, spec.n, inst.m
-    seeds = [_bit_seed(inst, y, i) for i in range(m)]
-    a = np.array([v.chunk(0, s) for v in seeds], dtype=np.uint64)
-    u = np.array([v.chunk(s, s) for v in seeds], dtype=np.uint64)
+    # seed bits of every output at once: row i holds the first t = 2s bits
+    # of y at S_i, ascending (what _bit_seed gives); a is the first s, u the
+    # second s, each read big-endian
+    ybits = np.unpackbits(np.frombuffer(y.to_bytes(), dtype=np.uint8))
+    picked = ybits[np.sort(np.array(inst.design.sets), axis=1)[:, : spec.t]]
+    weights = np.uint64(1) << np.arange(s, dtype=np.uint64)
+    a = (picked[:, :s] * weights[::-1]).sum(axis=1, dtype=np.uint64)
+    u = (picked[:, s:] * weights[::-1]).sum(axis=1, dtype=np.uint64)
     # rows[i, b] = a_i * x^b in GF(2^s): bit b of M_a^T u_i is <rows[i, b], u_i>
     low = np.uint64(spec.field().modulus ^ (1 << s))  # x^s reduced
     rows = np.empty((m, s), dtype=np.uint64)
@@ -94,7 +99,6 @@ def seed_masks(inst: TrevisanInstance, y: BitString) -> CompiledMasks:
         rows[:, b] = a
         a = (a << np.uint64(1)) ^ (((a >> np.uint64(s - 1)) & np.uint64(1)) * low)
         a &= np.uint64((1 << s) - 1)
-    weights = np.uint64(1) << np.arange(s, dtype=np.uint64)
     steps = np.empty((ell, m), dtype=np.uint64)  # steps[j] = (M_a^T)^j z
     for j in range(ell):
         steps[j] = u
@@ -112,6 +116,11 @@ def seed_masks(inst: TrevisanInstance, y: BitString) -> CompiledMasks:
     return CompiledMasks(matrix, n)
 
 
+# words per slice of the apply kernel: 512 KiB of rows, ANDed into a
+# scratch buffer that stays in cache while it is folded
+_SLICE_WORDS = 1 << 16
+
+
 class CompiledMasks:
     """m parity masks as a (m, ceil(n/64)) uint64 matrix; word w, bit b of a
     row selects bit 64*w + b of the input's integer value."""
@@ -123,9 +132,23 @@ class CompiledMasks:
         self._matrix = matrix
 
     def apply(self, x_value: int) -> int:
-        """Output as an integer (bit 0 of the output = highest integer bit)."""
-        xw = np.frombuffer(x_value.to_bytes(self._words * 8, "little"), dtype=np.uint64)
-        par = (np.bitwise_count(self._matrix & xw).sum(axis=1) & 1).astype(np.uint8)
+        """Output as an integer (bit 0 of the output = highest integer bit).
+
+        The rows are ANDed with x one cache-sized slice at a time and each
+        row XOR-folded to one word; parity(popcount) of the fold is the
+        row's parity, since parity is additive over the words.
+        """
+        words = self._words
+        xw = np.frombuffer(x_value.to_bytes(words * 8, "little"), dtype=np.uint64)
+        rows = max(1, _SLICE_WORDS // words)
+        buf = np.empty((min(rows, self.m), words), dtype=np.uint64)
+        acc = np.empty(self.m, dtype=np.uint64)
+        for r in range(0, self.m, rows):
+            part = self._matrix[r : r + rows]
+            out = buf[: len(part)]
+            np.bitwise_and(part, xw, out=out)
+            np.bitwise_xor.reduce(out, axis=1, out=acc[r : r + len(part)])
+        par = np.bitwise_count(acc) & np.uint8(1)
         packed = int.from_bytes(np.packbits(par).tobytes(), "big")
         return packed >> (8 * ((self.m + 7) // 8) - self.m)
 
@@ -159,7 +182,7 @@ class _BitReader:
         a short final block and raises.
         """
         while self._nbits < n:
-            chunk = self._stream.read(65536)
+            chunk = self._stream.read((n - self._nbits + 7) // 8)
             if not chunk:
                 if self._nbits == 0 or (self._buf == 0 and self._nbits < 8):
                     return None

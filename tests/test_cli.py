@@ -1,9 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import trevext
 from trevext.cli import (
     EXIT_OK,
     EXIT_PARAMETER,
@@ -301,3 +305,12 @@ def test_generated_block_design_cache_reused_by_extract(tmp_path):
                 "--in", tmp_path / "in.bin", "--out", tmp_path / "out.bin",
                 "--reuse-seed", "--design-cache", cache]) == EXIT_OK
     assert len(list(cache.iterdir())) == 1
+
+
+def test_cli_import_does_not_load_openssl():
+    src = os.path.dirname(os.path.dirname(trevext.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, trevext.cli; print('_hashlib' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

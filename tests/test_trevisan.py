@@ -2,16 +2,19 @@ import io
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from trevext.bitfield import BitString
 from trevext.code_extractor import CodeSpec, extract_bit
 from trevext.errors import ParameterError
 from trevext.trevisan import (
+    CompiledMasks,
     TrevisanInstance,
     extract,
     extract_bytes,
     extract_stream,
+    _BitReader,
     seed_masks,
 )
 from trevext.weak_design import WeakDesign
@@ -202,3 +205,106 @@ def test_unread_seed_bits_reported():
         inst, io.BytesIO(b"\xa5"), _Unseekable(seed), io.BytesIO(), reuse_seed=True
     )
     assert report.blocks == 2 and report.seed_bits_unread is None
+
+
+@pytest.mark.parametrize("words", [1, 3, 1024])
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 129, 256])
+def test_apply_matches_popcount_parity(words, m):
+    # at 1024 words a slice holds 64 rows: m = 65, 129, 256 run several
+    # slices, 65 and 129 with a partial last one
+    rng = random.Random(words * 1000 + m)
+    n = 64 * words - 5
+    matrix = np.random.default_rng(rng.getrandbits(32)).integers(
+        0, 1 << 64, size=(m, words), dtype=np.uint64
+    )
+    masks = CompiledMasks(matrix, n)
+    for _ in range(3):
+        x = rng.getrandbits(n)
+        xw = np.frombuffer(x.to_bytes(8 * words, "little"), dtype=np.uint64)
+        par = np.bitwise_count(matrix & xw).sum(axis=1) & 1
+        want = int("".join(str(b) for b in par), 2)
+        assert masks.apply(x) == want
+
+
+class _Trickle(io.RawIOBase):
+    """Seekable raw stream whose reads return at most 3 bytes."""
+
+    def __init__(self, data: bytes):
+        self._inner = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        chunk = self._inner.read(min(3, len(b)))
+        b[: len(chunk)] = chunk
+        return len(chunk)
+
+    def seekable(self):
+        return True
+
+    def seek(self, pos, whence=io.SEEK_SET):
+        return self._inner.seek(pos, whence)
+
+    def tell(self):
+        return self._inner.tell()
+
+
+def _odd_instance():
+    # n = 13 and d = 15: blocks and seeds end inside bytes
+    rng = random.Random(13)
+    code = CodeSpec(n=13, s=5, delta=Fraction(1, 3))
+    sets = [rng.sample(range(15), code.t) for _ in range(11)]
+    return TrevisanInstance(WeakDesign.from_sets(15, sets), code)
+
+
+@pytest.mark.parametrize("reuse_seed", [False, True])
+def test_short_reads_match_buffered_stream(reuse_seed):
+    inst = _odd_instance()
+    rng = random.Random(21)
+    blocks = 9
+    data = BitString(13 * blocks, rng.getrandbits(13 * blocks))
+    seeds = BitString(15 * blocks, rng.getrandbits(15 * blocks))
+    seed = (seeds.prefix(15) if reuse_seed else seeds).to_bytes() + b"\x5a\x00"
+    runs = []
+    for wrap in (io.BytesIO, _Trickle):
+        out = io.BytesIO()
+        report = extract_stream(
+            inst, wrap(data.to_bytes()), wrap(seed), out, reuse_seed=reuse_seed
+        )
+        runs.append((out.getvalue(), report.blocks, report.seed_bits_unread))
+    want = BitString(0, 0)
+    for b in range(blocks):
+        x = data.substring(range(13 * b, 13 * (b + 1)))
+        y = seeds.substring(range(0, 15) if reuse_seed else range(15 * b, 15 * (b + 1)))
+        want = want.concat(extract(inst, x, y))
+    # one padding bit after the last seed, then the two extra bytes
+    assert runs == [(want.to_bytes(), blocks, 17)] * 2
+
+
+@pytest.mark.parametrize("wrap", [io.BytesIO, _Trickle])
+def test_sub_byte_tails(wrap):
+    inst = _odd_instance()
+    rng = random.Random(22)
+    data = BitString(39, rng.getrandbits(39)).to_bytes()  # 3 blocks, 1 pad bit
+    seeds = BitString(45, rng.getrandbits(45)).to_bytes()  # 3 seeds, 3 pad bits
+
+    def run(data, seed):
+        return extract_stream(inst, wrap(data), wrap(seed), io.BytesIO()).blocks
+
+    assert run(data, seeds) == 3
+    with pytest.raises(ParameterError, match="short final block in input stream"):
+        run(data[:-1] + bytes([data[-1] | 1]), seeds)
+    two = BitString(30, rng.getrandbits(30)).to_bytes()  # 2 seeds, 2 pad bits
+    with pytest.raises(ParameterError, match="seed source exhausted"):
+        run(data, two)
+    with pytest.raises(ParameterError, match="short final block in seed stream"):
+        run(data, two[:-1] + bytes([two[-1] | 1]))
+
+
+def test_reader_reads_only_needed_bytes():
+    stream = io.BytesIO(b"\xff" * 100)
+    reader = _BitReader(stream, "input")
+    assert reader.read_bits(13).value == (1 << 13) - 1 and stream.tell() == 2
+    reader.read_bits(13)  # 3 bits buffered, 10 more needed
+    assert stream.tell() == 4 and reader.unread_bits() == 800 - 26
