@@ -123,38 +123,65 @@ def extract_bit(spec: CodeSpec, x: BitString, y: BitString) -> int:
     return (v & z).bit_count() & 1
 
 
+def code_masks(spec: CodeSpec, a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Parity masks of the one-bit extractor at k uint64 seed pairs (a, u).
+
+    Row i of the (k, ceil(n/64)) uint64 result has <p_x(a_i), u_i> =
+    parity(x & row i) for every input x; word w, bit b of a row selects bit
+    64*w + b of the input's integer value.  The map is GF(2)-linear in x:
+    with M_a the multiply-by-a matrix on symbol bits, <p_x(a), u> =
+    sum_j <c_j a^j, u> = sum_j <c_j, (M_a^T)^j u> over the message symbols
+    c_j.  All k pairs advance together, one symbol per step, on s-bit
+    vectors held in uint64 words.  Symbol j (big-endian, zero-padded at the
+    high-index end) occupies integer bits [n - (j+1)*s, n - j*s).
+    """
+    s, ell, n, k = spec.s, spec.ell, spec.n, len(a)
+    # x^s reduced; spec.field() refuses s > 64 before any uint64 arithmetic
+    low = np.uint64(spec.field().modulus ^ (1 << s))
+    weights = np.uint64(1) << np.arange(s, dtype=np.uint64)
+    # rows[i, b] = a_i * x^b in GF(2^s): bit b of M_a^T u_i is <rows[i, b], u_i>
+    rows = np.empty((k, s), dtype=np.uint64)
+    for b in range(s):
+        rows[:, b] = a
+        a = (a << np.uint64(1)) ^ (((a >> np.uint64(s - 1)) & np.uint64(1)) * low)
+        a &= np.uint64((1 << s) - 1)
+    steps = np.empty((k, ell), dtype=np.uint64)  # steps[:, j] = (M_a^T)^j u
+    for j in range(ell):
+        steps[:, j] = u
+        parity = np.bitwise_count(rows & u[:, None]) & np.uint8(1)
+        u = (parity.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+    words = (n + 63) // 64
+    matrix = np.empty((k, words), dtype=np.uint64)
+    # unpack ~64 KiB of mask bits at a time: one row at the production shape
+    chunk = max(1, (1 << 16) // (64 * words))
+    bits = np.zeros((chunk, 64 * words), dtype=np.uint8)  # by integer bit position
+    for r in range(0, k, chunk):
+        # symbol ell-1 lowest; bit b of each s-bit vector ascending
+        vec = steps[r : r + chunk, ::-1].astype("<u8").view(np.uint8).reshape(-1, ell, 8)
+        sym = np.unpackbits(vec, axis=2, bitorder="little")[:, :, :s].reshape(-1, ell * s)
+        bits[: len(vec), :n] = sym[:, ell * s - n :]
+        packed = np.packbits(bits[: len(vec)], axis=1, bitorder="little")
+        matrix[r : r + chunk] = packed.view(np.uint64)
+    return matrix
+
+
+def _codeword_chunks(spec: CodeSpec, a: np.ndarray, u: np.ndarray):
+    """Yield (lo, bits), bits[i, c] = <p_x(a_c), u_c> at x = lo + i, for all x."""
+    masks = code_masks(spec, a, u)[:, 0]  # n <= MAX_EXHAUSTIVE_N < 64
+    step = max(1, (1 << 20) // len(masks))  # table entries per chunk
+    for lo in range(0, 1 << spec.n, step):
+        xs = np.arange(lo, min(lo + step, 1 << spec.n), dtype=np.uint64)
+        yield lo, np.bitwise_count(xs[:, None] & masks) & np.uint8(1)
+
+
 def codeword_table(spec: CodeSpec) -> np.ndarray:
     """uint8 array (2^n, n_bar): all codewords, bit at seed value y in column y."""
     if spec.n > MAX_EXHAUSTIVE_N or spec.n_bar > MAX_EXHAUSTIVE_NBAR:
         raise SizeGuardError("table too large for exhaustive enumeration")
-    f = spec.field()
-    q, s, ell, n = spec.q, spec.s, spec.ell, spec.n
-    # symbol values of every message: (2^n, ell)
-    xs = np.arange(1 << n, dtype=np.uint64)
-    sym = np.zeros((1 << n, ell), dtype=np.int64)
-    for j in range(ell):
-        lo = j * s
-        width = min(s, n - lo)
-        # big-endian chunk [lo, lo+s), implicit zero padding past n
-        sym[:, j] = ((xs >> np.uint64(n - lo - width)) & np.uint64((1 << width) - 1)).astype(
-            np.int64
-        ) << (s - width)
-    # evaluate at every a by Horner using exact table-free field mults
-    out = np.zeros((1 << n, q * q), dtype=np.uint8)
-    zs = np.arange(q)
-    for a in range(q):
-        mul_a = np.array([f.mul(v, a) for v in range(q)], dtype=np.int64)
-        acc = np.zeros(1 << n, dtype=np.int64)
-        for j in range(ell - 1, -1, -1):
-            acc = mul_a[acc] ^ sym[:, j]
-        # inner products of acc against every mask z
-        blocks = np.bitwise_and(acc[:, None], zs[None, :])
-        par = np.zeros_like(blocks, dtype=np.uint8)
-        bb = blocks.copy()
-        while bb.any():
-            par ^= (bb & 1).astype(np.uint8)
-            bb >>= 1
-        out[:, a * q : (a + 1) * q] = par
+    y = np.arange(spec.n_bar, dtype=np.uint64)
+    out = np.empty((1 << spec.n, spec.n_bar), dtype=np.uint8)
+    for lo, bits in _codeword_chunks(spec, y >> np.uint64(spec.s), y & np.uint64(spec.q - 1)):
+        out[lo : lo + len(bits)] = bits
     return out
 
 
@@ -163,20 +190,21 @@ def min_distance_exhaustive(spec: CodeSpec) -> Fraction:
 
     The inner Hadamard block of a nonzero symbol has weight exactly q/2, so
     the weight of a codeword is (q - #roots of p_x) * q/2; minimized over
-    every nonzero message.
+    every nonzero message.  Bit b of p_x(a) is <p_x(a), e_b>, so p_x(a) is
+    nonzero when any of its s mask parities is.
     """
     if spec.n > MAX_EXHAUSTIVE_N:
         raise SizeGuardError("min-distance enumeration limited to n <= 14")
-    best = None
-    for xv in range(1, 1 << spec.n):
-        symbols = message_symbols(spec, BitString(spec.n, xv))
-        nonzero = sum(
-            1 for a in range(spec.q) if _eval_message(spec, symbols, a) != 0
-        )
-        w = Fraction(nonzero * (spec.q // 2), spec.n_bar)
-        if best is None or w < best:
-            best = w
-    return best
+    q, s = spec.q, spec.s
+    u = np.uint64(1) << np.arange(s, dtype=np.uint64)
+    nonzero = np.zeros(1 << spec.n, dtype=np.int64)  # #a with p_x(a) != 0, by x
+    block = max(1, (1 << 12) // s)  # evaluation points per compile
+    for a0 in range(0, q, block):
+        a = np.arange(a0, min(a0 + block, q), dtype=np.uint64)
+        for lo, bits in _codeword_chunks(spec, np.repeat(a, s), np.tile(u, len(a))):
+            hit = bits.reshape(len(bits), len(a), s).any(axis=2)
+            nonzero[lo : lo + len(bits)] += hit.sum(axis=1)
+    return Fraction(int(nonzero[1:].min()) * (q // 2), spec.n_bar)
 
 
 def list_size_at(spec: CodeSpec, center: BitString, radius: Fraction) -> int:

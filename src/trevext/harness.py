@@ -250,24 +250,23 @@ def hybrid_gaps(J: JointDistribution, m: int) -> HybridReport:
     """
     if not 1 <= m <= MAX_HYBRID_M:
         raise SizeGuardError(f"hybrid enumeration limited to 1 <= m <= {MAX_HYBRID_M}")
+    masses, scale = _scaled(J.mass)
 
-    def sigma(i: int) -> Distribution:
-        out: Dict[tuple, Fraction] = {}
-        pad = Fraction(1, 1 << (m - i))
-        for (z, e), p in J.mass.items():
+    def cells(lo: int, width: int) -> list:
+        """Masses of Z's integer bits [lo, lo+width) given the bits above and E."""
+        out: Dict[tuple, Dict[int, int]] = {}
+        for (z, e), p in masses:
             if not isinstance(z, BitString) or z.length != m:
                 raise ParameterError("Z values must be m-bit strings")
-            head = z.prefix(i)
-            for tail in range(1 << (m - i)):
-                zz = head.concat(BitString(m - i, tail))
-                out[(zz, e)] = out.get((zz, e), Fraction(0)) + p * pad
-        return Distribution(out)
+            cell = out.setdefault((z.value >> (lo + width), e), {})
+            bits = (z.value >> lo) & ((1 << width) - 1)
+            cell[bits] = cell.get(bits, 0) + p
+        return list(out.values())
 
-    hybrids = [sigma(i) for i in range(m + 1)]
-    gaps = tuple(
-        variational_distance(hybrids[i], hybrids[i - 1]) for i in range(1, m + 1)
-    )
-    total = variational_distance(hybrids[m], hybrids[0])
+    # hybrids i and i-1 differ only in bit i-1 of Z, so gap i is that bit's
+    # distance from uniform given the first i-1 bits and E
+    gaps = tuple(_distance(cells(m - i, 1), 1, scale) for i in range(1, m + 1))
+    total = _distance(cells(0, m), m, scale)
     if sum(gaps, Fraction(0)) < total:
         raise ParameterError("triangle inequality violated (internal error)")
     best = max(range(m), key=lambda i: (gaps[i], -i))

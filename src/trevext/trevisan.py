@@ -21,7 +21,7 @@ from typing import BinaryIO, Optional
 import numpy as np
 
 from .bitfield import BitString
-from .code_extractor import CodeSpec, extract_bit
+from .code_extractor import CodeSpec, code_masks, extract_bit
 from .errors import ParameterError
 from .weak_design import WeakDesign
 
@@ -71,49 +71,20 @@ def extract(inst: TrevisanInstance, x: BitString, y: BitString) -> BitString:
 
 
 def seed_masks(inst: TrevisanInstance, y: BitString) -> CompiledMasks:
-    """Compile a seed into m parity masks: output bit i = parity(x & mask_i).
-
-    Uses the GF(2)-linearity of the code: <p_x(a), z> decomposes over the
-    message symbols as sum_j <c_j, (M_a^T)^j z>, with M_a the multiply-by-a
-    matrix on symbol bits.  All m output bits advance together, one symbol
-    per step, on s-bit vectors held in uint64 words.  Mask bit p selects bit
-    p of the input's integer value, so symbol j (big-endian, zero-padded at
-    the high-index end) occupies bits [n - (j+1)*s, n - j*s).
-    """
+    """Compile a seed into m parity masks: output bit i = parity(x & mask_i),
+    the :func:`~trevext.code_extractor.code_masks` of each output's (a, u)."""
     if y.length != inst.d:
         raise ParameterError(f"seed length {y.length} != d={inst.d}")
-    spec = inst.code
-    s, ell, n, m = spec.s, spec.ell, spec.n, inst.m
+    s = inst.code.s
     # seed bits of every output at once: row i holds the first t = 2s bits
     # of y at S_i, ascending (what _bit_seed gives); a is the first s, u the
     # second s, each read big-endian
     ybits = np.unpackbits(np.frombuffer(y.to_bytes(), dtype=np.uint8))
-    picked = ybits[np.sort(np.array(inst.design.sets), axis=1)[:, : spec.t]]
-    weights = np.uint64(1) << np.arange(s, dtype=np.uint64)
-    a = (picked[:, :s] * weights[::-1]).sum(axis=1, dtype=np.uint64)
-    u = (picked[:, s:] * weights[::-1]).sum(axis=1, dtype=np.uint64)
-    # rows[i, b] = a_i * x^b in GF(2^s): bit b of M_a^T u_i is <rows[i, b], u_i>
-    low = np.uint64(spec.field().modulus ^ (1 << s))  # x^s reduced
-    rows = np.empty((m, s), dtype=np.uint64)
-    for b in range(s):
-        rows[:, b] = a
-        a = (a << np.uint64(1)) ^ (((a >> np.uint64(s - 1)) & np.uint64(1)) * low)
-        a &= np.uint64((1 << s) - 1)
-    steps = np.empty((ell, m), dtype=np.uint64)  # steps[j] = (M_a^T)^j z
-    for j in range(ell):
-        steps[j] = u
-        parity = np.bitwise_count(rows & u[:, None]) & np.uint8(1)
-        u = (parity.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
-    words = (n + 63) // 64
-    matrix = np.empty((m, words), dtype=np.uint64)
-    bits = np.zeros(64 * words, dtype=np.uint8)  # indexed by integer bit position
-    for i in range(m):
-        # symbol ell-1 lowest; bit r of each s-bit vector ascending
-        vec = steps[::-1, i].astype("<u8").view(np.uint8).reshape(ell, 8)
-        sym = np.unpackbits(vec, axis=1, bitorder="little")[:, :s]
-        bits[:n] = sym.reshape(-1)[ell * s - n :]
-        matrix[i] = np.packbits(bits, bitorder="little").view(np.uint64)
-    return CompiledMasks(matrix, n)
+    picked = ybits[np.sort(np.array(inst.design.sets), axis=1)[:, : inst.code.t]]
+    weights = (np.uint64(1) << np.arange(s, dtype=np.uint64))[::-1]
+    a = (picked[:, :s] * weights).sum(axis=1, dtype=np.uint64)
+    u = (picked[:, s:] * weights).sum(axis=1, dtype=np.uint64)
+    return CompiledMasks(code_masks(inst.code, a, u), inst.n)
 
 
 # words per slice of the apply kernel: 512 KiB of rows, ANDed into a

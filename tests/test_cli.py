@@ -280,6 +280,16 @@ def test_selftest_quick(capsys):
         assert f"ok {name}" in out
 
 
+def test_selftest_quick_rejects_out(tmp_path, capsys):
+    # test vectors are only written at the full level; asking for them at
+    # the quick level is an error before any check runs
+    out = tmp_path / "vectors.txt"
+    assert run(["selftest", "--level", "quick", "--out", out]) == EXIT_PARAMETER
+    captured = capsys.readouterr()
+    assert "--level full" in captured.err and "ok " not in captured.out
+    assert not out.exists()
+
+
 def test_planted_cached_design_rejected(tmp_path, capsys):
     # a design of the wrong shape at the cor1 n=16 m=2 cache path
     inst, _, _ = _write_micro_inputs(tmp_path, blocks=2)

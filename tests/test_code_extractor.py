@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from trevext.bitfield import BinaryField, BitString
 from trevext.code_extractor import (
     CodeSpec,
+    code_masks,
     code_params,
     codeword_table,
     extract_bit,
@@ -61,14 +63,61 @@ def test_extract_bit_matches_inner_product_oracle():
                 assert extract_bit(spec, x, y) == (pa & z).bit_count() & 1
 
 
+DELTAS = [Fraction(1, 4), Fraction(3, 8), Fraction(7, 16), Fraction(15, 32)]
+
+
+def valid_spec(n, s):
+    """CodeSpec(n, s) with the first delta of DELTAS that admits it, or None."""
+    ell, q = -(-n // s), 1 << s
+    delta = next((d for d in DELTAS if Fraction(ell - 1, q) <= 2 * d * d), None)
+    if ell > q or delta is None:
+        return None
+    return CodeSpec(n=n, s=s, delta=delta)
+
+
+def oracle_codewords(spec):
+    """Every codeword as a list of bits, one extract_bit call per bit."""
+    seeds = [BitString(spec.t, yv) for yv in range(spec.n_bar)]
+    return [[extract_bit(spec, BitString(spec.n, xv), y) for y in seeds]
+            for xv in range(1 << spec.n)]
+
+
 def test_codeword_table_consistency():
-    spec = CodeSpec(n=4, s=2, delta=Fraction(3, 8))
-    table = codeword_table(spec)
-    assert table.shape == (16, 16)
-    for xv in range(16):
-        x = BitString(4, xv)
-        for yv in range(spec.n_bar):
-            assert table[xv, yv] == extract_bit(spec, x, BitString(spec.t, yv))
+    # (4, 2) has n % s == 0; the others have ell >= 2 and a zero-padded symbol
+    for n, s in [(4, 2), (5, 3), (7, 3), (6, 4)]:
+        spec = valid_spec(n, s)
+        table = codeword_table(spec)
+        assert table.shape == (1 << n, spec.n_bar) and table.dtype == np.uint8
+        assert table.tolist() == oracle_codewords(spec), (n, s)
+
+
+def test_min_distance_matches_codeword_oracle():
+    # n = 7, s = 3 is the smallest spec where counting nonzero popcounts
+    # instead of nonzero parities gives a wrong distance (7/16, not 3/8)
+    specs = [sp for n in range(1, 8) for s in range(1, 5)
+             if (sp := valid_spec(n, s)) is not None]
+    assert len(specs) >= 18
+    for spec in specs:
+        weight = min(sum(row) for row in oracle_codewords(spec)[1:])
+        assert min_distance_exhaustive(spec) == Fraction(weight, spec.n_bar), spec
+
+
+@pytest.mark.parametrize("n,s,delta", [(20, 5, Fraction(1, 4)), (150, 8, Fraction(1, 4))])
+def test_code_masks_match_extract_bit(n, s, delta):
+    # n = 20: 1024-row packing chunks with a partial tail; n = 150: 3 words
+    spec = CodeSpec(n=n, s=s, delta=delta)
+    rng = random.Random(n)
+    k = 1500
+    a = [rng.randrange(spec.q) for _ in range(k)]
+    u = [rng.randrange(spec.q) for _ in range(k)]
+    masks = code_masks(spec, np.array(a, dtype=np.uint64), np.array(u, dtype=np.uint64))
+    assert masks.shape == (k, -(-n // 64)) and masks.dtype == np.uint64
+    rows = [int.from_bytes(row.tobytes(), "little") for row in masks]
+    for _ in range(3):
+        x = BitString(n, rng.getrandbits(n))
+        for ai, ui, row in zip(a, u, rows):
+            y = BitString(s, ai).concat(BitString(s, ui))
+            assert (x.value & row).bit_count() & 1 == extract_bit(spec, x, y)
 
 
 def test_min_distance_example():

@@ -5,7 +5,7 @@ import pytest
 
 from trevext.bitfield import BitString
 from trevext.code_extractor import CodeSpec
-from trevext.entropy import Distribution, JointDistribution, flat_source
+from trevext.entropy import Distribution, JointDistribution, flat_source, variational_distance
 from trevext.errors import ParameterError, SizeGuardError
 from trevext.harness import (
     advice_bits,
@@ -254,6 +254,49 @@ def test_hybrid_random_joints_exact_bound():
         J = JointDistribution({k: Fraction(v, tot) for k, v in w.items() if v})
         rep = hybrid_gaps(J, m)  # internal asserts cover the bound
         assert rep.gaps[rep.argmax] * m >= rep.total
+
+
+def fraction_hybrid_gaps(J, m):
+    """Reference: every hybrid as a Fraction distribution over all its
+    tails, gaps and total by variational distance."""
+    def sigma(i):
+        out = {}
+        pad = Fraction(1, 1 << (m - i))
+        for (z, e), p in J.mass.items():
+            head = z.prefix(i)
+            for tail in range(1 << (m - i)):
+                key = (head.concat(BitString(m - i, tail)), e)
+                out[key] = out.get(key, Fraction(0)) + p * pad
+        return Distribution(out)
+
+    hybrids = [sigma(i) for i in range(m + 1)]
+    gaps = tuple(variational_distance(hybrids[i], hybrids[i - 1])
+                 for i in range(1, m + 1))
+    return gaps, variational_distance(hybrids[m], hybrids[0])
+
+
+def test_hybrid_matches_fraction_reference():
+    rng = random.Random(4242)
+    for _ in range(200):
+        m = rng.randint(1, 7)
+        support = [(BitString(m, rng.randrange(1 << m)), rng.randrange(4))
+                   for _ in range(rng.randint(1, 12))]
+        weights = [rng.randint(1, 9) for _ in support]
+        tot = sum(weights) + rng.randint(0, 5)  # sub-normalised when > 0
+        mass = {}
+        for kv, w in zip(support, weights):
+            mass[kv] = mass.get(kv, Fraction(0)) + Fraction(w, tot)
+        J = JointDistribution(mass)
+        rep = hybrid_gaps(J, m)
+        gaps, total = fraction_hybrid_gaps(J, m)
+        assert (rep.gaps, rep.total) == (gaps, total)
+        assert rep.argmax == max(range(m), key=lambda i: (gaps[i], -i))
+
+
+def test_hybrid_rejects_wrong_length_values():
+    J = JointDistribution({(BitString(2, 1), None): Fraction(1)})
+    with pytest.raises(ParameterError, match="m-bit"):
+        hybrid_gaps(J, 3)
 
 
 def test_hybrid_size_guard():
