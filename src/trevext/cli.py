@@ -92,9 +92,14 @@ def cmd_params(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    if args.preset != "cor1":
+        # cor2 adds a Toeplitz second stage that extract does not run; its
+        # output would be cor1's under cor2's advertised (k, m, eps)
+        raise ParameterError(
+            f"preset {args.preset!r} does not support extraction; "
+            "use --preset cor1 (params --preset cor2 plans the two-stage construction)"
+        )
     eps = _parse_eps(args.eps)
-    if args.preset not in ("cor1", "cor2"):
-        raise ParameterError(f"preset {args.preset!r} does not support extraction")
     p = preset(args.preset, args.n, eps, args.m)
     if not p.constructible:
         raise UnsupportedParametersError(
@@ -251,12 +256,39 @@ def _selftest_checks(full: bool, rng_seed: int):
             mass[b] = mass.get(b, Fraction(0)) + shift
             harness.smoothing_robustness_check(ext, Distribution(mass), base)
 
+    def check_stream():
+        # a random micro instance streamed with fresh seeds and with one
+        # seed reused past the byte-table threshold, against extract
+        from functools import reduce
+
+        from .code_extractor import code_params
+        from .trevisan import _TABLE_MIN_BLOCKS, extract, extract_bytes
+
+        def join(bits):
+            return reduce(BitString.concat, bits, BitString(0, 0)).to_bytes()
+
+        for _ in range(4 if full else 1):
+            n, m = rng.randint(9, 40), rng.randint(1, 12)
+            code = code_params(n, Fraction(1, 3))
+            d = code.t + rng.randrange(1, 8)
+            sets = [rng.sample(range(d), code.t) for _ in range(m)]
+            inst = TrevisanInstance(WeakDesign.from_sets(d, sets), code)
+            for reuse, blocks in ((False, 5), (True, _TABLE_MIN_BLOCKS + 3)):
+                xs = [BitString(n, rng.getrandbits(n)) for _ in range(blocks)]
+                ys = [BitString(d, rng.getrandbits(d)) for _ in range(1 if reuse else blocks)]
+                want = [extract(inst, x, ys[0 if reuse else i]) for i, x in enumerate(xs)]
+                out, _ = extract_bytes(inst, join(xs), join(ys), reuse)
+                if out != join(want):
+                    raise VerificationError(
+                        f"stream differs from extract at n={n} m={m} reuse={reuse}")
+
     checks = [
         ("weak designs", check_designs),
         ("hybrid decomposition", check_hybrids),
         ("reduction witness", check_reduction),
         ("two-universality", check_toeplitz),
         ("smoothing robustness", check_smoothing),
+        ("compiled stream", check_stream),
     ]
     return checks
 

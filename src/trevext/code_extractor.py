@@ -193,8 +193,8 @@ def min_distance_exhaustive(spec: CodeSpec) -> Fraction:
     every nonzero message.  Bit b of p_x(a) is <p_x(a), e_b>, so p_x(a) is
     nonzero when any of its s mask parities is.
     """
-    if spec.n > MAX_EXHAUSTIVE_N:
-        raise SizeGuardError("min-distance enumeration limited to n <= 14")
+    if spec.n > MAX_EXHAUSTIVE_N or spec.n_bar > MAX_EXHAUSTIVE_NBAR:
+        raise SizeGuardError("min-distance enumeration limited to n <= 14, n_bar <= 2^16")
     q, s = spec.q, spec.s
     u = np.uint64(1) << np.arange(s, dtype=np.uint64)
     nonzero = np.zeros(1 << spec.n, dtype=np.int64)  # #a with p_x(a) != 0, by x

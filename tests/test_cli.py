@@ -170,6 +170,20 @@ def test_failed_extract_leaves_no_files(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin"]
 
 
+def test_extract_cor2_rejected(tmp_path, capsys):
+    # extract runs no Toeplitz second stage, so cor2 would write cor1's bytes
+    inst, data, seed = _write_micro_inputs(tmp_path, blocks=2, reuse=True)
+    for seed_args in (["--seed-file", tmp_path / "seed.bin"], []):
+        rc = run(["extract", "--preset", "cor2", "--n", 16, "--m", 2, "--eps", "1/2",
+                  "--in", tmp_path / "in.bin", "--out", tmp_path / "out.bin",
+                  "--reuse-seed"] + seed_args)
+        assert rc == EXIT_PARAMETER
+        assert "cor2" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin", "seed.bin"]
+    assert run(["params", "--preset", "cor2", "--n", 16, "--m", 2,
+                "--eps", "1/2"]) == EXIT_OK
+
+
 def test_extract_low_k_warns_and_refuses(tmp_path, capsys):
     inst, data, seed = _write_micro_inputs(tmp_path, blocks=1)
     argv = ["extract", "--preset", "cor1", "--n", 16, "--m", 2, "--eps", "1/2",
@@ -276,7 +290,7 @@ def test_selftest_quick(capsys):
     assert run(["selftest", "--level", "quick"]) == EXIT_OK
     out = capsys.readouterr().out
     for name in ("weak designs", "hybrid decomposition", "reduction witness",
-                 "two-universality", "smoothing robustness"):
+                 "two-universality", "smoothing robustness", "compiled stream"):
         assert f"ok {name}" in out
 
 

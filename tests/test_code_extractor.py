@@ -159,6 +159,9 @@ def test_exhaustive_guards():
         codeword_table(big)
     with pytest.raises(SizeGuardError):
         min_distance_exhaustive(big)
+    # short input, huge field: 2^40 evaluation points
+    with pytest.raises(SizeGuardError):
+        min_distance_exhaustive(CodeSpec(n=3, s=40, delta=Fraction(1, 4)))
 
 
 def test_extract_bit_length_checks():

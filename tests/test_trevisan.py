@@ -1,10 +1,12 @@
 import io
 import random
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from trevext import trevisan
 from trevext.bitfield import BitString
 from trevext.code_extractor import CodeSpec, extract_bit
 from trevext.errors import ParameterError
@@ -18,6 +20,20 @@ from trevext.trevisan import (
     seed_masks,
 )
 from trevext.weak_design import WeakDesign
+
+T = trevisan._TABLE_MIN_BLOCKS
+
+
+def _rows(xs, n):
+    """n-bit integers as block rows: MSB-first, zero-padded (apply's input)."""
+    nb = (n + 7) // 8
+    raw = b"".join((x << (8 * nb - n)).to_bytes(nb, "big") for x in xs)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(xs), nb)
+
+
+def _values(rows, m):
+    """apply's (B, ceil(m/8)) output rows as m-bit integers."""
+    return [int.from_bytes(r.tobytes(), "big") >> (8 * len(r) - m) for r in rows]
 
 
 def micro_instance():
@@ -64,9 +80,11 @@ def test_seed_masks_equivalence():
         y = BitString(6, rng.randrange(64))
         masks = seed_masks(inst, y)
         assert (masks.m, masks.n) == (inst.m, inst.n)
-        for xv in range(16):
-            direct = extract(inst, BitString(4, xv), y)
-            assert masks.apply(xv) == direct.value
+        direct = [extract(inst, BitString(4, xv), y).value for xv in range(16)]
+        assert _values(masks.apply(_rows(range(16), 4)), inst.m) == direct
+        # T or more blocks switch the same masks to byte tables
+        many = _rows(list(range(16)) * (T // 16 + 1), 4)
+        assert _values(masks.apply(many), inst.m) == direct * (T // 16 + 1)
 
 
 def test_length_checks():
@@ -141,6 +159,21 @@ def _random_instance(rng, n, s, delta, m, extra):
     return TrevisanInstance(WeakDesign.from_sets(d, sets), code)
 
 
+def _join(bits):
+    return reduce(BitString.concat, bits, BitString(0, 0))
+
+
+def _small_batches(monkeypatch, blocks=8, table_min=4):
+    """Batches of `blocks` blocks and byte tables from `table_min` blocks,
+    so that a few blocks flip the kernel choice and fill several batches."""
+    monkeypatch.setattr(trevisan, "_batch_blocks", lambda n, m: blocks)
+    monkeypatch.setattr(trevisan, "_TABLE_MIN_BLOCKS", table_min)
+
+
+# block counts T-1, T, T+1 and 2B+3 at B = 8, T = 4
+COUNTS = (3, 4, 5, 19)
+
+
 @pytest.mark.parametrize(
     "n, s, delta, m, extra",
     [
@@ -149,31 +182,58 @@ def _random_instance(rng, n, s, delta, m, extra):
         (16, 4, Fraction(3, 8), 9, 1),  # multi-byte output with a 1-bit tail
         (70, 7, Fraction(2, 5), 21, 3),  # several symbols, 64-bit word boundary
         (128, 64, Fraction(1, 3), 5, 1),  # largest field: symbols fill a word
+    ]
+    + [
+        (n, s, Fraction(1, 3), m, 1)
+        for n, s in ((13, 4), (64, 6), (200, 7))
+        for m in (1, 7, 64, 65, 130)
     ],
 )
-def test_stream_matches_blockwise_extract(n, s, delta, m, extra):
+def test_stream_matches_blockwise_extract(n, s, delta, m, extra, monkeypatch):
+    _small_batches(monkeypatch)
     rng = random.Random(n * 1000 + m)
     inst = _random_instance(rng, n, s, delta, m, extra)
-    blocks = 7
+    most = max(COUNTS)
     # block boundaries fall inside bytes unless 8 | n
-    data = BitString(n * blocks, rng.getrandbits(n * blocks))
-    seeds = BitString(inst.d * blocks, rng.getrandbits(inst.d * blocks))
-    xs = [data.substring(range(n * b, n * (b + 1))) for b in range(blocks)]
-    ys = [seeds.substring(range(inst.d * b, inst.d * (b + 1))) for b in range(blocks)]
+    data = BitString(n * most, rng.getrandbits(n * most))
+    seeds = BitString(inst.d * most, rng.getrandbits(inst.d * most))
+    xs = [data.substring(range(n * b, n * (b + 1))) for b in range(most)]
+    ys = [seeds.substring(range(inst.d * b, inst.d * (b + 1))) for b in range(most)]
+    fresh_want = [extract(inst, x, y) for x, y in zip(xs, ys)]
+    reused_want = [extract(inst, x, ys[0]) for x in xs]
 
-    fresh, report = extract_bytes(inst, data.to_bytes(), seeds.to_bytes())
-    want = BitString(0, 0)
-    for x, y in zip(xs, ys):
-        want = want.concat(extract(inst, x, y))
-    assert report.blocks == blocks and fresh == want.to_bytes()
+    for blocks in COUNTS:
+        part = data.prefix(n * blocks).to_bytes()
+        fresh, report = extract_bytes(inst, part, seeds.prefix(inst.d * blocks).to_bytes())
+        assert report.blocks == blocks
+        assert fresh == _join(fresh_want[:blocks]).to_bytes()
+        reused, report = extract_bytes(inst, part, ys[0].to_bytes(), reuse_seed=True)
+        assert report.joint_error_factor == blocks
+        assert reused == _join(reused_want[:blocks]).to_bytes()
 
-    reused, report = extract_bytes(
-        inst, data.to_bytes(), ys[0].to_bytes(), reuse_seed=True
-    )
-    want = BitString(0, 0)
-    for x in xs:
-        want = want.concat(extract(inst, x, ys[0]))
-    assert report.joint_error_factor == blocks and reused == want.to_bytes()
+
+def test_kernel_choice_at_threshold(monkeypatch):
+    # the real threshold T; B = T + 8 blocks, so 2B+3 ends in a partial batch
+    batch = 8 * (T // 8 + 1)
+    monkeypatch.setattr(trevisan, "_batch_blocks", lambda n, m: batch)
+    tabled = []
+    lookup = CompiledMasks._lookup
+
+    def spy(self, blocks):
+        tabled.append(len(blocks))
+        return lookup(self, blocks)
+
+    monkeypatch.setattr(CompiledMasks, "_lookup", spy)
+    inst = _odd_instance()
+    rng = random.Random(23)
+    most = 2 * batch + 3
+    data = BitString(13 * most, rng.getrandbits(13 * most))
+    y = BitString(15, rng.getrandbits(15))
+    want = [extract(inst, data.substring(range(13 * b, 13 * (b + 1))), y) for b in range(most)]
+    for blocks, batches in ((T - 1, []), (T, [T]), (T + 1, [T + 1]), (most, [batch, batch, 3])):
+        tabled.clear()
+        out, _ = extract_bytes(inst, data.prefix(13 * blocks).to_bytes(), y.to_bytes(), True)
+        assert out == _join(want[:blocks]).to_bytes() and tabled == batches
 
 
 def test_fresh_stream_needs_no_seed_past_last_block():
@@ -211,19 +271,54 @@ def test_unread_seed_bits_reported():
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 129, 256])
 def test_apply_matches_popcount_parity(words, m):
     # at 1024 words a slice holds 64 rows: m = 65, 129, 256 run several
-    # slices, 65 and 129 with a partial last one
+    # slices, 65 and 129 with a partial last one; 3 blocks run the row
+    # fold, T blocks the byte tables
     rng = random.Random(words * 1000 + m)
     n = 64 * words - 5
     matrix = np.random.default_rng(rng.getrandbits(32)).integers(
         0, 1 << 64, size=(m, words), dtype=np.uint64
     )
+    for blocks in (3, T):
+        xs = [rng.getrandbits(n) for _ in range(blocks)]
+        want = []
+        for x in xs:
+            xw = np.frombuffer(x.to_bytes(8 * words, "little"), dtype=np.uint64)
+            par = np.bitwise_count(matrix & xw).sum(axis=1) & 1
+            want.append(int("".join(str(b) for b in par), 2))
+        assert _values(CompiledMasks(matrix, n).apply(_rows(xs, n)), m) == want
+
+
+@pytest.mark.parametrize(
+    "n, m",
+    [
+        (13, 7),  # one table, shorter than a chunk
+        (797, 130),  # 3 words: 85 bytes per table, 100 = 85 + 15
+        (1600, 65),  # 2 words: 128 bytes per table, 200 = 128 + 72
+        (2397, 1),  # 1 word: 256 bytes per table, 300 = 256 + 44
+    ],
+)
+def test_table_kernel_matches_row_fold(n, m):
+    # more blocks than one gather step (128 at these shapes), and byte
+    # positions that end in a partial chunk
+    rng = random.Random(n + m)
+    matrix = np.random.default_rng(rng.getrandbits(32)).integers(
+        0, 1 << 64, size=(m, (n + 63) // 64), dtype=np.uint64
+    )
+    blocks = _rows([rng.getrandbits(n) for _ in range(4 * T + 3)], n)
+    fold = np.concatenate([CompiledMasks(matrix, n).apply(b[None]) for b in blocks])
     masks = CompiledMasks(matrix, n)
-    for _ in range(3):
-        x = rng.getrandbits(n)
-        xw = np.frombuffer(x.to_bytes(8 * words, "little"), dtype=np.uint64)
-        par = np.bitwise_count(matrix & xw).sum(axis=1) & 1
-        want = int("".join(str(b) for b in par), 2)
-        assert masks.apply(x) == want
+    assert (masks.apply(blocks) == fold).all()
+    # the row matrix is dropped; short batches now run on the tables too
+    assert masks._matrix is None
+    assert (masks.apply(blocks[:3]) == fold[:3]).all()
+
+
+def test_batch_size_bounds():
+    assert trevisan._batch_blocks(1 << 16, 256) == 128  # 1 MiB of input rows
+    assert trevisan._batch_blocks(13, 7) % 8 == 0  # batches start on a byte
+    assert trevisan._batch_blocks(1 << 24, 256) == 1  # one block over 1 MiB
+    assert trevisan._batch_blocks((1 << 24) + 1, 256) == 8
+    assert trevisan._batch_blocks(16, 60000) == (1 << 20) // 60000
 
 
 class _Trickle(io.RawIOBase):
@@ -259,47 +354,63 @@ def _odd_instance():
 
 
 @pytest.mark.parametrize("reuse_seed", [False, True])
-def test_short_reads_match_buffered_stream(reuse_seed):
+def test_short_reads_match_buffered_stream(reuse_seed, monkeypatch):
+    _small_batches(monkeypatch)
     inst = _odd_instance()
     rng = random.Random(21)
-    blocks = 9
-    data = BitString(13 * blocks, rng.getrandbits(13 * blocks))
-    seeds = BitString(15 * blocks, rng.getrandbits(15 * blocks))
-    seed = (seeds.prefix(15) if reuse_seed else seeds).to_bytes() + b"\x5a\x00"
-    runs = []
-    for wrap in (io.BytesIO, _Trickle):
-        out = io.BytesIO()
-        report = extract_stream(
-            inst, wrap(data.to_bytes()), wrap(seed), out, reuse_seed=reuse_seed
-        )
-        runs.append((out.getvalue(), report.blocks, report.seed_bits_unread))
-    want = BitString(0, 0)
-    for b in range(blocks):
-        x = data.substring(range(13 * b, 13 * (b + 1)))
-        y = seeds.substring(range(0, 15) if reuse_seed else range(15 * b, 15 * (b + 1)))
-        want = want.concat(extract(inst, x, y))
-    # one padding bit after the last seed, then the two extra bytes
-    assert runs == [(want.to_bytes(), blocks, 17)] * 2
+    most = max(COUNTS)
+    data = BitString(13 * most, rng.getrandbits(13 * most))
+    seeds = BitString(15 * most, rng.getrandbits(15 * most))
+    xs = [data.substring(range(13 * b, 13 * (b + 1))) for b in range(most)]
+    ys = [seeds.substring(range(15 * b, 15 * (b + 1))) for b in range(most)]
+    want = [extract(inst, x, ys[0] if reuse_seed else y) for x, y in zip(xs, ys)]
+    for blocks in COUNTS:
+        used = 15 if reuse_seed else 15 * blocks
+        seed = seeds.prefix(used).to_bytes() + b"\x5a\x00"
+        runs = []
+        for wrap in (io.BytesIO, _Trickle):
+            out = io.BytesIO()
+            report = extract_stream(
+                inst, wrap(data.prefix(13 * blocks).to_bytes()), wrap(seed), out,
+                reuse_seed=reuse_seed,
+            )
+            runs.append((out.getvalue(), report.blocks, report.seed_bits_unread))
+        # the padding bits after the last seed, then the two extra bytes
+        unread = 8 * len(seed) - used
+        assert runs == [(_join(want[:blocks]).to_bytes(), blocks, unread)] * 2
 
 
 @pytest.mark.parametrize("wrap", [io.BytesIO, _Trickle])
-def test_sub_byte_tails(wrap):
+def test_sub_byte_tails(wrap, monkeypatch):
     inst = _odd_instance()
     rng = random.Random(22)
     data = BitString(39, rng.getrandbits(39)).to_bytes()  # 3 blocks, 1 pad bit
     seeds = BitString(45, rng.getrandbits(45)).to_bytes()  # 3 seeds, 3 pad bits
+    bad = data[:-1] + bytes([data[-1] | 1])
 
-    def run(data, seed):
-        return extract_stream(inst, wrap(data), wrap(seed), io.BytesIO()).blocks
+    def run(data, seed, reuse_seed=False):
+        sink = io.BytesIO()
+        return extract_stream(inst, wrap(data), wrap(seed), sink, reuse_seed).blocks
 
     assert run(data, seeds) == 3
     with pytest.raises(ParameterError, match="short final block in input stream"):
-        run(data[:-1] + bytes([data[-1] | 1]), seeds)
+        run(bad, seeds)
     two = BitString(30, rng.getrandbits(30)).to_bytes()  # 2 seeds, 2 pad bits
     with pytest.raises(ParameterError, match="seed source exhausted"):
         run(data, two)
+    # the blocks before a bad input tail run first
+    with pytest.raises(ParameterError, match="seed source exhausted"):
+        run(bad, two)
     with pytest.raises(ParameterError, match="short final block in seed stream"):
         run(data, two[:-1] + bytes([two[-1] | 1]))
+    # a bad tail after two whole batches, on the byte tables
+    _small_batches(monkeypatch)
+    data = BitString(13 * 19, rng.getrandbits(13 * 19)).to_bytes()  # 1 pad bit
+    assert run(data, seeds, True) == 19
+    with pytest.raises(ParameterError, match="short final block in input stream"):
+        run(data[:-1] + bytes([data[-1] | 1]), seeds, True)
+    with pytest.raises(ParameterError, match="short final block in input stream"):
+        run(data + b"\x00", seeds, True)  # a 9-bit tail
 
 
 def test_reader_reads_only_needed_bytes():
