@@ -119,7 +119,7 @@ def cmd_extract(args) -> int:
     if design.d != p.d:
         raise VerificationError(f"design seed length {design.d} != d={p.d}")
     code = CodeSpec(n=args.n, s=p.s_bits, delta=p.delta)
-    inst = TrevisanInstance(design, code, params=p)
+    inst = TrevisanInstance(design, code)
 
     source = getattr(args, "in")
     seed_file = args.seed_file

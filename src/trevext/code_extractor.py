@@ -127,13 +127,14 @@ def code_masks(spec: CodeSpec, a: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Parity masks of the one-bit extractor at k uint64 seed pairs (a, u).
 
     Row i of the (k, ceil(n/64)) uint64 result has <p_x(a_i), u_i> =
-    parity(x & row i) for every input x; word w, bit b of a row selects bit
-    64*w + b of the input's integer value.  The map is GF(2)-linear in x:
-    with M_a the multiply-by-a matrix on symbol bits, <p_x(a), u> =
-    sum_j <c_j a^j, u> = sum_j <c_j, (M_a^T)^j u> over the message symbols
-    c_j.  All k pairs advance together, one symbol per step, on s-bit
-    vectors held in uint64 words.  Symbol j (big-endian, zero-padded at the
-    high-index end) occupies integer bits [n - (j+1)*s, n - j*s).
+    parity(x & row i) for every input x.  A row's bytes are the mask in the
+    layout of input block rows: input bit i at byte i // 8, bit 7 - i % 8,
+    zero past n.  The map is GF(2)-linear in x: with M_a the multiply-by-a
+    matrix on symbol bits, <p_x(a), u> = sum_j <c_j a^j, u> =
+    sum_j <c_j, (M_a^T)^j u> over the message symbols c_j.  All k pairs
+    advance together, one symbol per step, on s-bit vectors held in uint64
+    words.  Symbol j (big-endian, zero-padded at the high-index end) holds
+    input bits [j*s, (j+1)*s), its bit s-1 first.
     """
     s, ell, n, k = spec.s, spec.ell, spec.n, len(a)
     # x^s reduced; spec.field() refuses s > 64 before any uint64 arithmetic
@@ -151,23 +152,22 @@ def code_masks(spec: CodeSpec, a: np.ndarray, u: np.ndarray) -> np.ndarray:
         parity = np.bitwise_count(rows & u[:, None]) & np.uint8(1)
         u = (parity.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
     words = (n + 63) // 64
-    matrix = np.empty((k, words), dtype=np.uint64)
+    matrix = np.zeros((k, words), dtype=np.uint64)
+    masks = matrix.view(np.uint8)
     # unpack ~64 KiB of mask bits at a time: one row at the production shape
     chunk = max(1, (1 << 16) // (64 * words))
-    bits = np.zeros((chunk, 64 * words), dtype=np.uint8)  # by integer bit position
     for r in range(0, k, chunk):
-        # symbol ell-1 lowest; bit b of each s-bit vector ascending
-        vec = steps[r : r + chunk, ::-1].astype("<u8").view(np.uint8).reshape(-1, ell, 8)
-        sym = np.unpackbits(vec, axis=2, bitorder="little")[:, :, :s].reshape(-1, ell * s)
-        bits[: len(vec), :n] = sym[:, ell * s - n :]
-        packed = np.packbits(bits[: len(vec)], axis=1, bitorder="little")
-        matrix[r : r + chunk] = packed.view(np.uint64)
+        # each s-bit vector's bits MSB-first, symbol 0 first
+        vec = steps[r : r + chunk].astype(">u8").view(np.uint8).reshape(-1, ell, 8)
+        bits = np.unpackbits(vec, axis=2)[:, :, 64 - s :].reshape(-1, ell * s)
+        masks[r : r + chunk, : (n + 7) // 8] = np.packbits(bits[:, :n], axis=1)
     return matrix
 
 
 def _codeword_chunks(spec: CodeSpec, a: np.ndarray, u: np.ndarray):
     """Yield (lo, bits), bits[i, c] = <p_x(a_c), u_c> at x = lo + i, for all x."""
-    masks = code_masks(spec, a, u)[:, 0]  # n <= MAX_EXHAUSTIVE_N < 64
+    # n <= MAX_EXHAUSTIVE_N: one word, read big-endian: input bit i is bit n-1-i of x
+    masks = code_masks(spec, a, u).view(">u8")[:, 0] >> np.uint64(64 - spec.n)
     step = max(1, (1 << 20) // len(masks))  # table entries per chunk
     for lo in range(0, 1 << spec.n, step):
         xs = np.arange(lo, min(lo + step, 1 << spec.n), dtype=np.uint64)

@@ -332,8 +332,6 @@ def reduction_witness(
     si = inst.design.sets[i]
     si_set = set(si)
     outside = [p for p in range(inst.d) if p not in si_set]
-    # position of each overlap bit of S_j inside the ascending order of S_i
-    pos_in_si = {p: a for a, p in enumerate(si)}
 
     def advice(x: BitString, y: BitString) -> tuple:
         tables = []

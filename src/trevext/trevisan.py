@@ -32,7 +32,6 @@ from .weak_design import WeakDesign
 class TrevisanInstance:
     design: WeakDesign
     code: CodeSpec
-    params: object = None  # ExtractorParams from the calculator, if any
 
     def __post_init__(self):
         if self.design.t < self.code.t:
@@ -110,8 +109,9 @@ _TABLE_MIN_BLOCKS = 32
 class CompiledMasks:
     """m parity masks over n-bit blocks: output bit i = parity(x & mask_i).
 
-    Held as a (m, ceil(n/64)) uint64 row matrix; word w, bit b of a row
-    selects bit 64*w + b of the block's integer value.  The first batch of
+    Held as a (m, ceil(n/64)) uint64 row matrix whose bytes are laid out
+    like the blocks :meth:`apply` takes: input bit i at byte i // 8, bit
+    7 - i % 8, zero past n.  The first batch of
     at least ``_TABLE_MIN_BLOCKS`` blocks turns the rows, once, into byte
     columns and drops them: a reused seed's masks then run as byte-indexed
     XOR tables (the Method of Four Russians), everything else as a row fold.
@@ -138,16 +138,18 @@ class CompiledMasks:
         return self._lookup(blocks)
 
     def _fold(self, blocks: np.ndarray) -> np.ndarray:
-        """Row fold, block by block: the rows are ANDed with the block one
-        cache-sized slice at a time and each row XOR-folded to one word;
-        parity(popcount) of the fold is the row's parity, since parity is
-        additive over the words."""
+        """Row fold, block by block: the rows are ANDed with the block, its
+        bytes zero-padded to whole words, one cache-sized slice at a time
+        and each row XOR-folded to one word; parity(popcount) of the fold is
+        the row's parity, since parity is additive over the words."""
         words = self._matrix.shape[1]
         rows = max(1, _SLICE_WORDS // words)
         buf = np.empty((min(rows, self.m), words), dtype=np.uint64)
         acc = np.empty(self.m, dtype=np.uint64)
         out = np.empty((len(blocks), (self.m + 7) // 8), dtype=np.uint8)
-        for i, xw in enumerate(_integer_words(blocks, self.n)):
+        padded = np.zeros((len(blocks), 8 * words), dtype=np.uint8)
+        padded[:, : blocks.shape[1]] = blocks
+        for i, xw in enumerate(padded.view(np.uint64)):
             for r in range(0, self.m, rows):
                 part = self._matrix[r : r + rows]
                 tmp = buf[: len(part)]
@@ -158,22 +160,18 @@ class CompiledMasks:
 
     def _byte_columns(self) -> np.ndarray:
         """(8, ceil(n/8), ceil(m/64)) uint64: entry [j, p] is the m-bit column
-        of the input bit with value 1 << j in block byte p.  Output bit r
-        sits at byte r // 8, bit 7 - r % 8 of the little-endian words, so
-        the words' bytes are the MSB-first output."""
+        of the input bit with value 1 << j in block byte p, which is bit j
+        of byte p of every row.  Output bit r sits at byte r // 8, bit
+        7 - r % 8 of the little-endian words, so the words' bytes are the
+        MSB-first output."""
         nb = (self.n + 7) // 8
-        pad = 8 * nb - self.n
         cols = np.zeros((8, nb, 8 * ((self.m + 63) // 64)), dtype=np.uint8)
         for r in range(0, self.m, 8):
-            rows = self._matrix[r : r + 8]
-            if pad:  # integer bit e of a block is bit e + pad of its row
-                shifted = rows << np.uint64(pad)
-                shifted[:, 1:] |= rows[:, :-1] >> np.uint64(64 - pad)
-                rows = shifted
-            # word p: byte i holds block byte p (integer byte nb-1-p) of row
-            # r + 7 - i; an 8x8 bit transpose turns its bit 8i + j into 8j + i
+            rows = self._matrix[r : r + 8].view(np.uint8)
+            # word p: byte i holds byte p of row r + 7 - i; an 8x8 bit
+            # transpose turns its bit 8i + j into 8j + i
             x = np.zeros((nb, 8), dtype=np.uint8)
-            x[:, 8 - len(rows) :] = rows[::-1].view(np.uint8)[:, nb - 1 :: -1].T
+            x[:, 8 - len(rows) :] = rows[::-1, :nb].T
             y = _transpose8(x.view(np.uint64)[:, 0])
             cols[:, :, r // 8] = y.view(np.uint8).reshape(nb, 8).T
         return cols.view(np.uint64)
@@ -223,20 +221,6 @@ def _transpose8(x: np.ndarray) -> np.ndarray:
     return x ^ t ^ (t << u(28))
 
 
-def _integer_words(blocks: np.ndarray, n: int) -> np.ndarray:
-    """(B, ceil(n/64)) uint64 integer values of byte-row blocks (see apply)."""
-    nb = blocks.shape[1]
-    le = np.zeros((len(blocks), 8 * ((n + 63) // 64)), dtype=np.uint8)
-    le[:, :nb] = blocks[:, ::-1]
-    x = le.view(np.uint64)
-    pad = 8 * nb - n
-    if pad:
-        y = x >> np.uint64(pad)
-        y[:, :-1] |= x[:, 1:] << np.uint64(64 - pad)
-        x = y
-    return x
-
-
 @dataclass
 class StreamReport:
     blocks: int = 0
@@ -249,34 +233,71 @@ class StreamReport:
     seed_bits_unread: Optional[int] = 0
 
 
-class _BitReader:
-    """MSB-first bit reader over a binary stream; `name` labels the stream
-    in errors."""
+# bytes of batch buffers: 128 blocks at n = 2^16
+_BATCH_BYTES = 1 << 20
 
-    def __init__(self, stream: BinaryIO, name: str):
+
+def _batch_blocks(n: int, m: int, d: int) -> int:
+    """Blocks per batch.  A block takes ceil(n/8) bytes of input row, with
+    fresh seeds ceil(d/8) bytes of seed row (d = 0 for a reused seed), up
+    to 8*ceil(m/64) bytes of output words and, for the writer, m bytes of
+    unpacked output bits; each of these buffers stays within _BATCH_BYTES.
+    When 8 does not divide n or d the batch is a multiple of 8 blocks, so
+    that only a stream's last read can end inside a byte."""
+    b = max(1, _BATCH_BYTES // max((n + 7) // 8, (d + 7) // 8, m, 8))
+    return b if n % 8 == 0 and d % 8 == 0 else max(8, b - b % 8)
+
+
+class _BlockReader:
+    """Reads records of n bits packed MSB-first in a stream, input blocks or
+    seeds, in batches of at most `blocks` rows of ceil(n/8) bytes, each
+    MSB-first and zero-padded at the end (the layout of the mask rows and
+    of :meth:`CompiledMasks.apply`); `name` labels the stream in errors.
+
+    A read takes only the bytes its records need.  Only a stream's last
+    read may end inside a byte: the spare bits of that byte are counted as
+    unread, never carried into a further read.
+    """
+
+    def __init__(self, stream: BinaryIO, n: int, blocks: int, name: str):
         self._stream = stream
+        self._n = n
         self._name = name
-        self._buf = 0
-        self._nbits = 0
+        self._rows = np.zeros((blocks, (n + 7) // 8), dtype=np.uint8)
+        # with 8 | n the stream's bytes are the rows; otherwise the packed
+        # bits are read, then realigned
+        packed = (blocks * n + 7) // 8
+        self._raw = self._rows.reshape(-1) if n % 8 == 0 else np.empty(packed, np.uint8)
+        self._spare = 0  # bits of the last read's bytes that no record holds
+        self._error = None
 
-    def read_bits(self, n: int) -> Optional[BitString]:
-        """Next n bits; None at clean EOF.
+    def read(self, count: int) -> np.ndarray:
+        """Next `count` records (at most `blocks`) as a (k, ceil(n/8)) view,
+        valid until the next read; k < count only at the end of the stream.
 
-        A zero sub-byte tail counts as byte padding; any other short tail is
-        a short final block and raises.
+        At the end a zero sub-byte tail after the last record counts as byte
+        padding; any other short tail is a short final block, raised after
+        the records before it have been returned.
         """
-        while self._nbits < n:
-            chunk = self._stream.read((n - self._nbits + 7) // 8)
-            if not chunk:
-                if self._nbits == 0 or (self._buf == 0 and self._nbits < 8):
-                    return None
-                raise ParameterError(f"short final block in {self._name} stream")
-            self._buf = (self._buf << (8 * len(chunk))) | int.from_bytes(chunk, "big")
-            self._nbits += 8 * len(chunk)
-        self._nbits -= n
-        v = self._buf >> self._nbits
-        self._buf &= (1 << self._nbits) - 1
-        return BitString(n, v)
+        if self._error is not None:
+            raise self._error
+        n = self._n
+        want = (count * n + 7) // 8
+        view, got = memoryview(self._raw)[:want], 0
+        while got < want:
+            k = self._stream.readinto(view[got:])
+            if not k:
+                break
+            got += k
+        k = min(count, 8 * got // n)
+        tail = self._spare = 8 * got - k * n
+        if got < want and (tail >= 8 or (tail and self._raw[got - 1] & ((1 << tail) - 1))):
+            self._error = ParameterError(f"short final block in {self._name} stream")
+            if k == 0:
+                raise self._error
+        if n % 8:
+            self._realign(k)
+        return self._rows[:k]
 
     def unread_bits(self) -> Optional[int]:
         """Bits not yet returned, from the stream's size and position; the
@@ -286,65 +307,11 @@ class _BitReader:
         pos = self._stream.tell()
         size = self._stream.seek(0, io.SEEK_END)
         self._stream.seek(pos)
-        return self._nbits + 8 * (size - pos)
-
-
-# bytes of batch buffers: 128 blocks at n = 2^16
-_BATCH_BYTES = 1 << 20
-
-
-def _batch_blocks(n: int, m: int) -> int:
-    """Blocks per batch.  A block takes ceil(n/8) bytes of input row, up to
-    8*ceil(m/64) bytes of output words and, for the writer, m bytes of
-    unpacked output bits.  When 8 does not divide n the batch is a multiple
-    of 8 blocks, so that every batch starts on a byte boundary."""
-    b = max(1, _BATCH_BYTES // max((n + 7) // 8, m, 8))
-    return b if n % 8 == 0 else max(8, b - b % 8)
-
-
-class _BlockReader:
-    """Reads n-bit blocks, packed MSB-first in the stream, in batches of at
-    most `blocks` rows of ceil(n/8) bytes, each block MSB-first and
-    zero-padded at the end (the layout :meth:`CompiledMasks.apply` takes)."""
-
-    def __init__(self, stream: BinaryIO, n: int, blocks: int):
-        self._stream = stream
-        self._n = n
-        self._rows = np.zeros((blocks, (n + 7) // 8), dtype=np.uint8)
-        # with 8 | n the stream's bytes are the rows; otherwise whole batches
-        # of bits are read, then realigned
-        self._raw = self._rows.reshape(-1) if n % 8 == 0 else np.empty(blocks * n // 8, np.uint8)
-        self._error = None
-
-    def read(self) -> np.ndarray:
-        """Next batch as a (k, ceil(n/8)) view, valid until the next read;
-        k = 0 at a clean end.
-
-        A zero sub-byte tail after the last block counts as byte padding;
-        any other short tail is a short final block, raised after the
-        blocks before it have been returned.
-        """
-        if self._error is not None:
-            raise self._error
-        view, got = memoryview(self._raw), 0
-        while got < len(view):
-            k = self._stream.readinto(view[got:])
-            if not k:
-                break
-            got += k
-        n = self._n
-        k, tail = divmod(8 * got, n)
-        if tail >= 8 or (tail and self._raw[got - 1] & ((1 << tail) - 1)):
-            self._error = ParameterError("short final block in input stream")
-            if k == 0:
-                raise self._error
-        if n % 8:
-            self._realign(k)
-        return self._rows[:k]
+        return self._spare + 8 * (size - pos)
 
     def _realign(self, k: int):
-        """Unpack the k packed blocks into their rows, a byte-aligned group
-        of at most 1 MiB of unpacked bits at a time."""
+        """Unpack the k packed records into their rows, a byte-aligned group
+        of about 1 MiB of unpacked bits, or of 8 records, at a time."""
         n = self._n
         step = 8 * max(1, (1 << 17) // n)
         for b in range(0, k, step):
@@ -381,11 +348,13 @@ class _BitWriter:
             self._carry = self._carry[:0]
 
 
-def _next_masks(inst: TrevisanInstance, seeds: _BitReader) -> CompiledMasks:
-    y = seeds.read_bits(inst.d)
-    if y is None:
+def _next_seeds(inst: TrevisanInstance, seeds: _BlockReader, count: int):
+    """The next `count` seeds as BitStrings; raises when fewer are left."""
+    rows = seeds.read(count)
+    if len(rows) < count:
+        seeds.read(count)  # a short seed tail raises here
         raise ParameterError("seed source exhausted")
-    return seed_masks(inst, y)
+    return (BitString.from_bytes(y.tobytes(), inst.d) for y in rows)
 
 
 def extract_stream(
@@ -397,26 +366,29 @@ def extract_stream(
 ) -> StreamReport:
     """Extract every n-bit block of `source`, writing m-bit outputs.
 
-    Blocks are read in batches of bounded size and run on compiled parity
-    masks.  With ``reuse_seed`` a single d-bit seed is read and compiled
-    once and applied to every batch (as byte tables once a batch is large
-    enough); the report carries the union-bound error factor.  Otherwise
-    each block is compiled with d fresh seed bits, read only when the block
-    has been read, so a clean end of input consumes no further seed.  A
-    short final source block is an error; nothing is implicitly padded.
-    Seed bits left after the last block are reported, not rejected.
+    Blocks and seeds are read by one record reader in batches of bounded
+    size; only a stream's last read may end inside a byte.  Blocks run on
+    compiled parity masks.  With ``reuse_seed`` a single d-bit seed is read
+    and compiled once and applied to every batch (as byte tables once a
+    batch is large enough); the report carries the union-bound error
+    factor.  Otherwise each block is compiled with d fresh seed bits, a
+    batch's seeds read only when the batch has been read, so a clean end of
+    input consumes no further seed.  A short final source block is an
+    error; nothing is implicitly padded.  Seed bits left after the last
+    block are reported, not rejected.
     """
-    seeds = _BitReader(seed_source, "seed")
+    blocks = _batch_blocks(inst.n, inst.m, 0 if reuse_seed else inst.d)
+    seeds = _BlockReader(seed_source, inst.d, 1 if reuse_seed else blocks, "seed")
     writer = _BitWriter(sink, inst.m)
     report = StreamReport(seed_reused=reuse_seed)
-    masks = _next_masks(inst, seeds) if reuse_seed else None
-    reader = _BlockReader(source, inst.n, _batch_blocks(inst.n, inst.m))
-    while len(batch := reader.read()):
+    masks = seed_masks(inst, next(_next_seeds(inst, seeds, 1))) if reuse_seed else None
+    reader = _BlockReader(source, inst.n, blocks, "input")
+    while len(batch := reader.read(blocks)):
         if reuse_seed:
             writer.write(masks.apply(batch))
         else:
-            for i in range(len(batch)):
-                writer.write(_next_masks(inst, seeds).apply(batch[i : i + 1]))
+            for x, y in zip(batch, _next_seeds(inst, seeds, len(batch))):
+                writer.write(seed_masks(inst, y).apply(x[None]))
         report.blocks += len(batch)
     writer.flush()
     report.joint_error_factor = report.blocks if reuse_seed else 1

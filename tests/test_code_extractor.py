@@ -112,7 +112,8 @@ def test_code_masks_match_extract_bit(n, s, delta):
     u = [rng.randrange(spec.q) for _ in range(k)]
     masks = code_masks(spec, np.array(a, dtype=np.uint64), np.array(u, dtype=np.uint64))
     assert masks.shape == (k, -(-n // 64)) and masks.dtype == np.uint64
-    rows = [int.from_bytes(row.tobytes(), "little") for row in masks]
+    words = masks.shape[1]
+    rows = [int.from_bytes(row.tobytes(), "big") >> (64 * words - n) for row in masks]
     for _ in range(3):
         x = BitString(n, rng.getrandbits(n))
         for ai, ui, row in zip(a, u, rows):

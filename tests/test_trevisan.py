@@ -16,7 +16,7 @@ from trevext.trevisan import (
     extract,
     extract_bytes,
     extract_stream,
-    _BitReader,
+    _BlockReader,
     seed_masks,
 )
 from trevext.weak_design import WeakDesign
@@ -166,7 +166,7 @@ def _join(bits):
 def _small_batches(monkeypatch, blocks=8, table_min=4):
     """Batches of `blocks` blocks and byte tables from `table_min` blocks,
     so that a few blocks flip the kernel choice and fill several batches."""
-    monkeypatch.setattr(trevisan, "_batch_blocks", lambda n, m: blocks)
+    monkeypatch.setattr(trevisan, "_batch_blocks", lambda n, m, d: blocks)
     monkeypatch.setattr(trevisan, "_TABLE_MIN_BLOCKS", table_min)
 
 
@@ -215,7 +215,7 @@ def test_stream_matches_blockwise_extract(n, s, delta, m, extra, monkeypatch):
 def test_kernel_choice_at_threshold(monkeypatch):
     # the real threshold T; B = T + 8 blocks, so 2B+3 ends in a partial batch
     batch = 8 * (T // 8 + 1)
-    monkeypatch.setattr(trevisan, "_batch_blocks", lambda n, m: batch)
+    monkeypatch.setattr(trevisan, "_batch_blocks", lambda n, m, d: batch)
     tabled = []
     lookup = CompiledMasks._lookup
 
@@ -282,7 +282,7 @@ def test_apply_matches_popcount_parity(words, m):
         xs = [rng.getrandbits(n) for _ in range(blocks)]
         want = []
         for x in xs:
-            xw = np.frombuffer(x.to_bytes(8 * words, "little"), dtype=np.uint64)
+            xw = np.frombuffer((x << (64 * words - n)).to_bytes(8 * words, "big"), dtype=np.uint64)
             par = np.bitwise_count(matrix & xw).sum(axis=1) & 1
             want.append(int("".join(str(b) for b in par), 2))
         assert _values(CompiledMasks(matrix, n).apply(_rows(xs, n)), m) == want
@@ -314,11 +314,36 @@ def test_table_kernel_matches_row_fold(n, m):
 
 
 def test_batch_size_bounds():
-    assert trevisan._batch_blocks(1 << 16, 256) == 128  # 1 MiB of input rows
-    assert trevisan._batch_blocks(13, 7) % 8 == 0  # batches start on a byte
-    assert trevisan._batch_blocks(1 << 24, 256) == 1  # one block over 1 MiB
-    assert trevisan._batch_blocks((1 << 24) + 1, 256) == 8
-    assert trevisan._batch_blocks(16, 60000) == (1 << 20) // 60000
+    # reused seed (d = 0): 1 MiB of input rows
+    assert trevisan._batch_blocks(1 << 16, 256, 0) == 128
+    assert trevisan._batch_blocks(13, 7, 0) % 8 == 0  # batches start on a byte
+    assert trevisan._batch_blocks(16, 7, 15) % 8 == 0  # ... for seeds too
+    assert trevisan._batch_blocks(1 << 24, 256, 0) == 1  # one block over 1 MiB
+    assert trevisan._batch_blocks((1 << 24) + 1, 256, 0) == 8
+    assert trevisan._batch_blocks(16, 60000, 0) == (1 << 20) // 60000
+    # fresh seeds at the production shape: 41 seed rows of 24 971 bytes fit
+    # in 1 MiB, and 8 does not divide d
+    assert trevisan._batch_blocks(1 << 16, 256, 199764) == 40
+
+
+def test_fresh_seeds_span_batches(monkeypatch):
+    # 8 | n but not d: 100 bytes give 12 blocks, cut to 8 so that every seed
+    # batch but the last ends on a byte; 19 blocks are batches 8, 8, 3
+    monkeypatch.setattr(trevisan, "_BATCH_BYTES", 100)
+    rng = random.Random(24)
+    code = CodeSpec(n=16, s=4, delta=Fraction(1, 3))
+    sets = [rng.sample(range(13), code.t) for _ in range(5)]
+    inst = TrevisanInstance(WeakDesign.from_sets(13, sets), code)
+    assert trevisan._batch_blocks(16, 5, 13) == 8
+    data = BitString(16 * 19, rng.getrandbits(16 * 19))
+    seeds = BitString(13 * 19, rng.getrandbits(13 * 19))
+    want = [
+        extract(inst, data.substring(range(16 * b, 16 * (b + 1))),
+                seeds.substring(range(13 * b, 13 * (b + 1))))
+        for b in range(19)
+    ]
+    out, report = extract_bytes(inst, data.to_bytes(), seeds.to_bytes())
+    assert out == _join(want).to_bytes() and report.blocks == 19
 
 
 class _Trickle(io.RawIOBase):
@@ -415,7 +440,11 @@ def test_sub_byte_tails(wrap, monkeypatch):
 
 def test_reader_reads_only_needed_bytes():
     stream = io.BytesIO(b"\xff" * 100)
-    reader = _BitReader(stream, "input")
-    assert reader.read_bits(13).value == (1 << 13) - 1 and stream.tell() == 2
-    reader.read_bits(13)  # 3 bits buffered, 10 more needed
-    assert stream.tell() == 4 and reader.unread_bits() == 800 - 26
+    reader = _BlockReader(stream, 13, 8, "input")
+    rows = reader.read(8)  # 8 records of 13 bits: 13 bytes
+    assert stream.tell() == 13 and (rows == [0xFF, 0xF8]).all() and len(rows) == 8
+    assert len(reader.read(2)) == 2  # 26 bits: 4 bytes, 6 of their bits spare
+    assert stream.tell() == 17 and reader.unread_bits() == 6 + 8 * (100 - 17)
+    # records shorter than a byte: 3 records of 6 bits take 3 bytes, 6 bits spare
+    reader = _BlockReader(io.BytesIO(b"\xff" * 4), 6, 8, "seed")
+    assert len(reader.read(3)) == 3 and reader.unread_bits() == 6 + 8
