@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from typing import BinaryIO, Optional
 
 import numpy as np
@@ -51,6 +52,14 @@ class TrevisanInstance:
     def m(self) -> int:
         return self.design.m
 
+    @cached_property
+    def _seed_index(self) -> np.ndarray:
+        """Row i: the seed positions output bit i reads, the first t of S_i
+        in ascending order (what _bit_seed takes); built once per instance."""
+        index = np.sort(np.array(self.design.sets, dtype=np.intp), axis=1)[:, : self.code.t]
+        index.flags.writeable = False
+        return index
+
 
 def _bit_seed(inst: TrevisanInstance, y: BitString, i: int) -> BitString:
     return y.substring(inst.design.sets[i]).prefix(inst.code.t)
@@ -81,7 +90,7 @@ def seed_masks(inst: TrevisanInstance, y: BitString) -> CompiledMasks:
     # of y at S_i, ascending (what _bit_seed gives); a is the first s, u the
     # second s, each read big-endian
     ybits = np.unpackbits(np.frombuffer(y.to_bytes(), dtype=np.uint8))
-    picked = ybits[np.sort(np.array(inst.design.sets), axis=1)[:, : inst.code.t]]
+    picked = ybits[inst._seed_index]
     weights = (np.uint64(1) << np.arange(s, dtype=np.uint64))[::-1]
     a = (picked[:, :s] * weights).sum(axis=1, dtype=np.uint64)
     u = (picked[:, s:] * weights).sum(axis=1, dtype=np.uint64)

@@ -31,12 +31,18 @@ clouds over 256 keep the float winner (42 % of the scored steps over 177
 block and greedy shapes).
 
 Certification is always exact (big integers / rationals), independent of how
-the sets were produced.  The final per-set budget check is exact, so a
+the sets were produced.  :func:`overlap_sums` counts every overlap from the
+element → set incidence (sorted (element, set) pairs; each element pairs the
+sets holding it, and a pair of sets met at o elements overlaps in o), then
+adds hist[o]·(2^o − 1) per set in Python ints; building, loading and
+verifying a design all certify through it.  The greedy's per-set budget
+check is exact too, from the overlap levels the greedy already tracks, so a
 scoring error can never produce an invalid certified design.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -76,34 +82,115 @@ class WeakDesign:
     r_certified: Fraction
 
     def __post_init__(self):
-        if len(self.sets) != self.m:
-            raise ParameterError("set count does not match m")
-        for s in self.sets:
-            if len(s) != self.t or len(set(s)) != self.t:
-                raise ParameterError("each set must hold t distinct indices")
-            if s and (min(s) < 0 or max(s) >= self.d):
-                raise ParameterError("set index outside universe")
+        _check_sets(self.t, self.d, self.m, self.sets)
 
     @classmethod
     def from_sets(cls, d: int, sets: Sequence[Sequence[int]]):
         tsets = tuple(tuple(sorted(s)) for s in sets)
         t = len(tsets[0]) if tsets else 0
+        _check_sets(t, d, len(tsets), tsets)  # a malformed family never reaches the kernel
         sums = overlap_sums(tsets)
         r_cert = Fraction(max(sums), len(tsets)) if tsets else Fraction(0)
         return cls(t=t, d=d, m=len(tsets), sets=tsets, r_certified=r_cert)
 
 
+def _flat(sets: Sequence[Sequence[int]], size: int) -> np.ndarray:
+    """The elements of every set, set after set, as one int64 array."""
+    return np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64, count=size)
+
+
+def _check_sets(t: int, d: int, m: int, sets: Sequence[Sequence[int]]) -> None:
+    """Raise ParameterError unless `sets` is m sets of t distinct indices in
+    [0, d).  Checked in one pass over the elements; a failing family is
+    walked set by set, so the first faulty set names the error."""
+    if len(sets) != m:
+        raise ParameterError("set count does not match m")
+    if all(len(s) == t for s in sets):
+        rows = np.sort(_flat(sets, m * t).reshape(m, t), axis=1)
+        if not (m and t) or (
+            (rows[:, 1:] != rows[:, :-1]).all() and rows[:, 0].min() >= 0 and rows[:, -1].max() < d
+        ):
+            return
+    for s in sets:
+        if len(s) != t or len(set(s)) != t:
+            raise ParameterError("each set must hold t distinct indices")
+        if s and (min(s) < 0 or max(s) >= d):
+            raise ParameterError("set index outside universe")
+
+
+# pair keys counted at once by overlap_sums: 2 MiB of int64 keys, or one
+# set's pairs if it has more
+_PAIR_CHUNK = 1 << 18
+
+
 def overlap_sums(sets: Sequence[Sequence[int]]) -> tuple:
-    """Exact prefix overlap sums, one per set, as big integers."""
-    fsets = [frozenset(s) for s in sets]
-    sums = []
-    for i, si in enumerate(fsets):
-        sums.append(sum(1 << len(sj & si) for sj in fsets[:i]))
+    """Exact prefix overlap sums ``sum_{j<i} 2^{|S_j ∩ S_i|}``, one per set,
+    as Python ints.
+
+    Counted from the element → set incidence.  The (element, set) pairs are
+    sorted by element; a set holding an element pairs with each earlier set
+    holding it, and a pair (j, i) met at o elements overlaps in exactly o.
+    An earlier set sharing nothing counts 2^0 = 1, so with hist_i[o] the
+    earlier sets meeting S_i in o >= 1 elements,
+
+        sums[i] = i + sum_o hist_i[o]·(2^o − 1).
+
+    The pair keys are counted a run of whole later sets at a time, at most
+    ``_PAIR_CHUNK`` keys or one set's, so memory stays linear in the input
+    however much the sets overlap; no m×m or m×d array is built.
+    """
+    m = len(sets)
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=m)
+    elems = _flat(sets, int(sizes.sum()))
+    if not len(elems):
+        return tuple(range(m))
+    low, high = int(elems.min()), int(elems.max())
+    if (high - low + 1) * m < 1 << 63:
+        elems -= low
+    else:  # the keys below would overflow: the elements' ranks, same order
+        elems = np.searchsorted(np.sort(elems), elems)
+    # the incidence as (element, set) keys, sorted and each pair once: an
+    # element's sets are ascending, and one repeated within a set counts once
+    key = np.sort(elems * m + np.repeat(np.arange(m), sizes))
+    key = key[np.append(True, key[1:] != key[:-1])]
+    elem, owner = np.divmod(key, m)
+    pos = np.arange(len(key))
+    first = np.maximum.accumulate(np.where(np.append(True, elem[1:] != elem[:-1]), pos, 0))
+    # every pair but its element's first, by set: it meets pos − first
+    # earlier sets (m·len(key) < 2^63 for any family that fits in memory)
+    act = np.flatnonzero(pos > first)
+    act = np.sort(owner[act] * len(key) + act) % len(key)
+    act_owner = owner[act]
+    earlier = act - first[act]
+    ends = np.cumsum(earlier)
+    sums = list(range(m))
+    width = int(sizes.max()) + 1
+    weight = [(1 << o) - 1 for o in range(width)]
+    lo = 0
+    while lo < len(act):
+        # whole sets only, so each pair (j, i) lies in a single chunk
+        hi = max(int(np.searchsorted(ends, ends[lo] - earlier[lo] + _PAIR_CHUNK, "right")), lo + 1)
+        hi = int(np.searchsorted(act_owner, act_owner[hi - 1], "right"))
+        cnt = earlier[lo:hi]
+        i_lo = int(act_owner[lo])
+        # partner pair positions first[p], ..., p - 1 of every active pair p
+        starts = np.repeat(first[act[lo:hi]] - (np.cumsum(cnt) - cnt), cnt)
+        keys = np.repeat(act_owner[lo:hi] - i_lo, cnt) * m + owner[starts + np.arange(len(starts))]
+        keys.sort()
+        run = np.flatnonzero(np.append(keys[1:] != keys[:-1], True))
+        overlap = np.diff(run, prepend=-1)  # o = |S_j ∩ S_i| of each pair (j, i)
+        hist = np.bincount(keys[run] // m * width + overlap)
+        cells = np.flatnonzero(hist)
+        for cell, count in zip(cells.tolist(), hist[cells].tolist()):
+            i, o = divmod(cell, width)
+            sums[i_lo + i] += count * weight[o]
+        lo = hi
     return tuple(sums)
 
 
 def verify_design(design: WeakDesign, r: Fraction | int) -> DesignCertificate:
-    """Recompute every overlap sum exactly and check them against r*m.
+    """Recompute every overlap sum exactly (:func:`overlap_sums`, from the
+    element → set incidence) and check them against r*m.
 
     Returns the certificate; ``violating_index`` names the first failing set
     (the certificate is still fully populated on failure).
@@ -215,7 +302,6 @@ def _greedy_sets(t, m, d, r_target, universe_offset):
     """Core greedy loop on universe [0, d); returns sets shifted by offset."""
     budget = r_target * m
     sets = np.empty((m, t), dtype=np.intp)  # row j: set j, sorted once finished
-    fsets: list[frozenset] = []
     covered = np.zeros(d, dtype=bool)  # union of all previous sets
     for i in range(m):
         # free elements cost exactly 0 and every covered one costs more
@@ -233,13 +319,12 @@ def _greedy_sets(t, m, d, r_target, universe_offset):
             row[step] = e
             overlaps += (prev == e).any(axis=1)
         row.sort()
-        new = frozenset(row.tolist())
-        exact_sum = sum(1 << len(fs & new) for fs in fsets)
+        # free elements lie in no earlier set, so overlaps[j] = |S_j ∩ S_i|
+        exact_sum = sum(n << o for o, n in enumerate(np.bincount(overlaps).tolist()))
         if exact_sum > budget:
             raise ConstructionError(
                 f"greedy overlap budget violated at set {i}: {exact_sum} > {budget}"
             )
-        fsets.append(new)
         covered[row] = True
     return (sets + universe_offset).tolist()
 

@@ -47,6 +47,7 @@ from trevext.weak_design import (
     deserialize_design,
     greedy_basic_design,
     block_design_length_bound,
+    overlap_sums,
     serialize_design,
     verify_design,
 )
@@ -104,6 +105,16 @@ def test_grid_design_bytes_pinned(grid_designs):
         for design in grid_designs[(t, m)]:
             digest.update(serialize_design(design))
     assert digest.hexdigest() == GRID_DESIGN_DIGEST
+
+
+def test_grid_overlap_sums_match_oracle(grid_designs):
+    from test_weak_design import overlap_sums_oracle
+
+    for t, m in GRID:
+        for design in grid_designs[(t, m)]:
+            sums = overlap_sums_oracle(design.sets)
+            assert overlap_sums(design.sets) == sums, (t, m)
+            assert design.r_certified == Fraction(max(sums), m)
 
 
 def test_criterion_02_design_seed_length(grid_designs):

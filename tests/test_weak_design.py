@@ -22,10 +22,99 @@ from trevext.weak_design import (
 )
 
 
+def overlap_sums_oracle(sets):
+    """The definition, set by set: sum over j < i of 2^{|S_j ∩ S_i|}."""
+    fsets = [frozenset(s) for s in sets]
+    sums = []
+    for i, si in enumerate(fsets):
+        sums.append(sum(1 << len(sj & si) for sj in fsets[:i]))
+    return tuple(sums)
+
+
 def test_overlap_sums_definition():
     sets = [(0, 1), (1, 2), (2, 3)]
     # sums of 2^{|S_j cap S_i|} over j < i
     assert overlap_sums(sets) == (0, 2, 1 + 2)
+
+
+def _random_families(rng):
+    """Families of t-subsets of [d]: t = 1, t = d, m in {0, 1}, repeated
+    sets, and random shapes in between."""
+    for _ in range(300):
+        d = int(rng.integers(1, 24))
+        t = int(rng.choice([1, d, int(rng.integers(1, d + 1))]))
+        m = int(rng.choice([0, 1, int(rng.integers(2, 40))]))
+        sets = [tuple(sorted(rng.choice(d, t, replace=False).tolist())) for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:  # repeat some sets
+            picks = rng.integers(0, m, m)
+            sets = [sets[min(int(p), i)] for i, p in enumerate(picks)]
+        yield sets
+
+
+def test_overlap_sums_match_oracle_on_random_families():
+    for sets in _random_families(np.random.default_rng(13)):
+        assert overlap_sums(sets) == overlap_sums_oracle(sets), sets
+
+
+def test_overlap_sums_match_oracle_in_small_chunks(monkeypatch):
+    # a few pair keys per chunk: every pair (j, i) must still be counted in
+    # one chunk, whole later sets at a time
+    import trevext.weak_design as wd
+
+    for chunk in (1, 5, 64):
+        monkeypatch.setattr(wd, "_PAIR_CHUNK", chunk)
+        for sets in list(_random_families(np.random.default_rng(chunk)))[:80]:
+            assert overlap_sums(sets) == overlap_sums_oracle(sets), (chunk, sets)
+        eq = [(0, 1, 2)] * 9
+        assert overlap_sums(eq) == tuple(i << 3 for i in range(9))
+
+
+def test_overlap_sums_general_sequences():
+    # the definition holds for any integer sets: ragged, repeated elements,
+    # negative or far-apart values
+    for sets in (
+        [(0, 1, 2), (1,), (), (2, 1, 1, 0), (5, 1)],
+        [(-3, 7), (7, -3, 2**40), (2**40, 2**41), (2**41,)],
+        [(2**62, 0), (0, 2**62), (1, 2**62)],
+        [(-(2**62), 2**62), (2**62, 5), (-(2**62),)],
+        [[3, 1], [1, 3], [3]],
+    ):
+        assert overlap_sums(sets) == overlap_sums_oracle(sets), sets
+    assert overlap_sums([]) == ()
+    assert overlap_sums([(), ()]) == (0, 1)
+
+
+def test_overlap_sums_match_oracle_on_dense_greedy_families():
+    for t, m, r in [(2, 40, 2), (3, 30, Fraction(3, 2)), (4, 64, 2), (6, 100, 3)]:
+        sets = greedy_basic_design(t, m, r).sets
+        assert overlap_sums(sets) == overlap_sums_oracle(sets)
+
+
+def test_overlap_sums_equal_sets_closed_form():
+    # m equal t-sets: each earlier set overlaps in t, so sums[i] = i·2^t;
+    # t·m(m−1)/2 pair keys, counted in bounded chunks
+    sets = [tuple(range(1000, 1064))] * 512
+    assert overlap_sums(sets) == tuple(i << 64 for i in range(512))
+
+
+def test_greedy_budget_sum_matches_kernel():
+    # the greedy's own budget check reports its exact sum when it fails:
+    # with the budget one below a set's kernel sum, the first set over it
+    # must fail with exactly the kernel's value
+    from trevext.errors import ConstructionError
+    from trevext.weak_design import _greedy_sets
+
+    for t, m, d in [(3, 12, 9), (4, 24, 12), (5, 30, 20), (8, 20, 24)]:
+        sets = _greedy_sets(t, m, d, Fraction(1 << t), 0)
+        sums = overlap_sums(sets)
+        assert sums == overlap_sums_oracle(sets)
+        for i in range(1, m):
+            budget = sums[i] - 1
+            k = next(j for j, s in enumerate(sums) if s > budget)
+            with pytest.raises(
+                ConstructionError, match=rf"at set {k}: {sums[k]} > {budget}$"
+            ):
+                _greedy_sets(t, i + 1, d, Fraction(budget, i + 1), 0)
 
 
 def test_verify_design_certificate():
@@ -151,8 +240,12 @@ PINNED = {
 @pytest.mark.parametrize("shape", list(PINNED), ids=str)
 def test_design_bytes_pinned(shape):
     build = block_design if shape[0] == "block" else greedy_basic_design
-    data = serialize_design(build(*shape[1:]))
+    design = build(*shape[1:])
+    data = serialize_design(design)
     assert hashlib.sha256(data).hexdigest() == PINNED[shape]
+    sums = overlap_sums_oracle(design.sets)
+    assert overlap_sums(design.sets) == sums
+    assert design.r_certified == Fraction(max(sums), design.m)
 
 
 def test_ceil_div_ln_values():
@@ -206,11 +299,21 @@ def test_block_certifies_m_off_the_powers_of_two(m):
 
 
 def test_sets_disjoint_across_blocks():
-    d = block_design(3, 7)
-    seen = {}
-    for i, s in enumerate(d.sets):
-        assert len(set(s)) == d.t
-        assert all(0 <= p < d.d for p in s)
+    # block b owns [b·d_block, (b+1)·d_block): its sets lie there, and sets
+    # of different blocks share no element
+    for t, m in [(3, 7), (4, 16), (8, 64)]:
+        d = block_design(t, m)
+        d_block = t * ceil_div_ln(t, Fraction(2))
+        owner = {}  # element -> the block whose set holds it
+        first = 0
+        for b, size in enumerate(block_layout(m)):
+            for s in d.sets[first:first + size]:
+                assert len(set(s)) == d.t
+                assert all(b * d_block <= p < (b + 1) * d_block for p in s)
+                for p in s:
+                    assert owner.setdefault(p, b) == b
+            first += size
+        assert first == d.m and d.d == len(block_layout(m)) * d_block
 
 
 def test_serialize_round_trip():
@@ -233,6 +336,38 @@ def test_serialize_detects_corruption():
             deserialize_design(bytes(data[:cut]))
 
 
+def _with_index(data, k, value):
+    """A serialized design with its k-th stored index replaced."""
+    out = bytearray(data)
+    out[36 + 4 * k: 40 + 4 * k] = value.to_bytes(4, "little")
+    return bytes(out)
+
+
+def test_deserialize_rejects_corrupt_indices():
+    d = block_design(4, 16)
+    data = serialize_design(d)
+    repeated = _with_index(data, 1, d.sets[0][0])  # set 0 holds its first index twice
+    with pytest.raises(VerificationError, match="t distinct indices"):
+        deserialize_design(repeated)
+    for value in (d.d, 2**32 - 1):  # an index outside [0, d)
+        with pytest.raises(VerificationError, match="outside universe"):
+            deserialize_design(_with_index(data, 4 * d.t - 1, value))
+
+
+def test_deserialize_equal_sets_certified_exactly():
+    # a payload of m equal sets is consistent, so it loads, with the r its
+    # overlaps give: max sum (m - 1)·2^t over m
+    t, m = 16, 300
+    head = serialize_design(WeakDesign.from_sets(t, [tuple(range(t))]))[:36]
+    head = head[:8] + (t).to_bytes(4, "little") + (m).to_bytes(4, "little") + head[16:]
+    body = b"".join(i.to_bytes(4, "little") for i in range(t)) * m
+    with pytest.raises(VerificationError, match="does not match recomputation"):
+        deserialize_design(head + body)
+    r = Fraction((m - 1) << t, m)
+    head = head[:20] + r.numerator.to_bytes(8, "little") + r.denominator.to_bytes(8, "little")
+    assert deserialize_design(head + body).r_certified == r
+
+
 def test_from_sets_validation():
     with pytest.raises(ParameterError):
         WeakDesign.from_sets(3, [(0, 1), (1, 3)])  # index out of range
@@ -240,3 +375,15 @@ def test_from_sets_validation():
         WeakDesign.from_sets(4, [(0, 0, 1)])  # repeated element
     with pytest.raises(ParameterError):
         WeakDesign.from_sets(4, [(0, 1), (2,)])  # inconsistent set size
+
+
+def test_from_sets_validates_before_certifying(monkeypatch):
+    import trevext.weak_design as wd
+
+    def never(sets):
+        raise AssertionError("a malformed family reached overlap_sums")
+
+    monkeypatch.setattr(wd, "overlap_sums", never)
+    for d, sets in ((3, [(0, 1), (1, 3)]), (4, [(0, 0, 1)]), (4, [(0, 1), (2,)])):
+        with pytest.raises(ParameterError):
+            WeakDesign.from_sets(d, sets)
