@@ -18,7 +18,7 @@ from .bitfield import MAX_BINARY_FIELD_DEGREE
 from .code_extractor import min_symbol_size
 from .entropy import _log2
 from .errors import ParameterError, UnsupportedParametersError
-from .weak_design import block_layout, ceil_div_ln
+from .weak_design import design_seed_length
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -74,16 +74,6 @@ class ExtractorParams:
         return self.entropy_loss - 2 * _log2(1 / self.eps)
 
 
-def _design_seed_length(t: int, m: int, kind: str, r: Fraction) -> int:
-    if kind == "block":
-        return t * ceil_div_ln(t, 2) * len(block_layout(m))
-    if kind == "greedy":
-        if r <= 1:
-            raise ParameterError("greedy design needs r > 1")
-        return t * ceil_div_ln(t, r)
-    raise ParameterError(f"unknown design kind {kind!r}")
-
-
 def trevisan_params(
     n: int,
     eps: Fraction,
@@ -106,7 +96,7 @@ def trevisan_params(
     delta = eps_c / 2
     s = min_symbol_size(n, delta)
     t = 2 * s
-    d = _design_seed_length(t, m, design_kind, r)
+    d = design_seed_length(t, m, design_kind, r)
     k_c = 3 * _log2(1 / eps_c)
     k = k_c + float(r) * m + _log2(1 / eps_c)
     notes = (
@@ -141,7 +131,7 @@ def weak_seed_params(n: int, eps: Fraction, m: int, beta: float) -> ExtractorPar
     s = min_symbol_size(n, delta)
     t = 2 * s
     t_prime = math.ceil(8 * t / beta)
-    d = _design_seed_length(t_prime, m, "block", Fraction(1))
+    d = design_seed_length(t_prime, m, "block", Fraction(1))
     k_c = 3 * _log2(1 / eps_c) + PINNED_CONSTANTS["weak_seed_one_bit_additive"]
     k = k_c + m + _log2(1 / eps_c)
     s_c = (0.5 + beta) * t_prime

@@ -378,22 +378,26 @@ def extract_stream(
     Blocks and seeds are read by one record reader in batches of bounded
     size; only a stream's last read may end inside a byte.  Blocks run on
     compiled parity masks.  With ``reuse_seed`` a single d-bit seed is read
-    and compiled once and applied to every batch (as byte tables once a
-    batch is large enough); the report carries the union-bound error
-    factor.  Otherwise each block is compiled with d fresh seed bits, a
-    batch's seeds read only when the batch has been read, so a clean end of
-    input consumes no further seed.  A short final source block is an
-    error; nothing is implicitly padded.  Seed bits left after the last
-    block are reported, not rejected.
+    up front, compiled once at the first block (so an empty input compiles
+    nothing) and applied to every batch (as byte tables once a batch is
+    large enough); the report carries the union-bound error factor.
+    Otherwise each block is compiled with d fresh seed bits, a batch's
+    seeds read only when the batch has been read, so a clean end of input
+    consumes no further seed.  A short final source block is an error;
+    nothing is implicitly padded.  Seed bits left after the last block are
+    reported, not rejected.
     """
     blocks = _batch_blocks(inst.n, inst.m, 0 if reuse_seed else inst.d)
     seeds = _BlockReader(seed_source, inst.d, 1 if reuse_seed else blocks, "seed")
     writer = _BitWriter(sink, inst.m)
     report = StreamReport(seed_reused=reuse_seed)
-    masks = seed_masks(inst, next(_next_seeds(inst, seeds, 1))) if reuse_seed else None
+    seed = next(_next_seeds(inst, seeds, 1)) if reuse_seed else None
+    masks = None  # the reused seed's, compiled at the first block
     reader = _BlockReader(source, inst.n, blocks, "input")
     while len(batch := reader.read(blocks)):
         if reuse_seed:
+            if masks is None:
+                masks = seed_masks(inst, seed)
             writer.write(masks.apply(batch))
         else:
             for x, y in zip(batch, _next_seeds(inst, seeds, len(batch))):

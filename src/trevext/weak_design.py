@@ -38,6 +38,10 @@ adds hist[o]·(2^o − 1) per set in Python ints; building, loading and
 verifying a design all certify through it.  The greedy's per-set budget
 check is exact too, from the overlap levels the greedy already tracks, so a
 scoring error can never produce an invalid certified design.
+
+Universe sizes are exact too.  :func:`design_seed_length` is the one rule
+for a design's d, and the ceil(t/ln r) in it is resolved in rational
+arithmetic (:func:`ceil_div_ln`), so no rounding can move d.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .errors import ConstructionError, ParameterError, VerificationError
 
@@ -211,23 +214,51 @@ def verify_design(design: WeakDesign, r: Fraction | int) -> DesignCertificate:
     )
 
 
+def _ln_bounds(r: Fraction, terms: int) -> tuple:
+    """Rationals lo < ln r < hi for r > 1, from `terms` terms of atanh.
+
+    ln r = k·ln 2 + ln x with x = r/2^k in [1, 2), and each logarithm is
+    ln y = 2·atanh(z) = 2·sum_j z^(2j+1)/(2j+1) with z = (y−1)/(y+1) in
+    [0, 1/3].  Every term is nonnegative, so a partial sum is a lower
+    bound; the tail after N terms is below z^(2N+1)/((2N+1)(1−z²)).
+    """
+
+    def two_atanh(z: Fraction) -> tuple:
+        z2, power, total = z * z, z, Fraction(0)
+        for j in range(terms):
+            total += power / (2 * j + 1)
+            power *= z2
+        tail = power / ((2 * terms + 1) * (1 - z2))
+        return 2 * total, 2 * (total + tail)
+
+    k = r.numerator.bit_length() - r.denominator.bit_length()
+    if r < 1 << k:
+        k -= 1
+    x = r / (1 << k)
+    ln2_lo, ln2_hi = two_atanh(Fraction(1, 3))
+    lnx_lo, lnx_hi = two_atanh((x - 1) / (x + 1))
+    return k * ln2_lo + lnx_lo, k * ln2_hi + lnx_hi
+
+
 def ceil_div_ln(t: int, r: Fraction) -> int:
-    """ceil(t / ln r), evaluated with enough precision that the ceiling is
-    exact (interval evaluation, precision doubled until the bounds agree)."""
+    """ceil(t / ln r), exact, in rational arithmetic.
+
+    ln r is bounded between two rationals lo < ln r < hi (:func:`_ln_bounds`)
+    and the number of series terms is doubled until ceil(t/hi) equals
+    ceil(t/lo).  The loop ends: ln r is irrational for rational r > 1, so
+    t/ln r is not an integer and the shrinking interval around it
+    eventually contains none.
+    """
     if r <= 1:
         raise ParameterError("r must be > 1")
     r = Fraction(r)
-    dps = 40
-    while dps <= 10000:
-        with mp.workdps(dps):
-            lo = mpf(t) / (mp.log(mpf(r.numerator)) - mp.log(mpf(r.denominator)))
-            # directed rounding surrogate: widen by one ulp on each side
-            eps = mp.mpf(2) ** (int(mp.mag(lo)) - mp.prec + 4)
-            clo, chi = mp.ceil(lo - eps), mp.ceil(lo + eps)
-        if clo == chi:
-            return int(clo)
-        dps *= 2
-    raise ConstructionError("could not resolve ceil(t/ln r) exactly")
+    terms = 8
+    while True:
+        lo, hi = _ln_bounds(r, terms)
+        ceil = -(-t // hi)
+        if ceil == -(-t // lo):
+            return ceil
+        terms *= 2
 
 
 @lru_cache(maxsize=None)
@@ -294,7 +325,7 @@ def greedy_basic_design(t: int, m: int, r_target: Fraction | float) -> WeakDesig
     ) else r_target
     if r_target <= 1:
         raise ParameterError("r_target must be > 1")
-    d = t * ceil_div_ln(t, r_target)
+    d = design_seed_length(t, m, "greedy", r_target)
     return WeakDesign.from_sets(d, _greedy_sets(t, m, d, r_target, universe_offset=0))
 
 
@@ -376,6 +407,22 @@ def block_layout(m: int) -> tuple:
     return tuple(sizes)
 
 
+def design_seed_length(t: int, m: int, kind: str, r: Fraction) -> int:
+    """Universe size d, the seed length, of a design of m t-sets.
+
+    ``"greedy"`` (:func:`greedy_basic_design`): t·ceil(t/ln r).
+    ``"block"`` (:func:`block_design`, r ignored): t·ceil(t/ln 2) per block
+    of :func:`block_layout`.
+    """
+    if kind == "block":
+        return t * ceil_div_ln(t, 2) * len(block_layout(m))
+    if kind == "greedy":
+        if r <= 1:
+            raise ParameterError("greedy design needs r > 1")
+        return t * ceil_div_ln(t, r)
+    raise ParameterError(f"unknown design kind {kind!r}")
+
+
 def block_design(t: int, m: int) -> WeakDesign:
     """Weak (t,1)-design: greedy blocks with budget 2 on disjoint universes.
 
@@ -384,13 +431,13 @@ def block_design(t: int, m: int) -> WeakDesign:
     """
     if t < 1 or m < 1:
         raise ParameterError("t and m must be >= 1")
-    d_block = t * ceil_div_ln(t, Fraction(2))
+    layout = block_layout(m)
+    d = design_seed_length(t, m, "block", Fraction(1))
+    d_block = d // len(layout)  # each block's own universe
     all_sets: list[tuple] = []
-    offset = 0
-    for size in block_layout(m):
-        all_sets.extend(_greedy_sets(t, size, d_block, Fraction(2), offset))
-        offset += d_block
-    design = WeakDesign.from_sets(offset, all_sets)
+    for b, size in enumerate(layout):
+        all_sets.extend(_greedy_sets(t, size, d_block, Fraction(2), b * d_block))
+    design = WeakDesign.from_sets(d, all_sets)
     if design.r_certified > 1:
         raise ConstructionError(
             f"block design certification failed: r = {design.r_certified}"
@@ -400,7 +447,7 @@ def block_design(t: int, m: int) -> WeakDesign:
 
 def block_design_length_bound(t: int, m: int) -> int:
     """Upper bound t*ceil(t/ln 2)*ceil(log2(4m)) on block_design's d."""
-    return t * ceil_div_ln(t, Fraction(2)) * math.ceil(math.log2(4 * m))
+    return t * ceil_div_ln(t, Fraction(2)) * (4 * m - 1).bit_length()
 
 
 def serialize_design(design: WeakDesign) -> bytes:

@@ -331,10 +331,19 @@ def test_generated_block_design_cache_reused_by_extract(tmp_path):
     assert len(list(cache.iterdir())) == 1
 
 
-def test_cli_import_does_not_load_openssl():
+def _loaded_by_cli_import(module):
+    """Whether a fresh interpreter has `module` loaded after importing the CLI."""
     src = os.path.dirname(os.path.dirname(trevext.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, trevext.cli; print('_hashlib' in sys.modules)"
+    code = f"import sys, trevext.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_cli_import_does_not_load_openssl():
+    assert not _loaded_by_cli_import("_hashlib")
+
+
+def test_cli_import_does_not_load_mpmath():
+    assert not _loaded_by_cli_import("mpmath")

@@ -17,7 +17,7 @@ from trevext.params import (
     trevisan_params,
     weak_seed_params,
 )
-from trevext.weak_design import block_layout, ceil_div_ln
+from trevext.weak_design import block_design, ceil_div_ln, greedy_basic_design
 
 
 def test_rt_bound_examples():
@@ -63,9 +63,13 @@ def test_uniform_seed_error_budget_split():
     assert 3 * p.m * Fraction(1, 96) == Fraction(1, 8)
 
 
-def test_seed_length_formula_block():
-    p = preset("cor1", 1024, Fraction(1, 1024), 64)
-    assert p.d == p.t * ceil_div_ln(p.t, 2) * len(block_layout(p.m))
+@pytest.mark.parametrize("n,eps,m", [(16, Fraction(1, 2), 2), (64, Fraction(1, 4), 3),
+                                     (256, Fraction(1, 8), 7)])
+def test_planned_seed_length_is_built_design_length(n, eps, m):
+    p = preset("cor1", n, eps, m)
+    assert p.d == block_design(p.t, p.m).d
+    g = trevisan_params(n, eps, 2, design_kind="greedy", r=Fraction(2))
+    assert g.d == greedy_basic_design(g.t, 2, 2).d
 
 
 def test_greedy_design_kind():

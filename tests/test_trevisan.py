@@ -142,6 +142,25 @@ def test_short_final_block_rejected():
         extract_bytes(inst, b"\xff", BitString(6, 0).to_bytes())
 
 
+def test_reused_seed_compiled_only_for_blocks(monkeypatch):
+    inst = micro_instance()
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return seed_masks(*args)
+
+    monkeypatch.setattr(trevisan, "seed_masks", spy)
+    seed = BitString(6, 0b101101).to_bytes()
+    out, report = extract_bytes(inst, b"", seed, reuse_seed=True)
+    assert (out, report.blocks, len(calls)) == (b"", 0, 0)
+    out, report = extract_bytes(inst, b"\xa5\x3c", seed, reuse_seed=True)
+    assert report.blocks == 4 and len(calls) == 1
+    # the seed is still read before any input: a missing one raises
+    with pytest.raises(ParameterError):
+        extract_bytes(inst, b"", b"", reuse_seed=True)
+
+
 def test_seed_exhaustion():
     inst = micro_instance()
     with pytest.raises(ParameterError):

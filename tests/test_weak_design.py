@@ -14,6 +14,7 @@ from trevext.weak_design import (
     block_layout,
     ceil_div_ln,
     deserialize_design,
+    design_seed_length,
     greedy_basic_design,
     block_design_length_bound,
     overlap_sums,
@@ -256,12 +257,35 @@ def test_ceil_div_ln_values():
     assert ceil_div_ln(3, Fraction(3, 2)) == math.ceil(3 / math.log(1.5))
 
 
-def test_ceil_div_ln_keeps_global_precision():
-    from mpmath import mp
+def test_ceil_div_ln_matches_high_precision_oracle():
+    import random
 
-    with mp.workdps(15):
-        ceil_div_ln(124, 2)
-        assert mp.dps == 15
+    from mpmath import mp, mpf
+
+    rng = random.Random(2)
+    rs = [Fraction(2), Fraction(3, 2), Fraction(1001, 1000), 1 + Fraction(1, 10**12),
+          1 + Fraction(1, 2**40), Fraction(7), Fraction(10**9)]
+    for _ in range(8):
+        den = rng.randrange(1, 10**6)
+        rs.append(Fraction(den + rng.randrange(1, 10**6), den))
+    ts = [*range(1, 300), 10**3, 4096, 10**6, 10**9]
+    with mp.workdps(120):
+        for r in rs:
+            ln_r = mp.log(mpf(r.numerator) / r.denominator)
+            for t in ts:
+                q = mpf(t) / ln_r
+                assert abs(q - mp.nint(q)) > mpf(10) ** -100  # the oracle's ceiling is sure
+                assert ceil_div_ln(t, r) == int(mp.ceil(q)), (t, r)
+    for r in (1, Fraction(1, 2), Fraction(0)):
+        with pytest.raises(ParameterError, match="r must be > 1"):
+            ceil_div_ln(3, r)
+
+
+def test_design_seed_length_guards():
+    with pytest.raises(ParameterError, match="greedy design needs r > 1"):
+        design_seed_length(4, 2, "greedy", Fraction(1))
+    with pytest.raises(ParameterError, match="unknown design kind 'grid'"):
+        design_seed_length(4, 2, "grid", Fraction(2))
 
 
 def test_block_layout():
