@@ -133,13 +133,15 @@ def code_masks(spec: CodeSpec, a: np.ndarray, u: np.ndarray) -> np.ndarray:
     matrix on symbol bits, <p_x(a), u> = sum_j <c_j a^j, u> =
     sum_j <c_j, (M_a^T)^j u> over the message symbols c_j.  All k pairs
     advance together, one symbol per step, on s-bit vectors held in uint64
-    words.  Symbol j (big-endian, zero-padded at the high-index end) holds
-    input bits [j*s, (j+1)*s), its bit s-1 first.
+    words.  A step ANDs each u with its s rows a * x^b into one buffer,
+    takes the parity of each popcount as a byte, and packs all k*s of them
+    LSB-first into the next k words, read little-endian whatever the host's
+    byte order.  Symbol j (big-endian, zero-padded at the high-index end)
+    holds input bits [j*s, (j+1)*s), its bit s-1 first.
     """
     s, ell, n, k = spec.s, spec.ell, spec.n, len(a)
     # x^s reduced; spec.field() refuses s > 64 before any uint64 arithmetic
     low = np.uint64(spec.field().modulus ^ (1 << s))
-    weights = np.uint64(1) << np.arange(s, dtype=np.uint64)
     # rows[i, b] = a_i * x^b in GF(2^s): bit b of M_a^T u_i is <rows[i, b], u_i>
     rows = np.empty((k, s), dtype=np.uint64)
     for b in range(s):
@@ -147,10 +149,16 @@ def code_masks(spec: CodeSpec, a: np.ndarray, u: np.ndarray) -> np.ndarray:
         a = (a << np.uint64(1)) ^ (((a >> np.uint64(s - 1)) & np.uint64(1)) * low)
         a &= np.uint64((1 << s) - 1)
     steps = np.empty((k, ell), dtype=np.uint64)  # steps[:, j] = (M_a^T)^j u
+    # parity[i, b] = bit b of the next u_i; columns s.. stay zero, so each
+    # row packs into exactly the 8 bytes of its word
+    masked = np.empty((k, s), dtype=np.uint64)
+    parity = np.zeros((k, 64), dtype=np.uint8)
     for j in range(ell):
         steps[:, j] = u
-        parity = np.bitwise_count(rows & u[:, None]) & np.uint8(1)
-        u = (parity.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+        np.bitwise_and(rows, u[:, None], out=masked)
+        np.bitwise_count(masked, out=parity[:, :s])
+        parity &= np.uint8(1)
+        u = np.packbits(parity, bitorder="little").view("<u8")
     words = (n + 63) // 64
     matrix = np.zeros((k, words), dtype=np.uint64)
     masks = matrix.view(np.uint8)
@@ -158,8 +166,9 @@ def code_masks(spec: CodeSpec, a: np.ndarray, u: np.ndarray) -> np.ndarray:
     chunk = max(1, (1 << 16) // (64 * words))
     for r in range(0, k, chunk):
         # each s-bit vector's bits MSB-first, symbol 0 first
-        vec = steps[r : r + chunk].astype(">u8").view(np.uint8).reshape(-1, ell, 8)
-        bits = np.unpackbits(vec, axis=2)[:, :, 64 - s :].reshape(-1, ell * s)
+        vec = steps[r : r + chunk].astype(">u8").view(np.uint8)
+        bits = np.unpackbits(vec, axis=1).reshape(-1, ell, 64)[:, :, 64 - s :]
+        bits = bits.reshape(-1, ell * s)
         masks[r : r + chunk, : (n + 7) // 8] = np.packbits(bits[:, :n], axis=1)
     return matrix
 

@@ -8,10 +8,12 @@ length t, only the first t of those bits are consumed.
 For a fixed seed the whole map x -> Ext(x, y) is GF(2)-linear, so a seed is
 compiled into m parity masks over the input bits (:func:`seed_masks`).
 Streaming reads blocks in bounded batches and runs every block on those
-masks, whether the seed is reused or fresh: a row fold per block, or byte
-tables once one seed's masks meet a large batch (:class:`CompiledMasks`).
-The bit-serial :func:`extract` is the reference oracle they are tested
-against.
+masks, whether the seed is reused or fresh (:class:`CompiledMasks`): fresh
+seeds are compiled a group of blocks at a time, as many as fit in
+``_GROUP_BYTES`` of masks, and each group is folded together, block j
+against its own masks; a reused seed's masks run as byte tables once they
+meet a large batch.  The bit-serial :func:`extract` is the reference oracle
+they are tested against.
 """
 
 from __future__ import annotations
@@ -60,6 +62,15 @@ class TrevisanInstance:
         index.flags.writeable = False
         return index
 
+    @cached_property
+    def _seed_gather(self) -> tuple:
+        """(byte, shift): seed bit _seed_index[i, j] of a packed seed row is
+        bit `shift` of byte `byte` (MSB-first, as the record reader packs)."""
+        index = self._seed_index
+        at, shift = index >> 3, (7 - (index & 7)).astype(np.uint8)
+        at.flags.writeable = shift.flags.writeable = False
+        return at, shift
+
 
 def _bit_seed(inst: TrevisanInstance, y: BitString, i: int) -> BitString:
     return y.substring(inst.design.sets[i]).prefix(inst.code.t)
@@ -80,26 +91,44 @@ def extract(inst: TrevisanInstance, x: BitString, y: BitString) -> BitString:
     )
 
 
-def seed_masks(inst: TrevisanInstance, y: BitString) -> CompiledMasks:
-    """Compile a seed into m parity masks: output bit i = parity(x & mask_i),
-    the :func:`~trevext.code_extractor.code_masks` of each output's (a, u)."""
-    if y.length != inst.d:
-        raise ParameterError(f"seed length {y.length} != d={inst.d}")
+def seed_masks(inst: TrevisanInstance, seeds) -> CompiledMasks:
+    """Compile seeds into parity masks: output bit i = parity(x & mask_i),
+    the :func:`~trevext.code_extractor.code_masks` of each output's (a, u).
+
+    ``seeds`` is one d-bit BitString or a (g, ceil(d/8)) uint8 array of seed
+    rows as the record reader returns them.  One seed gives one mask set
+    that every block shares; g > 1 seeds give one set per block, for a
+    batch of exactly g blocks.  All g*m pairs compile in one call.
+    """
+    if isinstance(seeds, BitString):
+        if seeds.length != inst.d:
+            raise ParameterError(f"seed length {seeds.length} != d={inst.d}")
+        seeds = np.frombuffer(seeds.to_bytes(), dtype=np.uint8)[None]
+    elif seeds.ndim != 2 or seeds.shape[1] != (inst.d + 7) // 8:
+        raise ParameterError(f"seed rows {seeds.shape} are not ceil(d/8) bytes wide")
     s = inst.code.s
-    # seed bits of every output at once: row i holds the first t = 2s bits
-    # of y at S_i, ascending (what _bit_seed gives); a is the first s, u the
-    # second s, each read big-endian
-    ybits = np.unpackbits(np.frombuffer(y.to_bytes(), dtype=np.uint8))
-    picked = ybits[inst._seed_index]
+    # seed bits of every output at once, straight from the packed rows: row
+    # (j, i) holds the first t = 2s bits of seed j at S_i, ascending (what
+    # _bit_seed gives); a is the first s, u the second s, each big-endian
+    at, shift = inst._seed_gather
+    picked = (seeds[:, at] >> shift) & np.uint8(1)
     weights = (np.uint64(1) << np.arange(s, dtype=np.uint64))[::-1]
-    a = (picked[:, :s] * weights).sum(axis=1, dtype=np.uint64)
-    u = (picked[:, s:] * weights).sum(axis=1, dtype=np.uint64)
-    return CompiledMasks(code_masks(inst.code, a, u), inst.n)
+    a = (picked[..., :s] * weights).sum(axis=-1, dtype=np.uint64).reshape(-1)
+    u = (picked[..., s:] * weights).sum(axis=-1, dtype=np.uint64).reshape(-1)
+    words = (inst.n + 63) // 64
+    matrix = code_masks(inst.code, a, u).reshape(len(seeds), inst.m, words)
+    return CompiledMasks(matrix, inst.n)
 
 
-# words per slice of the row fold: 512 KiB of rows, ANDed into a scratch
-# buffer that stays in cache while it is folded
+# words per slice of the row fold: 512 KiB of rows ANDed with every block of
+# the batch (at least one row, when the blocks alone are more) into a
+# scratch buffer that stays in cache while it is folded
 _SLICE_WORDS = 1 << 16
+# bytes of the mask rows of one group of fresh seeds, compiled by a single
+# code_masks call and, with g > 1 blocks, folded in one slice: 8 blocks at
+# n = 8192, m = 32; one block at n = 2^16, m = 256, whose masks alone take
+# 2 MiB
+_GROUP_BYTES = 1 << 18
 # byte tables: at most 512 KiB of 256-entry tables per chunk of byte positions
 _TABLE_WORDS = 1 << 16
 # gathered table words per step of the byte-table kernel: 256 KiB
@@ -118,18 +147,20 @@ _TABLE_MIN_BLOCKS = 32
 class CompiledMasks:
     """m parity masks over n-bit blocks: output bit i = parity(x & mask_i).
 
-    Held as a (m, ceil(n/64)) uint64 row matrix whose bytes are laid out
-    like the blocks :meth:`apply` takes: input bit i at byte i // 8, bit
-    7 - i % 8, zero past n.  The first batch of
-    at least ``_TABLE_MIN_BLOCKS`` blocks turns the rows, once, into byte
-    columns and drops them: a reused seed's masks then run as byte-indexed
-    XOR tables (the Method of Four Russians), everything else as a row fold.
+    Held as a (g, m, ceil(n/64)) uint64 array of g mask sets (a 2-D matrix
+    is one set) whose row bytes are laid out like the blocks :meth:`apply`
+    takes: input bit i at byte i // 8, bit 7 - i % 8, zero past n.  One set
+    is shared by every block, g > 1 sets are one per block of a batch of g
+    blocks (a group of fresh seeds).  Every batch runs a row fold, except
+    that a shared set's first batch of at least ``_TABLE_MIN_BLOCKS`` blocks
+    turns its rows, once, into byte columns and drops them: a reused seed's
+    masks then run as byte-indexed XOR tables (the Method of Four Russians).
     """
 
     def __init__(self, matrix: np.ndarray, n: int):
-        self.m = matrix.shape[0]
+        self._matrix = matrix if matrix.ndim == 3 else matrix[None]
+        self.m = self._matrix.shape[1]
         self.n = n
-        self._matrix = matrix
         self._columns = None
 
     def apply(self, blocks: np.ndarray) -> np.ndarray:
@@ -137,35 +168,37 @@ class CompiledMasks:
 
         ``blocks`` is a (B, ceil(n/8)) uint8 array, one block per row,
         MSB-first and zero-padded at the end; the result is (B, ceil(m/8))
-        uint8 in the same layout, output bit 0 first.
+        uint8 in the same layout, output bit 0 first.  With g > 1 mask sets
+        B must be g, block j running on set j.
         """
         if self._columns is None:
-            if len(blocks) < _TABLE_MIN_BLOCKS:
+            if len(blocks) < _TABLE_MIN_BLOCKS or len(self._matrix) > 1:
                 return self._fold(blocks)
             self._columns = self._byte_columns()
             self._matrix = None
         return self._lookup(blocks)
 
     def _fold(self, blocks: np.ndarray) -> np.ndarray:
-        """Row fold, block by block: the rows are ANDed with the block, its
-        bytes zero-padded to whole words, one cache-sized slice at a time
-        and each row XOR-folded to one word; parity(popcount) of the fold is
-        the row's parity, since parity is additive over the words."""
-        words = self._matrix.shape[1]
-        rows = max(1, _SLICE_WORDS // words)
-        buf = np.empty((min(rows, self.m), words), dtype=np.uint64)
-        acc = np.empty(self.m, dtype=np.uint64)
-        out = np.empty((len(blocks), (self.m + 7) // 8), dtype=np.uint8)
+        """Row fold of every block at once: each block's bytes, zero-padded
+        to whole words, are ANDed with its set's rows, a cache-sized slice
+        of rows at a time, and each row XOR-folded to one word;
+        parity(popcount) of the fold is the row's parity, since parity is
+        additive over the words."""
+        sets, m, words = self._matrix.shape
+        if sets > 1 and len(blocks) != sets:
+            raise ParameterError(f"{len(blocks)} blocks for {sets} mask sets")
+        rows = max(1, _SLICE_WORDS // (words * max(1, len(blocks))))
+        buf = np.empty((min(rows, m), len(blocks), words), dtype=np.uint64)
+        acc = np.empty((m, len(blocks)), dtype=np.uint64)
         padded = np.zeros((len(blocks), 8 * words), dtype=np.uint8)
         padded[:, : blocks.shape[1]] = blocks
-        for i, xw in enumerate(padded.view(np.uint64)):
-            for r in range(0, self.m, rows):
-                part = self._matrix[r : r + rows]
-                tmp = buf[: len(part)]
-                np.bitwise_and(part, xw, out=tmp)
-                np.bitwise_xor.reduce(tmp, axis=1, out=acc[r : r + len(part)])
-            out[i] = np.packbits(np.bitwise_count(acc) & np.uint8(1))
-        return out
+        xw = padded.view(np.uint64)
+        for r in range(0, m, rows):
+            part = self._matrix[:, r : r + rows].transpose(1, 0, 2)
+            tmp = buf[: len(part)]
+            np.bitwise_and(part, xw, out=tmp)
+            np.bitwise_xor.reduce(tmp, axis=2, out=acc[r : r + len(part)])
+        return np.packbits(np.bitwise_count(acc.T) & np.uint8(1), axis=1)
 
     def _byte_columns(self) -> np.ndarray:
         """(8, ceil(n/8), ceil(m/64)) uint64: entry [j, p] is the m-bit column
@@ -176,7 +209,7 @@ class CompiledMasks:
         nb = (self.n + 7) // 8
         cols = np.zeros((8, nb, 8 * ((self.m + 63) // 64)), dtype=np.uint8)
         for r in range(0, self.m, 8):
-            rows = self._matrix[r : r + 8].view(np.uint8)
+            rows = self._matrix[0, r : r + 8].view(np.uint8)
             # word p: byte i holds byte p of row r + 7 - i; an 8x8 bit
             # transpose turns its bit 8i + j into 8j + i
             x = np.zeros((nb, 8), dtype=np.uint8)
@@ -357,13 +390,18 @@ class _BitWriter:
             self._carry = self._carry[:0]
 
 
-def _next_seeds(inst: TrevisanInstance, seeds: _BlockReader, count: int):
-    """The next `count` seeds as BitStrings; raises when fewer are left."""
+def _group_blocks(n: int, m: int) -> int:
+    """Fresh-seed blocks per mask compile: their masks fit in _GROUP_BYTES."""
+    return max(1, _GROUP_BYTES // (8 * m * ((n + 63) // 64)))
+
+
+def _next_seeds(seeds: _BlockReader, count: int) -> np.ndarray:
+    """The next `count` seed rows; raises when fewer are left."""
     rows = seeds.read(count)
     if len(rows) < count:
         seeds.read(count)  # a short seed tail raises here
         raise ParameterError("seed source exhausted")
-    return (BitString.from_bytes(y.tobytes(), inst.d) for y in rows)
+    return rows
 
 
 def extract_stream(
@@ -381,18 +419,20 @@ def extract_stream(
     up front, compiled once at the first block (so an empty input compiles
     nothing) and applied to every batch (as byte tables once a batch is
     large enough); the report carries the union-bound error factor.
-    Otherwise each block is compiled with d fresh seed bits, a batch's
-    seeds read only when the batch has been read, so a clean end of input
-    consumes no further seed.  A short final source block is an error;
-    nothing is implicitly padded.  Seed bits left after the last block are
-    reported, not rejected.
+    Otherwise each block runs on d fresh seed bits, a batch's seeds read
+    only when the batch has been read, so a clean end of input consumes no
+    further seed, and compiled a group of blocks per :func:`seed_masks`
+    call.  A short final source block is an error; nothing is implicitly
+    padded.  Seed bits left after the last block are reported, not
+    rejected.
     """
     blocks = _batch_blocks(inst.n, inst.m, 0 if reuse_seed else inst.d)
     seeds = _BlockReader(seed_source, inst.d, 1 if reuse_seed else blocks, "seed")
     writer = _BitWriter(sink, inst.m)
     report = StreamReport(seed_reused=reuse_seed)
-    seed = next(_next_seeds(inst, seeds, 1)) if reuse_seed else None
+    seed = _next_seeds(seeds, 1) if reuse_seed else None
     masks = None  # the reused seed's, compiled at the first block
+    group = _group_blocks(inst.n, inst.m)
     reader = _BlockReader(source, inst.n, blocks, "input")
     while len(batch := reader.read(blocks)):
         if reuse_seed:
@@ -400,8 +440,9 @@ def extract_stream(
                 masks = seed_masks(inst, seed)
             writer.write(masks.apply(batch))
         else:
-            for x, y in zip(batch, _next_seeds(inst, seeds, len(batch))):
-                writer.write(seed_masks(inst, y).apply(x[None]))
+            ys = _next_seeds(seeds, len(batch))
+            for g in range(0, len(batch), group):
+                writer.write(seed_masks(inst, ys[g : g + group]).apply(batch[g : g + group]))
         report.blocks += len(batch)
     writer.flush()
     report.joint_error_factor = report.blocks if reuse_seed else 1

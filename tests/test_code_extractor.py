@@ -102,12 +102,9 @@ def test_min_distance_matches_codeword_oracle():
         assert min_distance_exhaustive(spec) == Fraction(weight, spec.n_bar), spec
 
 
-@pytest.mark.parametrize("n,s,delta", [(20, 5, Fraction(1, 4)), (150, 8, Fraction(1, 4))])
-def test_code_masks_match_extract_bit(n, s, delta):
-    # n = 20: 1024-row packing chunks with a partial tail; n = 150: 3 words
-    spec = CodeSpec(n=n, s=s, delta=delta)
-    rng = random.Random(n)
-    k = 1500
+def _check_code_masks(spec, k, rng):
+    """code_masks at k random pairs against extract_bit on 3 random inputs."""
+    n, s = spec.n, spec.s
     a = [rng.randrange(spec.q) for _ in range(k)]
     u = [rng.randrange(spec.q) for _ in range(k)]
     masks = code_masks(spec, np.array(a, dtype=np.uint64), np.array(u, dtype=np.uint64))
@@ -119,6 +116,27 @@ def test_code_masks_match_extract_bit(n, s, delta):
         for ai, ui, row in zip(a, u, rows):
             y = BitString(s, ai).concat(BitString(s, ui))
             assert (x.value & row).bit_count() & 1 == extract_bit(spec, x, y)
+
+
+@pytest.mark.parametrize("n,s,delta", [(20, 5, Fraction(1, 4)), (150, 8, Fraction(1, 4))])
+def test_code_masks_match_extract_bit(n, s, delta):
+    # n = 20: 1024-row packing chunks with a partial tail; n = 150: 3 words
+    _check_code_masks(CodeSpec(n=n, s=s, delta=delta), 1500, random.Random(n))
+
+
+@pytest.mark.parametrize(
+    "n,s,k",
+    [
+        (1, 1, 4),  # one-bit symbols
+        (64, 8, 300),  # the parities fill one whole byte
+        (130, 63, 200),  # one bit short of a whole parity word
+        (200, 64, 200),  # the parities fill all 8 bytes of the word
+        (20, 5, 0),  # no pairs
+        (200, 64, 0),
+    ],
+)
+def test_code_masks_symbol_size_edges(n, s, k):
+    _check_code_masks(CodeSpec(n=n, s=s, delta=Fraction(1, 4)), k, random.Random(n + s))
 
 
 def test_min_distance_example():

@@ -457,6 +457,122 @@ def test_sub_byte_tails(wrap, monkeypatch):
         run(data + b"\x00", seeds, True)  # a 9-bit tail
 
 
+def _group_of(monkeypatch, inst, g):
+    """Fresh-seed groups of g blocks: the group bytes of g mask sets."""
+    words = (inst.n + 63) // 64
+    monkeypatch.setattr(trevisan, "_GROUP_BYTES", g * 8 * inst.m * words)
+    assert trevisan._group_blocks(inst.n, inst.m) == g
+
+
+@pytest.mark.parametrize("batch", [None, 8])
+@pytest.mark.parametrize(
+    "n, s, m, extra",
+    [
+        (13, 5, 11, 0),  # d = 13: neither n nor d a multiple of 8
+        (64, 6, 7, 1),  # d = 17: 8 | n only
+        (130, 9, 65, 2),  # d = 27: 3 words per mask row, 9 output bytes
+    ],
+)
+def test_grouped_fresh_matches_extract(n, s, m, extra, batch, monkeypatch):
+    # groups of g = 3 blocks; with 8-block batches a batch is groups 3, 3, 2
+    g = 3
+    if batch:
+        monkeypatch.setattr(trevisan, "_batch_blocks", lambda n, m, d: batch)
+    rng = random.Random(n * 100 + m)
+    inst = _random_instance(rng, n, s, Fraction(1, 3), m, extra)
+    _group_of(monkeypatch, inst, g)
+    most = 2 * g + 3
+    data = BitString(n * most, rng.getrandbits(n * most))
+    seeds = BitString(inst.d * most, rng.getrandbits(inst.d * most))
+    want = [
+        extract(inst, data.substring(range(n * b, n * (b + 1))),
+                seeds.substring(range(inst.d * b, inst.d * (b + 1))))
+        for b in range(most)
+    ]
+    for blocks in (g - 1, g, g + 1, most):
+        out, report = extract_bytes(
+            inst, data.prefix(n * blocks).to_bytes(), seeds.prefix(inst.d * blocks).to_bytes()
+        )
+        assert out == _join(want[:blocks]).to_bytes() and report.blocks == blocks
+
+
+@pytest.mark.parametrize("wrap", [io.BytesIO, _Trickle])
+def test_grouped_fresh_seed_errors(wrap, monkeypatch):
+    # n = 13, d = 15, groups of 3 in batches of 8 (3, 3, 2, then 1): seeds
+    # run out, or end in a bad tail, inside the second group or at the
+    # second batch
+    inst = _odd_instance()
+    _group_of(monkeypatch, inst, 3)
+    monkeypatch.setattr(trevisan, "_batch_blocks", lambda n, m, d: 8)
+    rng = random.Random(25)
+    data = BitString(13 * 9, rng.getrandbits(13 * 9)).to_bytes()
+
+    def run(seed):
+        return extract_stream(inst, wrap(data), wrap(seed), io.BytesIO()).blocks
+
+    whole = BitString(15 * 9, rng.getrandbits(15 * 9))
+    assert run(whole.to_bytes()) == 9
+    for k in (1, 4, 8):
+        with pytest.raises(ParameterError, match="seed source exhausted"):
+            run(whole.prefix(15 * k).to_bytes())
+        # 15k bits and a 7-bit tail holding a one: a short final seed
+        bad = whole.prefix(15 * k).concat(BitString(7, 1))
+        with pytest.raises(ParameterError, match="short final block in seed stream"):
+            run(bad.to_bytes())
+
+
+def test_fresh_layers_called_once_per_group(monkeypatch):
+    inst = _odd_instance()
+    _group_of(monkeypatch, inst, 4)
+    compiles, applies = [], []
+
+    def compile_spy(*args):
+        compiles.append(len(args[1]))
+        return seed_masks(*args)
+
+    apply = CompiledMasks.apply
+
+    def apply_spy(self, blocks):
+        applies.append(len(blocks))
+        return apply(self, blocks)
+
+    monkeypatch.setattr(trevisan, "seed_masks", compile_spy)
+    monkeypatch.setattr(CompiledMasks, "apply", apply_spy)
+    rng = random.Random(26)
+    data = BitString(13 * 10, rng.getrandbits(13 * 10)).to_bytes()
+    seeds = BitString(15 * 10, rng.getrandbits(15 * 10)).to_bytes()
+    _, report = extract_bytes(inst, data, seeds)  # 10 blocks: G = 3 groups
+    assert report.blocks == 10 and compiles == applies == [4, 4, 2]
+    compiles.clear(), applies.clear()
+    _, report = extract_bytes(inst, data, seeds, reuse_seed=True)
+    assert report.blocks == 10 and compiles == [1] and applies == [10]
+
+
+def test_seed_rows_compile_like_bitstrings():
+    # g seed rows compile to the g sets of the seeds one by one; d = 15
+    inst = _odd_instance()
+    rng = random.Random(28)
+    ys = [BitString(15, rng.getrandbits(15)) for _ in range(3)]
+    rows = np.frombuffer(b"".join(y.to_bytes() for y in ys), dtype=np.uint8).reshape(3, 2)
+    grouped = seed_masks(inst, rows)
+    for j, y in enumerate(ys):
+        assert (grouped._matrix[j] == seed_masks(inst, y)._matrix[0]).all()
+    with pytest.raises(ParameterError):
+        seed_masks(inst, rows[:, :1])
+
+
+def test_per_block_mask_sets():
+    # g sets apply to a batch of g blocks, block j on set j; other counts raise
+    rng = np.random.default_rng(27)
+    n, m, g = 150, 13, 5
+    sets = rng.integers(0, 1 << 64, size=(g, m, 3), dtype=np.uint64)
+    blocks = _rows([random.Random(27).getrandbits(n) for _ in range(g)], n)
+    want = np.concatenate([CompiledMasks(sets[j], n).apply(blocks[j : j + 1]) for j in range(g)])
+    assert (CompiledMasks(sets, n).apply(blocks) == want).all()
+    with pytest.raises(ParameterError):
+        CompiledMasks(sets, n).apply(blocks[:-1])
+
+
 def test_reader_reads_only_needed_bytes():
     stream = io.BytesIO(b"\xff" * 100)
     reader = _BlockReader(stream, 13, 8, "input")
