@@ -7,7 +7,7 @@ reductions at micro scale, and parameter calculators for the composition
 theorems.
 """
 
-from .bitfield import BinaryField, BitString, inner_product_gf2
+from .bitfield import BinaryField, BitString
 from .code_extractor import CodeSpec, code_params, extract_bit, min_symbol_size
 from .entropy import (
     Distribution,
@@ -87,7 +87,6 @@ __all__ = [
     "hmin_cond",
     "hmin_smooth_classical",
     "hybrid_gaps",
-    "inner_product_gf2",
     "majority_predictor",
     "max_error_flat_sources",
     "min_symbol_size",

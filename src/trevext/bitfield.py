@@ -214,7 +214,6 @@ class BinaryField:
             )
         self.s = s
         self.modulus = IRREDUCIBLE_POLY[s]
-        self.order = 1 << s
 
     def add(self, a: int, b: int) -> int:
         return a ^ b
@@ -231,26 +230,6 @@ class BinaryField:
                 a ^= mod
         return r
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.order - 2)
-
-    def pow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
-
     def __repr__(self):
         return f"GF(2^{self.s})"
 
-
-def inner_product_gf2(u: BitString, v: BitString) -> int:
-    """XOR of the bitwise products of two equal-length strings."""
-    if u.length != v.length:
-        raise ParameterError("length mismatch")
-    return (u.value & v.value).bit_count() & 1

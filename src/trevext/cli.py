@@ -27,6 +27,7 @@ from .errors import (
 from .params import params_report_json, params_report_text, preset
 from .trevisan import TrevisanInstance, extract_stream
 from .weak_design import (
+    CONSTRUCTION_REVISION,
     SERIAL_VERSION,
     block_design,
     deserialize_design,
@@ -56,7 +57,10 @@ def _parse_eps(text: str) -> Fraction:
 
 
 def _cache_path(cache_dir: str, kind: str, t: int, m: int, r: Fraction) -> str:
-    name = f"wd_v{SERIAL_VERSION}_{kind}_t{t}_m{m}_r{r.numerator}-{r.denominator}.bin"
+    # the construction revision keeps designs of an earlier construction,
+    # cached under the old name, from ever being read
+    name = (f"wd_v{SERIAL_VERSION}_c{CONSTRUCTION_REVISION}_{kind}_t{t}_m{m}"
+            f"_r{r.numerator}-{r.denominator}.bin")
     return os.path.join(cache_dir, name)
 
 

@@ -2,42 +2,48 @@
 
 A family S_1..S_m of t-subsets of [d] is a weak (t,r)-design when every
 prefix overlap sum ``sum_{j<i} 2^{|S_j ∩ S_i|}`` is at most ``r*m``.  Two
-constructions are provided:
+constructions are provided, both drawing their sets from one grid greedy:
 
-* :func:`greedy_basic_design` — derandomized greedy (method of conditional
-  expectations) on a universe of size ``d = t * ceil(t / ln r)``, certifying
-  ``r_certified <= r_target``.
+* :func:`greedy_basic_design` — one grid of L = ceil(t / ln r) rows, or m
+  rows when m < L, so d = t·min(m, L), certifying ``r_certified <= r``.
 * :func:`block_design` — the r=1 composition: set indices are partitioned
-  into geometrically shrinking blocks, each block running the greedy
-  construction with budget 2 on its own disjoint universe, so cross-block
-  overlaps contribute exactly 2^0 = 1 each.
+  into shrinking blocks, each block a grid on its own disjoint universe, so
+  cross-block overlaps contribute exactly 2^0 = 1 each.
 
-Free elements first: each greedy set takes the lowest-index elements that
-lie in no earlier set before any candidate is scored.  This is the greedy's
-own choice, not a shortcut.  Against an earlier set with current overlap o,
-a free element's marginal cost is exactly 0, while one of that set's
-elements costs 2^(o+1)·E[2^H'] − 2^o·E[2^H] > 0 whenever d > t, where H'
-and H are the (hypergeometric) overlaps of a uniform completion with the
-set's unchosen elements after picking that element or a free one; at d = t
-every set is the whole universe.  So the sequential greedy picks the free
-elements, in ascending order, and only the steps left once they run out are
-scored.
+The grid.  Element v·t + a is cell (row v, column a) of a rows × t grid,
+and each set is the graph {v·t + a : a ∈ [0, t)} of a function a ↦ v.  Two
+such sets meet in exactly the columns where their functions agree.  For a
+uniformly random function, each column agrees with an earlier set's with
+probability 1/rows, so the expected overlap sum of set k is
+k·(1 + 1/rows)^t.  Fix the columns before a, and let o_j count the columns
+where set j agrees so far.  The conditional expectation is then
+(1 + 1/rows)^(t−a) · sum_j 2^{o_j}, and picking row v in column a makes it
 
-A candidate's cost depends on each earlier set holding it only through the
-set's overlap level o (t − o of its elements are unchosen).  So the float
-scores are one weighted bincount over the (m, t) array of earlier sets, and
-near-ties are scored exactly once per distinct histogram of levels; tie
-clouds over 256 keep the float winner (42 % of the scored steps over 177
-block and greedy shapes).
+    (1 + 1/rows)^(t−a−1) · (sum_j 2^{o_j} + sum_{j: f_j(a) = v} 2^{o_j}).
+
+The factor is the same for every v, so the greedy (method of conditional
+expectations) takes the lowest v with the least bin sum
+sum_{j: f_j(a) = v} 2^{o_j}: exact integers, one bincount, no ties to
+resolve.  The bins average to the conditional expectation, so it never
+grows: set k sums to at most k·(1 + 1/rows)^t <= k·e^{t/rows}, which is
+at most k·r when rows >= t/ln r.  The same bound caps every bin sum, which
+stays exact in float64 below 2^53 (larger requests are refused).  While
+k < rows some bin is empty, so the first min(m, rows) sets are the
+constant rows, pairwise disjoint.
+
+The block budget.  :func:`block_layout` sizes each block floor(R/2) + 1,
+where R counts the sets not yet placed, and each block is a grid of
+min(size, ceil(t/ln 2)) rows, so in-block sums are at most 2k.  Set k of a
+block after E earlier sets then sums to at most E + 2k <= E + R = m: the
+design has r <= 1 by construction.
 
 Certification is always exact (big integers / rationals), independent of how
 the sets were produced.  :func:`overlap_sums` counts every overlap from the
 element → set incidence (sorted (element, set) pairs; each element pairs the
 sets holding it, and a pair of sets met at o elements overlaps in o), then
 adds hist[o]·(2^o − 1) per set in Python ints; building, loading and
-verifying a design all certify through it.  The greedy's per-set budget
-check is exact too, from the overlap levels the greedy already tracks, so a
-scoring error can never produce an invalid certified design.
+verifying a design all certify through it, and both builders raise
+:class:`ConstructionError` if the certified r exceeds their target.
 
 Universe sizes are exact too.  :func:`design_seed_length` is the one rule
 for a design's d, and the ceil(t/ln r) in it is resolved in rational
@@ -47,11 +53,9 @@ arithmetic (:func:`ceil_div_ln`), so no rounding can move d.
 from __future__ import annotations
 
 import itertools
-import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -60,6 +64,9 @@ from .errors import ConstructionError, ParameterError, VerificationError
 
 SERIAL_MAGIC = b"WDSN"
 SERIAL_VERSION = 1
+# the builders' construction: design caches are keyed by it, so a cache
+# never serves the sets of an earlier construction (2: the grid greedy)
+CONSTRUCTION_REVISION = 2
 
 
 @dataclass(frozen=True)
@@ -261,63 +268,29 @@ def ceil_div_ln(t: int, r: Fraction) -> int:
         terms *= 2
 
 
-@lru_cache(maxsize=None)
-def _expected_weight_exact(n_remaining: int, picks: int, available: int) -> Fraction:
-    """E[2^H] for H ~ Hypergeometric(n_remaining, available, picks), exact."""
-    if picks < 0 or available < 0:
-        raise ParameterError("negative hypergeometric parameter")
-    total = math.comb(n_remaining, picks)
-    acc = 0
-    for h in range(max(0, picks - (n_remaining - available)), min(available, picks) + 1):
-        acc += math.comb(available, h) * math.comb(n_remaining - available, picks - h) * (1 << h)
-    return Fraction(acc, total)
-
-
-@lru_cache(maxsize=None)
-def _weight_table_float(n_remaining: int, picks: int, t: int) -> np.ndarray:
-    """w[a] ~= E[2^H], H ~ Hypergeom(n_remaining, a, picks), a = 0..t."""
-
-    def logc(n, k):
-        if k < 0 or k > n:
-            return -math.inf
-        return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-    out = np.empty(t + 1)
-    lden = logc(n_remaining, picks)
-    for a in range(t + 1):
-        lo = max(0, picks - (n_remaining - a))
-        hi = min(a, picks)
-        if lo > hi:
-            out[a] = 0.0
-            continue
-        term = math.exp(logc(a, lo) + logc(n_remaining - a, picks - lo) - lden + lo * math.log(2))
-        acc = term
-        for h in range(lo, hi):
-            term *= 2.0 * (a - h) * (picks - h) / ((h + 1) * (n_remaining - a - picks + h + 1))
-            acc += term
-        out[a] = acc
-    return out
-
-
-def _score_deltas(d: int, t: int, step: int) -> np.ndarray:
-    """Marginal greedy cost, indexed by a previous set's current overlap o,
-    of picking one of its elements at elemental step `step` (0-based)."""
-    n_remaining = d - step - 1
-    picks = t - step - 1
-    w = _weight_table_float(n_remaining, picks, t)
-    o = np.arange(t)
-    # delta[o] = 2^(o+1) * w[t-o-1] - 2^o * w[t-o]
-    return np.ldexp(w[t - 1 - o], o + 1) - np.ldexp(w[t - o], o)
+def _grid_sets(t: int, count: int, rows: int) -> np.ndarray:
+    """`count` sets of the rows × t grid, chosen column by column by the
+    conditional-expectation greedy (module docstring); row k holds set k's
+    elements v·t + a in column order."""
+    if count > rows and count * (rows + 1) ** t >= rows**t << 53:
+        # the bin sums below are float64, exact only under 2^53
+        raise ParameterError(f"overlap sums of {count} sets exceed 2^53; lower m or r")
+    f = np.empty((t, count), dtype=np.int64)  # f[a, k]: the row of set k in column a
+    first = min(count, rows)
+    f[:, :first] = np.arange(first)  # while k < rows, row k's bins are all empty
+    for k in range(first, count):
+        weight = np.ones(k)  # 2^{o_j}, o_j the columns set j agrees on so far
+        for a in range(t):
+            col = f[a, :k]
+            v = np.bincount(col, weight, minlength=rows).argmin()
+            f[a, k] = v
+            weight[col == v] *= 2
+    return f.T * t + np.arange(t)
 
 
 def greedy_basic_design(t: int, m: int, r_target: Fraction | float) -> WeakDesign:
-    """Weak design with d = t*ceil(t/ln r_target) and r_certified <= r_target.
-
-    Sets are built one element at a time, each element chosen to minimize the
-    exact conditional expectation of the prefix overlap sum under uniform
-    completion; ties break to the lowest index.  Every finished set's overlap
-    sum is re-checked exactly against the budget.
-    """
+    """Weak design on one grid of min(m, ceil(t/ln r_target)) rows, so
+    d = t·min(m, ceil(t/ln r_target)) and r_certified <= r_target."""
     if t < 1 or m < 1:
         raise ParameterError("t and m must be >= 1")
     r_target = Fraction(r_target).limit_denominator(10**12) if not isinstance(
@@ -326,118 +299,56 @@ def greedy_basic_design(t: int, m: int, r_target: Fraction | float) -> WeakDesig
     if r_target <= 1:
         raise ParameterError("r_target must be > 1")
     d = design_seed_length(t, m, "greedy", r_target)
-    return WeakDesign.from_sets(d, _greedy_sets(t, m, d, r_target, universe_offset=0))
-
-
-def _greedy_sets(t, m, d, r_target, universe_offset):
-    """Core greedy loop on universe [0, d); returns sets shifted by offset."""
-    budget = r_target * m
-    sets = np.empty((m, t), dtype=np.intp)  # row j: set j, sorted once finished
-    covered = np.zeros(d, dtype=bool)  # union of all previous sets
-    for i in range(m):
-        # free elements cost exactly 0 and every covered one costs more
-        # (module docstring), so they come first, lowest index first
-        free = np.flatnonzero(~covered)[:t]
-        row, prev = sets[i], sets[:i]
-        row[: len(free)] = free
-        overlaps = np.zeros(i, dtype=np.intp)  # |S_j ∩ chosen| per earlier set
-        for step in range(len(free), t):
-            # per element, the deltas of the sets holding it in ascending j
-            weights = np.repeat(_score_deltas(d, t, step)[overlaps], t)
-            scores = np.bincount(prev.ravel(), weights, minlength=d)
-            scores[row[:step]] = np.inf
-            e = _argmin_with_exact_ties(scores, d, t, step, prev, overlaps)
-            row[step] = e
-            overlaps += (prev == e).any(axis=1)
-        row.sort()
-        # free elements lie in no earlier set, so overlaps[j] = |S_j ∩ S_i|
-        exact_sum = sum(n << o for o, n in enumerate(np.bincount(overlaps).tolist()))
-        if exact_sum > budget:
-            raise ConstructionError(
-                f"greedy overlap budget violated at set {i}: {exact_sum} > {budget}"
-            )
-        covered[row] = True
-    return (sets + universe_offset).tolist()
-
-
-def _argmin_with_exact_ties(scores, d, t, step, prev, overlaps):
-    """First index attaining the float minimum; near-ties are re-scored with
-    exact rationals so the winner (lowest index among exact minima) does not
-    depend on rounding.
-
-    Each earlier set holding a candidate adds D(o) = 2^(o+1)·E[2^H'] −
-    2^o·E[2^H] at its overlap level o, with t − o − 1 and t − o of its
-    elements unchosen for H' and H; so D is computed once per level and
-    each distinct histogram of levels is scored once.  Tie clouds over 256
-    keep the float winner.  Every candidate lies in some earlier set, since
-    scoring starts once the free elements are used up.
-    """
-    e = int(np.argmin(scores))
-    best = scores[e]
-    tol = 1e-9 * (abs(best) + 1e-30)
-    near = np.flatnonzero(scores <= best + tol)
-    if len(near) == 1 or len(near) > 256:
-        # a single winner, or a pathological tie cloud: the float winner
-        return e
-    flat = prev.ravel()
-    held = np.isin(flat, near)
-    # hist[c, o]: the earlier sets at overlap level o that hold near[c]
-    key = np.searchsorted(near, flat[held]) * t + np.repeat(overlaps, t)[held]
-    hist = np.bincount(key, minlength=len(near) * t).reshape(len(near), t)
-    groups, inverse = np.unique(hist, axis=0, return_inverse=True)
-    levels = np.flatnonzero(groups.any(axis=0)).tolist()
-    n_remaining, picks = d - step - 1, t - step - 1
-    level_delta = [
-        (1 << (o + 1)) * _expected_weight_exact(n_remaining, picks, t - o - 1)
-        - (1 << o) * _expected_weight_exact(n_remaining, picks, t - o)
-        for o in levels
-    ]
-    exact = [sum(n * x for n, x in zip(c, level_delta)) for c in groups[:, levels].tolist()]
-    return int(near[min(range(len(near)), key=lambda c: exact[inverse[c]])])
+    design = WeakDesign.from_sets(d, _grid_sets(t, m, d // t).tolist())
+    if design.r_certified > r_target:
+        raise ConstructionError(
+            f"greedy design certification failed: r = {design.r_certified} > {r_target}"
+        )
+    return design
 
 
 def block_layout(m: int) -> tuple:
-    """Block sizes ceil(m/2), ceil(m/4), ..., truncated to sum to m."""
-    sizes, total, b = [], 0, 1
-    while total < m:
-        size = min((m + (1 << b) - 1) // (1 << b), m - total)
-        sizes.append(size)
-        total += size
-        b += 1
+    """Block sizes floor(R/2) + 1, R the sets not yet placed."""
+    sizes, rest = [], m
+    while rest:
+        sizes.append(rest // 2 + 1)
+        rest -= sizes[-1]
     return tuple(sizes)
 
 
 def design_seed_length(t: int, m: int, kind: str, r: Fraction) -> int:
     """Universe size d, the seed length, of a design of m t-sets.
 
-    ``"greedy"`` (:func:`greedy_basic_design`): t·ceil(t/ln r).
-    ``"block"`` (:func:`block_design`, r ignored): t·ceil(t/ln 2) per block
-    of :func:`block_layout`.
+    ``"greedy"`` (:func:`greedy_basic_design`): t·min(m, ceil(t/ln r)).
+    ``"block"`` (:func:`block_design`, r ignored): t·min(size, ceil(t/ln 2))
+    per block of :func:`block_layout`.
     """
     if kind == "block":
-        return t * ceil_div_ln(t, 2) * len(block_layout(m))
+        rows = ceil_div_ln(t, 2)
+        return t * sum(min(size, rows) for size in block_layout(m))
     if kind == "greedy":
         if r <= 1:
             raise ParameterError("greedy design needs r > 1")
-        return t * ceil_div_ln(t, r)
+        return t * min(m, ceil_div_ln(t, r))
     raise ParameterError(f"unknown design kind {kind!r}")
 
 
 def block_design(t: int, m: int) -> WeakDesign:
-    """Weak (t,1)-design: greedy blocks with budget 2 on disjoint universes.
+    """Weak (t,1)-design: one grid of min(size, ceil(t/ln 2)) rows per block
+    of :func:`block_layout`, each on its own universe.
 
-    Total d is at most t*ceil(t/ln 2)*ceil(log2(4m)), matching the r=1
-    construction's parameter shape.
+    d is at most t·ceil(t/ln 2)·ceil(log2(4m)), the r=1 construction's
+    parameter shape.
     """
     if t < 1 or m < 1:
         raise ParameterError("t and m must be >= 1")
-    layout = block_layout(m)
+    max_rows, offset, blocks = ceil_div_ln(t, 2), 0, []
+    for size in block_layout(m):
+        rows = min(size, max_rows)
+        blocks.append(_grid_sets(t, size, rows) + offset)
+        offset += t * rows
     d = design_seed_length(t, m, "block", Fraction(1))
-    d_block = d // len(layout)  # each block's own universe
-    all_sets: list[tuple] = []
-    for b, size in enumerate(layout):
-        all_sets.extend(_greedy_sets(t, size, d_block, Fraction(2), b * d_block))
-    design = WeakDesign.from_sets(d, all_sets)
+    design = WeakDesign.from_sets(d, np.concatenate(blocks).tolist())
     if design.r_certified > 1:
         raise ConstructionError(
             f"block design certification failed: r = {design.r_certified}"

@@ -94,9 +94,8 @@ def test_criterion_01_design_certification():
 
 
 # SHA-256 over serialize_design of the (block, greedy r=2) designs of each
-# GRID point in order, recorded before the greedy kept its earlier sets in
-# one index array and scored near-ties once per overlap level
-GRID_DESIGN_DIGEST = "9efde3d230074e36c274056c0d376cd871343928fbf07149196cc5fa5554e8cb"
+# GRID point in order, built by the grid greedy (construction revision 2)
+GRID_DESIGN_DIGEST = "e9a53db7ae373de7b9ca2dffe0bf0bb6e1f693ce47b7d93d77e5e10cee8bafa5"
 
 
 def test_grid_design_bytes_pinned(grid_designs):

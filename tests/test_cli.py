@@ -17,7 +17,12 @@ from trevext.cli import (
 from trevext.code_extractor import CodeSpec
 from trevext.params import preset
 from trevext.trevisan import TrevisanInstance, extract_bytes
-from trevext.weak_design import block_design, greedy_basic_design, serialize_design
+from trevext.weak_design import (
+    WeakDesign,
+    block_design,
+    greedy_basic_design,
+    serialize_design,
+)
 
 # smallest constructible preset instance: one symbol, Hadamard-only code
 MICRO = dict(n=16, m=2, eps="1/2")
@@ -25,7 +30,7 @@ MICRO = dict(n=16, m=2, eps="1/2")
 
 def micro_instance():
     p = preset("cor1", 16, Fraction(1, 2), 2)
-    assert p.constructible and (p.t, p.d) == (32, 3008)
+    assert p.constructible and (p.t, p.d) == (32, 64)
     return TrevisanInstance(
         block_design(p.t, p.m), CodeSpec(n=16, s=p.s_bits, delta=p.delta)
     )
@@ -104,7 +109,7 @@ def test_extract_generates_and_records_seed(tmp_path):
               "--reuse-seed"])
     assert rc == EXIT_OK
     seed = (tmp_path / "out.bin.seed").read_bytes()
-    assert len(seed) == 3008 // 8  # one d-bit seed
+    assert len(seed) == 64 // 8  # one d-bit seed
     expected, _ = extract_bytes(
         micro_instance(), b"\x12\x34\x56\x78", seed, reuse_seed=True
     )
@@ -228,6 +233,28 @@ def test_design_corruption_detected(tmp_path, capsys):
     assert "verification failure" in capsys.readouterr().err
 
 
+def test_design_generate_small_t_block(tmp_path, capsys):
+    # a shape the ceiling block layout took over r = 1
+    assert run(["design", "generate", "--kind", "block", "--t", 2, "--m", 49,
+                "--out", tmp_path / "d.bin"]) == EXIT_OK
+    assert "r_certified=48/49 ok=True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["block", "greedy"])
+def test_design_generate_uncertified_family_exit(tmp_path, capsys, monkeypatch, kind):
+    import numpy as np
+
+    import trevext.weak_design as wd
+
+    # every set the grid's first row, so the certificate exceeds the target
+    monkeypatch.setattr(wd, "_grid_sets", lambda t, count, rows: np.tile(np.arange(t), (count, 1)))
+    rc = run(["design", "generate", "--kind", kind, "--t", 4, "--m", 8, "--r", 2,
+              "--out", tmp_path / "d.bin"])
+    assert rc == EXIT_VERIFICATION
+    assert "certification failed" in capsys.readouterr().err
+    assert not (tmp_path / "d.bin").exists()
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["generate", "--m", 4, "--out", "d.bin"], "--t"),
     (["generate", "--t", 3, "--out", "d.bin"], "--m"),
@@ -329,6 +356,24 @@ def test_generated_block_design_cache_reused_by_extract(tmp_path):
                 "--in", tmp_path / "in.bin", "--out", tmp_path / "out.bin",
                 "--reuse-seed", "--design-cache", cache]) == EXIT_OK
     assert len(list(cache.iterdir())) == 1
+
+
+def test_cache_of_an_earlier_construction_ignored(tmp_path):
+    # the scored greedy cached block designs as wd_v1_block_...: at cor1
+    # n=16 m=2 that design had d = 3008 against today's 64, and reading it
+    # would fail extract with "design seed length 3008 != d=64"
+    inst, data, seed = _write_micro_inputs(tmp_path, blocks=2)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    old = cache / "wd_v1_block_t32_m2_r1-1.bin"
+    stale = serialize_design(WeakDesign.from_sets(3008, [range(32), range(1504, 1536)]))
+    old.write_bytes(stale)
+    assert run(["extract", "--preset", "cor1", "--n", 16, "--m", 2, "--eps", "1/2",
+                "--in", tmp_path / "in.bin", "--out", tmp_path / "out.bin",
+                "--seed-file", tmp_path / "seed.bin", "--design-cache", cache]) == EXIT_OK
+    expected, _ = extract_bytes(inst, data, seed)
+    assert (tmp_path / "out.bin").read_bytes() == expected
+    assert old.read_bytes() == stale and len(list(cache.iterdir())) == 2
 
 
 def _loaded_by_cli_import(module):

@@ -74,7 +74,7 @@ def test_planned_seed_length_is_built_design_length(n, eps, m):
 
 def test_greedy_design_kind():
     g = trevisan_params(1024, Fraction(1, 1024), 64, design_kind="greedy", r=Fraction(2))
-    assert g.d == g.t * ceil_div_ln(g.t, 2)
+    assert g.d == g.t * min(64, ceil_div_ln(g.t, 2))
     assert g.r == 2
     # the overlap parameter enters the threshold linearly
     b = trevisan_params(1024, Fraction(1, 1024), 64)
@@ -85,7 +85,7 @@ def test_greedy_design_kind():
 
 def test_regression_pin_mid_size():
     p = preset("cor1", 1024, Fraction(1, 1024), 64)
-    assert (p.s_bits, p.t, p.d) == (76, 152, 234080)
+    assert (p.s_bits, p.t, p.d) == (76, 152, 9728)
     assert p.eps_c == Fraction(1, 38654705664)
     assert p.k == pytest.approx(204.6797000057692, rel=1e-12)
     assert not p.constructible  # symbol size beyond the field table
@@ -100,7 +100,7 @@ def test_constructible_flag_small_instance():
 
 def test_single_output_bit():
     p = preset("cor1", 64, Fraction(1, 4), 1)
-    assert p.m == 1 and p.d == p.t * ceil_div_ln(p.t, 2)
+    assert p.m == 1 and p.d == p.t  # one block of one row
     assert p.eps_c == Fraction(1, 144)
 
 

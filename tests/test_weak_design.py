@@ -4,12 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from trevext.errors import ParameterError, VerificationError
+from trevext.errors import ConstructionError, ParameterError, VerificationError
 from trevext.weak_design import (
     WeakDesign,
-    _argmin_with_exact_ties,
-    _expected_weight_exact,
-    _score_deltas,
+    _grid_sets,
     block_design,
     block_layout,
     ceil_div_ln,
@@ -98,26 +96,6 @@ def test_overlap_sums_equal_sets_closed_form():
     assert overlap_sums(sets) == tuple(i << 64 for i in range(512))
 
 
-def test_greedy_budget_sum_matches_kernel():
-    # the greedy's own budget check reports its exact sum when it fails:
-    # with the budget one below a set's kernel sum, the first set over it
-    # must fail with exactly the kernel's value
-    from trevext.errors import ConstructionError
-    from trevext.weak_design import _greedy_sets
-
-    for t, m, d in [(3, 12, 9), (4, 24, 12), (5, 30, 20), (8, 20, 24)]:
-        sets = _greedy_sets(t, m, d, Fraction(1 << t), 0)
-        sums = overlap_sums(sets)
-        assert sums == overlap_sums_oracle(sets)
-        for i in range(1, m):
-            budget = sums[i] - 1
-            k = next(j for j, s in enumerate(sums) if s > budget)
-            with pytest.raises(
-                ConstructionError, match=rf"at set {k}: {sums[k]} > {budget}$"
-            ):
-                _greedy_sets(t, i + 1, d, Fraction(budget, i + 1), 0)
-
-
 def test_verify_design_certificate():
     d = WeakDesign.from_sets(4, [(0, 1), (1, 2), (2, 3)])
     cert = verify_design(d, 2)
@@ -148,93 +126,18 @@ def test_greedy_deterministic():
     assert a.sets == b.sets
 
 
-def test_expected_overlap_weight_example():
-    # one fixed set {1,2} in universe of size 4, new set picks 2 elements:
-    # E[2^{overlap}] over uniform 2-subsets = 13/6
-    assert _expected_weight_exact(4, 2, 2) == Fraction(13, 6)
-
-
-def test_covered_element_costs_more_than_free():
-    # the lemma behind free elements first: at elemental step `step`, picking
-    # an element of an earlier set whose overlap is o (so t - o of its
-    # elements are unchosen) raises the expected 2^overlap cost strictly
-    # more than picking an element outside it, whenever one exists (d > t)
-    for t in range(1, 9):
-        for d in range(t + 1, 4 * t + 1):
-            for step in range(t):
-                n_remaining, picks = d - step - 1, t - step - 1
-                for o in range(min(step, t - 1) + 1):
-                    a = t - o
-                    if a > n_remaining:
-                        continue  # no element outside the earlier set is left
-                    cost = (1 << (o + 1)) * _expected_weight_exact(
-                        n_remaining, picks, a - 1
-                    ) - (1 << o) * _expected_weight_exact(n_remaining, picks, a)
-                    assert cost > 0, (t, d, step, o)
-
-
-def _per_set_argmin(scores, d, t, step, chosen, fsets, overlaps):
-    """Reference tie-break: each near-tie candidate's exact cost summed set
-    by set over the earlier sets holding it."""
-    e = int(np.argmin(scores))
-    best = scores[e]
-    near = np.flatnonzero(scores <= best + 1e-9 * (abs(best) + 1e-30))
-    if len(near) == 1 or len(near) > 256:
-        return e
-    n_remaining, picks = d - step - 1, t - step - 1
-    pset = frozenset(chosen)
-
-    def exact_delta(cand):
-        acc = Fraction(0)
-        for j, fs in enumerate(fsets):
-            if cand in fs:
-                o = overlaps[j]
-                acc += (1 << (o + 1)) * _expected_weight_exact(
-                    n_remaining, picks, len(fs - pset) - 1
-                ) - (1 << o) * _expected_weight_exact(n_remaining, picks, len(fs - pset))
-        return acc
-
-    return min((exact_delta(int(c)), int(c)) for c in near)[1]
-
-
-def test_exact_tie_break_matches_per_set_oracle():
-    rng = np.random.default_rng(2024)
-    resolved = 0  # states whose exact winner is not the float argmin
-    for _ in range(1000):
-        t = int(rng.integers(2, 9))
-        d = t * int(rng.integers(2, 5))
-        prev = np.sort(
-            np.array([rng.choice(d, t, replace=False) for _ in range(rng.integers(1, 40))]),
-            axis=1,
-        )
-        step = int(rng.integers(1, t))
-        chosen = rng.choice(d, step, replace=False).tolist()
-        fsets = [frozenset(row) for row in prev.tolist()]
-        overlaps = np.array([len(fs.intersection(chosen)) for fs in fsets])
-        weights = np.repeat(_score_deltas(d, t, step)[overlaps], t)
-        scores = np.bincount(prev.ravel(), weights, minlength=d)
-        scores[chosen] = np.inf
-        # pull a few candidates onto the float minimum, within the tolerance
-        open_ = np.flatnonzero(np.isfinite(scores))
-        pulled = rng.choice(open_, min(len(open_), int(rng.integers(2, 12))), replace=False)
-        scores[pulled] = scores[open_].min() * (1 + rng.uniform(0, 1e-10, len(pulled)))
-        want = _per_set_argmin(scores, d, t, step, chosen, fsets, overlaps.tolist())
-        assert _argmin_with_exact_ties(scores, d, t, step, prev, overlaps) == want
-        resolved += want != int(np.argmin(scores))
-    assert resolved > 0
-
-
-# serialize_design digests of the designs built before elements outside every
-# earlier set were taken without scoring; existing design caches stay valid
+# serialize_design digests of the grid-greedy designs (construction
+# revision 2); the scored greedy's designs, cached under names without a
+# construction revision, are never read again
 PINNED = {
-    ("block", 124, 256): "89922768d94ac383bd54b394353f55ba3163342392fed2a83a5dd67b2c41fd62",
-    ("block", 3, 7): "10e6c5eaf92e6bea21060024bd1ad5c85bef16471322d9830aeed778f5825c11",
-    ("block", 4, 16): "4fb063bbe13c5ba8b3e813d876a2348a4b8b0c4c5db958d0c8c8592e1d2c7a8b",
-    ("block", 8, 64): "e1069955f5b1761c0e17fc2138d3d2907061008d58cbd20f017a2c3b9ddfea78",
-    ("greedy", 3, 8, 2): "16b4a1e0808d4aceb505c2b518d633a6adb32c7cd218dcda40817baee61a0975",
-    ("greedy", 4, 16, 2): "f1c4929ff5a13de0754344cc74a1e1e55c906cabf933de5be23208117bfd545a",
+    ("block", 124, 256): "da37e991a6ae60793413a4971efedadbcde237a5c8b9e1c87021d86f8dab9738",
+    ("block", 3, 7): "7d378ae2463e1c4d1b670cfaff4360b684173052a011ff0ba027484074b18f32",
+    ("block", 4, 16): "8adbd063efdd76398ff6681fd78a005c8915d1d54b7b5907aa4e9fa6db9ff67b",
+    ("block", 8, 64): "34d78439dc5af2abbd52382545c31dbc559037b89e7bf2aecb3801a393c2b05f",
+    ("greedy", 3, 8, 2): "53bb282faa538dfec5c9eeda07c748fa4cfd4e7f79436dac53e1fdb83339e574",
+    ("greedy", 4, 16, 2): "fc89fbe0e4bfe45e3d5a080b8af8ae45ec056355a28a54d4abd68fa26b3b6518",
     ("greedy", 8, 64, Fraction(3, 2)):
-        "3ba2d42a1bdb59af665ddaa205c0de59b2b1d1cc4a4fc6c4fbed91d23a281d77",
+        "5998ea06ad15b54ea286e4f6d262e8428f0e9eb49938e640089b5ce121d53780",
 }
 
 
@@ -291,13 +194,21 @@ def test_design_seed_length_guards():
 def test_block_layout():
     assert block_layout(7) == (4, 2, 1)
     assert block_layout(1) == (1,)
-    assert sum(block_layout(256)) == 256
-    assert sum(block_layout(512)) == 512
+    assert block_layout(2) == (2,)
+    assert block_layout(256) == (129, 64, 32, 16, 8, 4, 2, 1)
+    for m in range(1, 600):
+        placed = 0
+        for size in block_layout(m):
+            assert size == (m - placed) // 2 + 1
+            # the last set of the block sums to at most placed + 2(size − 1)
+            assert placed + 2 * (size - 1) <= m
+            placed += size
+        assert placed == m
 
 
 def test_block_t4_m2():
     d = block_design(4, 2)
-    assert d.d == 48  # two size-1 blocks of width t*ceil(t/ln 2)
+    assert d.d == 8  # one block of two disjoint rows
     assert d.d <= block_design_length_bound(4, 2) == 72
     assert verify_design(d, 1).ok
 
@@ -323,21 +234,110 @@ def test_block_certifies_m_off_the_powers_of_two(m):
 
 
 def test_sets_disjoint_across_blocks():
-    # block b owns [b·d_block, (b+1)·d_block): its sets lie there, and sets
-    # of different blocks share no element
+    # block b owns the t·min(size_b, ceil(t/ln 2)) elements after those of
+    # the earlier blocks: its sets lie there, and sets of different blocks
+    # share no element
     for t, m in [(3, 7), (4, 16), (8, 64)]:
         d = block_design(t, m)
-        d_block = t * ceil_div_ln(t, Fraction(2))
+        rows = ceil_div_ln(t, Fraction(2))
         owner = {}  # element -> the block whose set holds it
-        first = 0
+        first = low = 0
         for b, size in enumerate(block_layout(m)):
+            high = low + t * min(size, rows)
             for s in d.sets[first:first + size]:
                 assert len(set(s)) == d.t
-                assert all(b * d_block <= p < (b + 1) * d_block for p in s)
+                assert all(low <= p < high for p in s)
                 for p in s:
                     assert owner.setdefault(p, b) == b
-            first += size
-        assert first == d.m and d.d == len(block_layout(m)) * d_block
+            first, low = first + size, high
+        assert first == d.m and d.d == low
+
+
+def _grid_oracle(t, count, rows):
+    """The conditional-expectation greedy by its definition: column by
+    column, the lowest row minimising the exact expected overlap sum of a
+    uniformly random completion."""
+    funcs = []
+    for _ in range(count):
+        f = []
+        for a in range(t):
+            def expected(v):
+                g = f + [v]
+                rest = (1 + Fraction(1, rows)) ** (t - a - 1)
+                return sum((1 << sum(x == y for x, y in zip(h, g))) * rest for h in funcs)
+
+            f.append(min(range(rows), key=expected))
+        funcs.append(f)
+    return [[v * t + a for a, v in enumerate(f)] for f in funcs]
+
+
+def test_grid_sets_match_definition():
+    for t, count, rows in [(1, 5, 2), (2, 9, 2), (3, 12, 3), (4, 20, 3), (5, 14, 4), (3, 4, 6)]:
+        assert _grid_sets(t, count, rows).tolist() == _grid_oracle(t, count, rows)
+
+
+def test_grid_first_sets_are_constant_rows():
+    assert _grid_sets(5, 9, 4)[:4].tolist() == [list(range(5 * v, 5 * v + 5)) for v in range(4)]
+    assert _grid_sets(3, 4, 6).tolist() == [list(range(3 * v, 3 * v + 3)) for v in range(4)]
+
+
+@pytest.mark.parametrize("r", [Fraction(3, 2), Fraction(2), Fraction(3)], ids=str)
+def test_grid_sums_within_conditional_expectation(r):
+    # set k of a grid of L = ceil(t/ln r) rows sums to at most
+    # k·(1 + 1/L)^t <= k·r, in exact rationals, for the bare grid and for
+    # the greedy kind built on it (L rows, or m when m < L)
+    for t in range(1, 9):
+        rows = ceil_div_ln(t, r)
+        growth = (1 + Fraction(1, rows)) ** t
+        assert growth <= r
+        for m in (1, rows, rows + 1, 3 * rows + 2, 100):
+            for sets in (_grid_sets(t, m, rows).tolist(), greedy_basic_design(t, m, r).sets):
+                sums = overlap_sums(sets)
+                assert all(s <= k * growth for k, s in enumerate(sums)), (t, m)
+
+
+def test_block_sums_within_budget():
+    # set k of a block after E earlier sets: E from the earlier blocks, and
+    # at most k·(1 + 1/L)^t <= 2k within its own grid of L = ceil(t/ln 2)
+    for t in range(1, 9):
+        growth = (1 + Fraction(1, ceil_div_ln(t, Fraction(2)))) ** t
+        assert growth <= 2
+        for m in (1, 2, 7, 49, 130, 300):
+            sums = overlap_sums(block_design(t, m).sets)
+            placed = 0
+            for size in block_layout(m):
+                for k in range(size):
+                    assert sums[placed + k] <= placed + k * growth <= m, (t, m)
+                placed += size
+
+
+def test_block_certifies_small_t():
+    # shapes where blocks of ceil(m/2), ceil(m/4), ... went over r = 1
+    for t, m in [(1, 129), (1, 258), (2, 49), (2, 98), (2, 99), (3, 161), (4, 193)]:
+        assert block_design(t, m).r_certified <= 1, (t, m)
+    for t in range(1, 5):
+        for m in range(1, 301):
+            d = block_design(t, m)
+            assert d.r_certified <= 1 and d.d <= block_design_length_bound(t, m), (t, m)
+
+
+def test_greedy_refuses_inexact_bin_sums():
+    # L = 5 rows at t = 200, r = 2^60: 16·(6/5)^200 is over 2^53, so the
+    # float64 bin sums could round; 4 sets fit in 4 rows and need no sums
+    with pytest.raises(ParameterError, match="2\\^53"):
+        greedy_basic_design(200, 16, 2**60)
+    assert greedy_basic_design(200, 4, 2**60).r_certified == Fraction(3, 4)
+
+
+def test_builders_refuse_an_uncertified_family(monkeypatch):
+    import trevext.weak_design as wd
+
+    # every set the grid's first row: each earlier set overlaps in all t
+    monkeypatch.setattr(wd, "_grid_sets", lambda t, count, rows: np.tile(np.arange(t), (count, 1)))
+    with pytest.raises(ConstructionError, match="block design certification failed"):
+        block_design(4, 8)
+    with pytest.raises(ConstructionError, match="greedy design certification failed"):
+        greedy_basic_design(4, 8, 2)
 
 
 def test_serialize_round_trip():
