@@ -8,6 +8,8 @@ Exit codes are a stable contract: 0 success, 2 parameter error,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 import tempfile
@@ -89,6 +91,24 @@ def _load_or_build_design(kind: str, t: int, m: int, r: Fraction, cache_dir=None
     return design
 
 
+class _RecordedEntropy(io.RawIOBase):
+    """Seed stream of system entropy: each read draws fresh bytes from
+    os.urandom and appends exactly those bytes to `record`, so the record
+    holds the seed bits of the run whatever the input's size or kind."""
+
+    def __init__(self, record):
+        self._record = record
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        data = os.urandom(len(b))
+        b[: len(data)] = data
+        self._record.write(data)
+        return len(data)
+
+
 def cmd_params(args) -> int:
     p = preset(args.preset, args.n, _parse_eps(args.eps), args.m, beta=args.beta)
     print(params_report_json(p) if args.report == "machine" else params_report_text(p))
@@ -126,22 +146,22 @@ def cmd_extract(args) -> int:
     inst = TrevisanInstance(design, code)
 
     source = getattr(args, "in")
-    seed_file = args.seed_file
     # write beside the output and move into place, so a failed run leaves
     # neither an output nor a seed the run generated
     tmp = args.out + ".tmp"
     leftovers = [tmp]
     try:
-        if not seed_file:
-            nblocks = 8 * os.path.getsize(source) // args.n
-            nbytes = (inst.d * (1 if args.reuse_seed else nblocks) + 7) // 8
-            seed_file = args.out + ".seed"
-            leftovers.append(seed_file)
-            with open(seed_file, "wb") as fh:
-                for off in range(0, nbytes, 1 << 20):
-                    fh.write(os.urandom(min(1 << 20, nbytes - off)))
-        with open(source, "rb") as src, open(seed_file, "rb") as seed, \
-                open(tmp, "wb") as sink:
+        with contextlib.ExitStack() as files:
+            if args.seed_file:
+                seed = files.enter_context(open(args.seed_file, "rb"))
+            else:
+                # seed bits are drawn as the stream reads them, so the input
+                # may be a pipe of unknown length
+                record = args.out + ".seed"
+                leftovers.append(record)
+                seed = _RecordedEntropy(files.enter_context(open(record, "wb")))
+            src = files.enter_context(open(source, "rb"))
+            sink = files.enter_context(open(tmp, "wb"))
             report = extract_stream(inst, src, seed, sink, reuse_seed=args.reuse_seed)
         os.replace(tmp, args.out)
     except BaseException:
@@ -261,12 +281,12 @@ def _selftest_checks(full: bool, rng_seed: int):
             harness.smoothing_robustness_check(ext, Distribution(mass), base)
 
     def check_stream():
-        # a random micro instance streamed with fresh seeds and with one
-        # seed reused past the byte-table threshold, against extract
+        # a random micro instance streamed with fresh seeds (row fold) and
+        # with one reused seed (byte tables), against extract
         from functools import reduce
 
         from .code_extractor import code_params
-        from .trevisan import _TABLE_MIN_BLOCKS, extract, extract_bytes
+        from .trevisan import extract, extract_bytes
 
         def join(bits):
             return reduce(BitString.concat, bits, BitString(0, 0)).to_bytes()
@@ -277,9 +297,9 @@ def _selftest_checks(full: bool, rng_seed: int):
             d = code.t + rng.randrange(1, 8)
             sets = [rng.sample(range(d), code.t) for _ in range(m)]
             inst = TrevisanInstance(WeakDesign.from_sets(d, sets), code)
-            for reuse, blocks in ((False, 5), (True, _TABLE_MIN_BLOCKS + 3)):
-                xs = [BitString(n, rng.getrandbits(n)) for _ in range(blocks)]
-                ys = [BitString(d, rng.getrandbits(d)) for _ in range(1 if reuse else blocks)]
+            for reuse in (False, True):
+                xs = [BitString(n, rng.getrandbits(n)) for _ in range(5)]
+                ys = [BitString(d, rng.getrandbits(d)) for _ in range(1 if reuse else 5)]
                 want = [extract(inst, x, ys[0 if reuse else i]) for i, x in enumerate(xs)]
                 out, _ = extract_bytes(inst, join(xs), join(ys), reuse)
                 if out != join(want):

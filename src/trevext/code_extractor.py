@@ -123,23 +123,23 @@ def extract_bit(spec: CodeSpec, x: BitString, y: BitString) -> int:
     return (v & z).bit_count() & 1
 
 
-def code_masks(spec: CodeSpec, a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Parity masks of the one-bit extractor at k uint64 seed pairs (a, u).
+def _step_slices(spec: CodeSpec, a: np.ndarray, u: np.ndarray, width: int):
+    """Yield (j, steps) for the k uint64 seed pairs (a, u), `width` symbols
+    at a time: steps[:, i] = (M_a^T)^(j+i) u for the symbols j, j+1, ... of
+    the slice (fewer in the last), a (k, c) view that the next slice
+    overwrites.
 
-    Row i of the (k, ceil(n/64)) uint64 result has <p_x(a_i), u_i> =
-    parity(x & row i) for every input x.  A row's bytes are the mask in the
-    layout of input block rows: input bit i at byte i // 8, bit 7 - i % 8,
-    zero past n.  The map is GF(2)-linear in x: with M_a the multiply-by-a
+    The one-bit extractor is GF(2)-linear in x: with M_a the multiply-by-a
     matrix on symbol bits, <p_x(a), u> = sum_j <c_j a^j, u> =
-    sum_j <c_j, (M_a^T)^j u> over the message symbols c_j.  All k pairs
-    advance together, one symbol per step, on s-bit vectors held in uint64
-    words.  A step ANDs each u with its s rows a * x^b into one buffer,
-    takes the parity of each popcount as a byte, and packs all k*s of them
-    LSB-first into the next k words, read little-endian whatever the host's
-    byte order.  Symbol j (big-endian, zero-padded at the high-index end)
-    holds input bits [j*s, (j+1)*s), its bit s-1 first.
+    sum_j <c_j, (M_a^T)^j u> over the message symbols c_j, so the s-bit
+    vector (M_a^T)^j u is the mask of symbol j.  All k pairs advance
+    together, one symbol per step, on s-bit vectors held in uint64 words.
+    A step ANDs each u with its s rows a * x^b into one buffer, takes the
+    parity of each popcount as a byte, and packs all k*s of them LSB-first
+    into the next k words, read little-endian whatever the host's byte
+    order.
     """
-    s, ell, n, k = spec.s, spec.ell, spec.n, len(a)
+    s, ell, k = spec.s, spec.ell, len(a)
     # x^s reduced; spec.field() refuses s > 64 before any uint64 arithmetic
     low = np.uint64(spec.field().modulus ^ (1 << s))
     # rows[i, b] = a_i * x^b in GF(2^s): bit b of M_a^T u_i is <rows[i, b], u_i>
@@ -148,17 +148,34 @@ def code_masks(spec: CodeSpec, a: np.ndarray, u: np.ndarray) -> np.ndarray:
         rows[:, b] = a
         a = (a << np.uint64(1)) ^ (((a >> np.uint64(s - 1)) & np.uint64(1)) * low)
         a &= np.uint64((1 << s) - 1)
-    steps = np.empty((k, ell), dtype=np.uint64)  # steps[:, j] = (M_a^T)^j u
+    steps = np.empty((k, min(width, ell)), dtype=np.uint64)
     # parity[i, b] = bit b of the next u_i; columns s.. stay zero, so each
     # row packs into exactly the 8 bytes of its word
     masked = np.empty((k, s), dtype=np.uint64)
     parity = np.zeros((k, 64), dtype=np.uint8)
-    for j in range(ell):
-        steps[:, j] = u
-        np.bitwise_and(rows, u[:, None], out=masked)
-        np.bitwise_count(masked, out=parity[:, :s])
-        parity &= np.uint8(1)
-        u = np.packbits(parity, bitorder="little").view("<u8")
+    for j in range(0, ell, width):
+        part = steps[:, : min(width, ell - j)]
+        for i in range(part.shape[1]):
+            part[:, i] = u
+            np.bitwise_and(rows, u[:, None], out=masked)
+            np.bitwise_count(masked, out=parity[:, :s])
+            parity &= np.uint8(1)
+            u = np.packbits(parity, bitorder="little").view("<u8")
+        yield j, part
+
+
+def code_masks(spec: CodeSpec, a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Parity masks of the one-bit extractor at k uint64 seed pairs (a, u).
+
+    Row i of the (k, ceil(n/64)) uint64 result has <p_x(a_i), u_i> =
+    parity(x & row i) for every input x.  A row's bytes are the mask in the
+    layout of input block rows: input bit i at byte i // 8, bit 7 - i % 8,
+    zero past n.  Symbol j (big-endian, zero-padded at the high-index end)
+    holds input bits [j*s, (j+1)*s), its bit s-1 first.  The symbol masks
+    come from :func:`_step_slices`, all ell in one slice.
+    """
+    s, ell, n, k = spec.s, spec.ell, spec.n, len(a)
+    ((_, steps),) = _step_slices(spec, a, u, ell)
     words = (n + 63) // 64
     matrix = np.zeros((k, words), dtype=np.uint64)
     masks = matrix.view(np.uint8)
@@ -171,6 +188,63 @@ def code_masks(spec: CodeSpec, a: np.ndarray, u: np.ndarray) -> np.ndarray:
         bits = bits.reshape(-1, ell * s)
         masks[r : r + chunk, : (n + 7) // 8] = np.packbits(bits[:, :n], axis=1)
     return matrix
+
+
+# mask words per slice of code_columns (256 KiB): the symbols of a slice are
+# stepped, bit-transposed and scattered into the columns together
+_COLUMN_SLICE_WORDS = 1 << 15
+# word q of a 64-row group holds row 8*(q//8) + 7 - q%8, so that after the
+# transpose row r sits at byte r // 8, bit 7 - r % 8 of the little-endian word
+_ROW_ORDER = np.arange(64) ^ 7
+_TRANSPOSE_STEPS = [
+    (32, 0x00000000FFFFFFFF),
+    (16, 0x0000FFFF0000FFFF),
+    (8, 0x00FF00FF00FF00FF),
+    (4, 0x0F0F0F0F0F0F0F0F),
+    (2, 0x3333333333333333),
+    (1, 0x5555555555555555),
+]
+
+
+def _transpose64(x: np.ndarray):
+    """Transpose in place each 64x64 bit matrix x[g, :, c] of a (G, 64, C)
+    uint64 array: bit b of word q goes to bit q of word b."""
+    groups, _, c = x.shape
+    for h, mask in _TRANSPOSE_STEPS:
+        v = x.reshape(groups, 32 // h, 2, h, c)
+        lo, hi = v[:, :, 0], v[:, :, 1]
+        t = ((lo >> np.uint64(h)) ^ hi) & np.uint64(mask)
+        hi ^= t
+        lo ^= t << np.uint64(h)
+
+
+def code_columns(spec: CodeSpec, a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The masks of :func:`code_masks` at k seed pairs, packed by input bit.
+
+    Returns (8, ceil(n/8), ceil(k/64)) uint64 byte columns: entry [j, p] is
+    the k-bit column of the input bit with value 1 << j in block byte p,
+    that is input bit 8p + 7 - j; its bit for pair r sits at byte r // 8,
+    bit 7 - r % 8 of the little-endian words, so the words' bytes are the
+    MSB-first output bits.  No row matrix is built: each slice of
+    :func:`_step_slices` is bit-transposed 64 pairs at a time and scattered
+    into the columns of its input bits.
+    """
+    s, n, k = spec.s, spec.n, len(a)
+    words = (k + 63) // 64
+    columns = np.zeros((8, (n + 7) // 8, words), dtype=np.uint64)
+    width = max(1, _COLUMN_SLICE_WORDS // (64 * words))
+    buf = np.zeros((64 * words, min(width, spec.ell)), dtype=np.uint64)
+    for j, steps in _step_slices(spec, a, u, width):
+        c = steps.shape[1]
+        part = buf[:, :c]
+        part[:k] = steps
+        group = part.reshape(words, 64, c)[:, _ROW_ORDER]
+        _transpose64(group)
+        # input bit i is bit s-1 - i%s of symbol i//s: word [w, s-1 - i%s,
+        # i//s - j] of the transposed slice holds its pairs 64w..64w+63
+        i = np.arange(j * s, min((j + c) * s, n))
+        columns[7 - (i & 7), i >> 3] = group[:, s - 1 - i % s, i // s - j].T
+    return columns
 
 
 def _codeword_chunks(spec: CodeSpec, a: np.ndarray, u: np.ndarray):

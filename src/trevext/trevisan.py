@@ -8,12 +8,12 @@ length t, only the first t of those bits are consumed.
 For a fixed seed the whole map x -> Ext(x, y) is GF(2)-linear, so a seed is
 compiled into m parity masks over the input bits (:func:`seed_masks`).
 Streaming reads blocks in bounded batches and runs every block on those
-masks, whether the seed is reused or fresh (:class:`CompiledMasks`): fresh
-seeds are compiled a group of blocks at a time, as many as fit in
-``_GROUP_BYTES`` of masks, and each group is folded together, block j
-against its own masks; a reused seed's masks run as byte tables once they
-meet a large batch.  The bit-serial :func:`extract` is the reference oracle
-they are tested against.
+masks (:class:`CompiledMasks`), with one kernel per seed mode: fresh seeds
+are compiled a group of blocks at a time, as many as fit in
+``_GROUP_BYTES`` of mask rows, and each group is folded together, block j
+against its own rows; a reused seed is compiled once into byte columns,
+and every batch runs on byte tables built from them.  The bit-serial
+:func:`extract` is the reference oracle they are tested against.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import BinaryIO, Optional
 import numpy as np
 
 from .bitfield import BitString
-from .code_extractor import CodeSpec, code_masks, extract_bit
+from .code_extractor import CodeSpec, code_columns, code_masks, extract_bit
 from .errors import ParameterError
 from .weak_design import WeakDesign
 
@@ -93,31 +93,39 @@ def extract(inst: TrevisanInstance, x: BitString, y: BitString) -> BitString:
 
 def seed_masks(inst: TrevisanInstance, seeds) -> CompiledMasks:
     """Compile seeds into parity masks: output bit i = parity(x & mask_i),
-    the :func:`~trevext.code_extractor.code_masks` of each output's (a, u).
+    the masks of :func:`~trevext.code_extractor.code_masks` at each
+    output's (a, u).
 
-    ``seeds`` is one d-bit BitString or a (g, ceil(d/8)) uint8 array of seed
-    rows as the record reader returns them.  One seed gives one mask set
-    that every block shares; g > 1 seeds give one set per block, for a
-    batch of exactly g blocks.  All g*m pairs compile in one call.
+    ``seeds`` is one d-bit BitString, a seed that every block shares,
+    compiled straight into byte columns (:func:`code_columns`); or a
+    (g, ceil(d/8)) uint8 array of seed rows as the record reader returns
+    them, compiled into g row sets, one per block of a batch of exactly g
+    blocks (one set serves any batch).  All pairs compile in one call.
     """
     if isinstance(seeds, BitString):
         if seeds.length != inst.d:
             raise ParameterError(f"seed length {seeds.length} != d={inst.d}")
-        seeds = np.frombuffer(seeds.to_bytes(), dtype=np.uint8)[None]
-    elif seeds.ndim != 2 or seeds.shape[1] != (inst.d + 7) // 8:
+        row = np.frombuffer(seeds.to_bytes(), dtype=np.uint8)[None]
+        return CompiledMasks(inst.n, inst.m, columns=code_columns(inst.code, *_pairs(inst, row)))
+    if seeds.ndim != 2 or seeds.shape[1] != (inst.d + 7) // 8:
         raise ParameterError(f"seed rows {seeds.shape} are not ceil(d/8) bytes wide")
+    words = (inst.n + 63) // 64
+    matrix = code_masks(inst.code, *_pairs(inst, seeds))
+    return CompiledMasks(inst.n, inst.m, rows=matrix.reshape(len(seeds), inst.m, words))
+
+
+def _pairs(inst: TrevisanInstance, seeds: np.ndarray) -> tuple:
+    """The (a, u) pair of every output of every seed row, output-major
+    within each seed, straight from the packed rows: row (j, i) holds the
+    first t = 2s bits of seed j at S_i, ascending (what _bit_seed gives);
+    a is the first s, u the second s, each big-endian."""
     s = inst.code.s
-    # seed bits of every output at once, straight from the packed rows: row
-    # (j, i) holds the first t = 2s bits of seed j at S_i, ascending (what
-    # _bit_seed gives); a is the first s, u the second s, each big-endian
     at, shift = inst._seed_gather
     picked = (seeds[:, at] >> shift) & np.uint8(1)
     weights = (np.uint64(1) << np.arange(s, dtype=np.uint64))[::-1]
     a = (picked[..., :s] * weights).sum(axis=-1, dtype=np.uint64).reshape(-1)
     u = (picked[..., s:] * weights).sum(axis=-1, dtype=np.uint64).reshape(-1)
-    words = (inst.n + 63) // 64
-    matrix = code_masks(inst.code, a, u).reshape(len(seeds), inst.m, words)
-    return CompiledMasks(matrix, inst.n)
+    return a, u
 
 
 # words per slice of the row fold: 512 KiB of rows ANDed with every block of
@@ -133,35 +141,29 @@ _GROUP_BYTES = 1 << 18
 _TABLE_WORDS = 1 << 16
 # gathered table words per step of the byte-table kernel: 256 KiB
 _GATHER_WORDS = 1 << 15
-# Kernel choice.  One block's row fold reads all M = m*ceil(n/64) mask words.
-# Byte tables for a batch of B blocks write 256 entries per 8 input bits,
-# 32*M words, then gather M/8 words per block: 32*M + c*B*M/8 word costs
-# against B*M, with c the cost of a gathered word in folded words.  At c = 1
-# the tables pay from B = 32 / (1 - 1/8) ~ 37 blocks.  Measured at n = 2^16,
-# m = 256 (2-vCPU x86 host): 0.34-0.38 ms per folded block, 8-9 ms of tables
-# and 0.03-0.05 ms of gathers per block, so the tables win from 26-30 blocks.
-# Only masks shared by a whole stream see that many blocks in one batch.
-_TABLE_MIN_BLOCKS = 32
 
 
 class CompiledMasks:
     """m parity masks over n-bit blocks: output bit i = parity(x & mask_i).
 
-    Held as a (g, m, ceil(n/64)) uint64 array of g mask sets (a 2-D matrix
-    is one set) whose row bytes are laid out like the blocks :meth:`apply`
-    takes: input bit i at byte i // 8, bit 7 - i % 8, zero past n.  One set
-    is shared by every block, g > 1 sets are one per block of a batch of g
-    blocks (a group of fresh seeds).  Every batch runs a row fold, except
-    that a shared set's first batch of at least ``_TABLE_MIN_BLOCKS`` blocks
-    turns its rows, once, into byte columns and drops them: a reused seed's
-    masks then run as byte-indexed XOR tables (the Method of Four Russians).
+    Packed one of two ways, each with its own kernel:
+
+    * ``rows``, fresh seeds: a (g, m, ceil(n/64)) uint64 array of g mask
+      sets (a 2-D matrix is one set) whose row bytes are laid out like the
+      blocks :meth:`apply` takes: input bit i at byte i // 8, bit 7 - i % 8,
+      zero past n.  g > 1 sets are one per block of a batch of g blocks; one
+      set serves any batch.  The kernel is a row fold.
+    * ``columns``, a reused seed: (8, ceil(n/8), ceil(m/64)) uint64 byte
+      columns as :func:`~trevext.code_extractor.code_columns` packs them.
+      The kernel is byte-indexed XOR tables (the Method of Four Russians),
+      built for each batch.
     """
 
-    def __init__(self, matrix: np.ndarray, n: int):
-        self._matrix = matrix if matrix.ndim == 3 else matrix[None]
-        self.m = self._matrix.shape[1]
+    def __init__(self, n: int, m: int, rows=None, columns=None):
         self.n = n
-        self._columns = None
+        self.m = m
+        self._rows = rows if rows is None or rows.ndim == 3 else rows[None]
+        self._columns = columns
 
     def apply(self, blocks: np.ndarray) -> np.ndarray:
         """Outputs of a batch of blocks.
@@ -171,12 +173,7 @@ class CompiledMasks:
         uint8 in the same layout, output bit 0 first.  With g > 1 mask sets
         B must be g, block j running on set j.
         """
-        if self._columns is None:
-            if len(blocks) < _TABLE_MIN_BLOCKS or len(self._matrix) > 1:
-                return self._fold(blocks)
-            self._columns = self._byte_columns()
-            self._matrix = None
-        return self._lookup(blocks)
+        return self._fold(blocks) if self._columns is None else self._lookup(blocks)
 
     def _fold(self, blocks: np.ndarray) -> np.ndarray:
         """Row fold of every block at once: each block's bytes, zero-padded
@@ -184,7 +181,7 @@ class CompiledMasks:
         of rows at a time, and each row XOR-folded to one word;
         parity(popcount) of the fold is the row's parity, since parity is
         additive over the words."""
-        sets, m, words = self._matrix.shape
+        sets, m, words = self._rows.shape
         if sets > 1 and len(blocks) != sets:
             raise ParameterError(f"{len(blocks)} blocks for {sets} mask sets")
         rows = max(1, _SLICE_WORDS // (words * max(1, len(blocks))))
@@ -194,29 +191,11 @@ class CompiledMasks:
         padded[:, : blocks.shape[1]] = blocks
         xw = padded.view(np.uint64)
         for r in range(0, m, rows):
-            part = self._matrix[:, r : r + rows].transpose(1, 0, 2)
+            part = self._rows[:, r : r + rows].transpose(1, 0, 2)
             tmp = buf[: len(part)]
             np.bitwise_and(part, xw, out=tmp)
             np.bitwise_xor.reduce(tmp, axis=2, out=acc[r : r + len(part)])
         return np.packbits(np.bitwise_count(acc.T) & np.uint8(1), axis=1)
-
-    def _byte_columns(self) -> np.ndarray:
-        """(8, ceil(n/8), ceil(m/64)) uint64: entry [j, p] is the m-bit column
-        of the input bit with value 1 << j in block byte p, which is bit j
-        of byte p of every row.  Output bit r sits at byte r // 8, bit
-        7 - r % 8 of the little-endian words, so the words' bytes are the
-        MSB-first output."""
-        nb = (self.n + 7) // 8
-        cols = np.zeros((8, nb, 8 * ((self.m + 63) // 64)), dtype=np.uint8)
-        for r in range(0, self.m, 8):
-            rows = self._matrix[0, r : r + 8].view(np.uint8)
-            # word p: byte i holds byte p of row r + 7 - i; an 8x8 bit
-            # transpose turns its bit 8i + j into 8j + i
-            x = np.zeros((nb, 8), dtype=np.uint8)
-            x[:, 8 - len(rows) :] = rows[::-1, :nb].T
-            y = _transpose8(x.view(np.uint64)[:, 0])
-            cols[:, :, r // 8] = y.view(np.uint8).reshape(nb, 8).T
-        return cols.view(np.uint64)
 
     def _lookup(self, blocks: np.ndarray) -> np.ndarray:
         """Byte tables: for each chunk of g byte positions, entry v of byte
@@ -252,17 +231,6 @@ class CompiledMasks:
         return acc.view(np.uint8)[:, : (self.m + 7) // 8]
 
 
-def _transpose8(x: np.ndarray) -> np.ndarray:
-    """Transpose each uint64 as an 8x8 bit matrix: bit 8i + j to bit 8j + i."""
-    u = np.uint64
-    t = (x ^ (x >> u(7))) & u(0x00AA00AA00AA00AA)
-    x = x ^ t ^ (t << u(7))
-    t = (x ^ (x >> u(14))) & u(0x0000CCCC0000CCCC)
-    x = x ^ t ^ (t << u(14))
-    t = (x ^ (x >> u(28))) & u(0x00000000F0F0F0F0)
-    return x ^ t ^ (t << u(28))
-
-
 @dataclass
 class StreamReport:
     blocks: int = 0
@@ -275,18 +243,25 @@ class StreamReport:
     seed_bits_unread: Optional[int] = 0
 
 
-# bytes of batch buffers: 128 blocks at n = 2^16
+# bytes of batch buffers with fresh seeds: 128 blocks at n = 2^16
 _BATCH_BYTES = 1 << 20
+# ... and with a reused seed: 512 blocks at n = 2^16.  Each batch builds the
+# byte tables afresh, 256 entries per input byte, 32 times the mask words;
+# at n = 2^16, m = 256 that is ~7 ms, about what 128 blocks take to gather,
+# so larger batches spread it over more blocks
+_REUSED_BATCH_BYTES = 1 << 22
 
 
 def _batch_blocks(n: int, m: int, d: int) -> int:
     """Blocks per batch.  A block takes ceil(n/8) bytes of input row, with
     fresh seeds ceil(d/8) bytes of seed row (d = 0 for a reused seed), up
     to 8*ceil(m/64) bytes of output words and, for the writer, m bytes of
-    unpacked output bits; each of these buffers stays within _BATCH_BYTES.
-    When 8 does not divide n or d the batch is a multiple of 8 blocks, so
-    that only a stream's last read can end inside a byte."""
-    b = max(1, _BATCH_BYTES // max((n + 7) // 8, (d + 7) // 8, m, 8))
+    unpacked output bits; each of these buffers stays within _BATCH_BYTES,
+    or _REUSED_BATCH_BYTES for a reused seed.  When 8 does not divide n or
+    d the batch is a multiple of 8 blocks, so that only a stream's last
+    read can end inside a byte."""
+    budget = _BATCH_BYTES if d else _REUSED_BATCH_BYTES
+    b = max(1, budget // max((n + 7) // 8, (d + 7) // 8, m, 8))
     return b if n % 8 == 0 and d % 8 == 0 else max(8, b - b % 8)
 
 
@@ -298,13 +273,15 @@ class _BlockReader:
 
     A read takes only the bytes its records need.  Only a stream's last
     read may end inside a byte: the spare bits of that byte are counted as
-    unread, never carried into a further read.
+    unread, never carried into a further read.  `head` holds bytes already
+    taken from the stream; the first read starts with them.
     """
 
-    def __init__(self, stream: BinaryIO, n: int, blocks: int, name: str):
+    def __init__(self, stream: BinaryIO, n: int, blocks: int, name: str, head: bytes = b""):
         self._stream = stream
         self._n = n
         self._name = name
+        self._head = head
         self._rows = np.zeros((blocks, (n + 7) // 8), dtype=np.uint8)
         # with 8 | n the stream's bytes are the rows; otherwise the packed
         # bits are read, then realigned
@@ -325,7 +302,9 @@ class _BlockReader:
             raise self._error
         n = self._n
         want = (count * n + 7) // 8
-        view, got = memoryview(self._raw)[:want], 0
+        view, got = memoryview(self._raw)[:want], len(self._head)
+        view[:got] = self._head
+        self._head = b""
         while got < want:
             k = self._stream.readinto(view[got:])
             if not k:
@@ -416,9 +395,10 @@ def extract_stream(
     Blocks and seeds are read by one record reader in batches of bounded
     size; only a stream's last read may end inside a byte.  Blocks run on
     compiled parity masks.  With ``reuse_seed`` a single d-bit seed is read
-    up front, compiled once at the first block (so an empty input compiles
-    nothing) and applied to every batch (as byte tables once a batch is
-    large enough); the report carries the union-bound error factor.
+    up front, compiled once into byte columns when the input's first byte
+    has been read, before any batch buffer is allocated (so an empty input
+    compiles nothing), and applied to every batch as byte tables; the
+    report carries the union-bound error factor.
     Otherwise each block runs on d fresh seed bits, a batch's seeds read
     only when the batch has been read, so a clean end of input consumes no
     further seed, and compiled a group of blocks per :func:`seed_masks`
@@ -430,14 +410,16 @@ def extract_stream(
     seeds = _BlockReader(seed_source, inst.d, 1 if reuse_seed else blocks, "seed")
     writer = _BitWriter(sink, inst.m)
     report = StreamReport(seed_reused=reuse_seed)
-    seed = _next_seeds(seeds, 1) if reuse_seed else None
-    masks = None  # the reused seed's, compiled at the first block
+    head = b""
+    if reuse_seed:
+        seed = BitString.from_bytes(_next_seeds(seeds, 1)[0].tobytes(), inst.d)
+        # a whole byte: an input that has one holds a block or fails as short
+        head = source.read(1)
+        masks = seed_masks(inst, seed) if head else None
     group = _group_blocks(inst.n, inst.m)
-    reader = _BlockReader(source, inst.n, blocks, "input")
+    reader = _BlockReader(source, inst.n, blocks, "input", head)
     while len(batch := reader.read(blocks)):
         if reuse_seed:
-            if masks is None:
-                masks = seed_masks(inst, seed)
             writer.write(masks.apply(batch))
         else:
             ys = _next_seeds(seeds, len(batch))

@@ -116,6 +116,31 @@ def test_extract_generates_and_records_seed(tmp_path):
     assert (tmp_path / "out.bin").read_bytes() == expected
 
 
+@pytest.mark.parametrize("reuse", [False, True])
+def test_extract_from_a_pipe_records_its_seed(tmp_path, reuse):
+    # a pipe has no size: seed bits are drawn as the stream reads them, and
+    # the recorded seed re-derives the output through --seed-file
+    data = bytes(random.Random(78).getrandbits(8) for _ in range(6))  # 3 blocks
+    flags = ["--reuse-seed"] if reuse else []
+    argv = ["extract", "--preset", "cor1", "--n", 16, "--m", 2, "--eps", "1/2"]
+    read_end, write_end = os.pipe()
+    os.write(write_end, data)
+    os.close(write_end)
+    try:
+        rc = run(argv + ["--in", f"/dev/fd/{read_end}", "--out", tmp_path / "out.bin"] + flags)
+    finally:
+        os.close(read_end)
+    assert rc == EXIT_OK
+    out = (tmp_path / "out.bin").read_bytes()
+    seed = (tmp_path / "out.bin.seed").read_bytes()
+    assert len(seed) == 64 // 8 * (1 if reuse else 3)  # exactly the d-bit seeds read
+    (tmp_path / "in.bin").write_bytes(data)
+    assert run(argv + ["--in", tmp_path / "in.bin", "--out", tmp_path / "again.bin",
+                       "--seed-file", tmp_path / "out.bin.seed"] + flags) == EXIT_OK
+    assert (tmp_path / "again.bin").read_bytes() == out
+    assert out == extract_bytes(micro_instance(), data, seed, reuse_seed=reuse)[0]
+
+
 def test_extract_empty_input(tmp_path, capsys):
     (tmp_path / "in.bin").write_bytes(b"")
     inst, _, seed = _write_micro_inputs(tmp_path, blocks=1, reuse=True)

@@ -1,15 +1,17 @@
 import io
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from trevext import trevisan
+from trevext import code_extractor, trevisan
 from trevext.bitfield import BitString
-from trevext.code_extractor import CodeSpec, extract_bit
+from trevext.code_extractor import CodeSpec, code_columns, code_masks, extract_bit
 from trevext.errors import ParameterError
+from trevext.params import preset
 from trevext.trevisan import (
     CompiledMasks,
     TrevisanInstance,
@@ -19,9 +21,7 @@ from trevext.trevisan import (
     _BlockReader,
     seed_masks,
 )
-from trevext.weak_design import WeakDesign
-
-T = trevisan._TABLE_MIN_BLOCKS
+from trevext.weak_design import WeakDesign, block_design
 
 
 def _rows(xs, n):
@@ -34,6 +34,23 @@ def _rows(xs, n):
 def _values(rows, m):
     """apply's (B, ceil(m/8)) output rows as m-bit integers."""
     return [int.from_bytes(r.tobytes(), "big") >> (8 * len(r) - m) for r in rows]
+
+
+def _columns_of(matrix, n):
+    """Byte columns of a (k, ceil(n/64)) row matrix by plain bit transpose:
+    entry [j, p] holds bit 8p + 7 - j of every row, row r at byte r // 8,
+    bit 7 - r % 8 (the packing of code_columns)."""
+    k, words = matrix.shape
+    bits = np.unpackbits(matrix.view(np.uint8), axis=1)  # [r, input bit]
+    packed = np.zeros((64 * words, 8 * ((k + 63) // 64)), dtype=np.uint8)
+    packed[:, : (k + 7) // 8] = np.packbits(bits.T, axis=1)
+    cols = packed.view(np.uint64).reshape(-1, 8, (k + 63) // 64)[:, ::-1].transpose(1, 0, 2)
+    return np.ascontiguousarray(cols[:, : (n + 7) // 8])
+
+
+def _tables(matrix, n):
+    """The byte-table kernel on the masks of a row matrix."""
+    return CompiledMasks(n, len(matrix), columns=_columns_of(matrix, n))
 
 
 def micro_instance():
@@ -82,9 +99,9 @@ def test_seed_masks_equivalence():
         assert (masks.m, masks.n) == (inst.m, inst.n)
         direct = [extract(inst, BitString(4, xv), y).value for xv in range(16)]
         assert _values(masks.apply(_rows(range(16), 4)), inst.m) == direct
-        # T or more blocks switch the same masks to byte tables
-        many = _rows(list(range(16)) * (T // 16 + 1), 4)
-        assert _values(masks.apply(many), inst.m) == direct * (T // 16 + 1)
+        # the seed as a one-row set runs the row fold to the same outputs
+        row = np.frombuffer(y.to_bytes(), dtype=np.uint8)[None]
+        assert _values(seed_masks(inst, row).apply(_rows(range(16), 4)), inst.m) == direct
 
 
 def test_length_checks():
@@ -182,15 +199,13 @@ def _join(bits):
     return reduce(BitString.concat, bits, BitString(0, 0))
 
 
-def _small_batches(monkeypatch, blocks=8, table_min=4):
-    """Batches of `blocks` blocks and byte tables from `table_min` blocks,
-    so that a few blocks flip the kernel choice and fill several batches."""
+def _small_batches(monkeypatch, blocks=8):
+    """Batches of `blocks` blocks, so that a few blocks fill several."""
     monkeypatch.setattr(trevisan, "_batch_blocks", lambda n, m, d: blocks)
-    monkeypatch.setattr(trevisan, "_TABLE_MIN_BLOCKS", table_min)
 
 
-# block counts T-1, T, T+1 and 2B+3 at B = 8, T = 4
-COUNTS = (3, 4, 5, 19)
+# block counts 1, B - 1, B, B + 1 and 2B + 3 at B = 8
+COUNTS = (1, 7, 8, 9, 19)
 
 
 @pytest.mark.parametrize(
@@ -231,28 +246,56 @@ def test_stream_matches_blockwise_extract(n, s, delta, m, extra, monkeypatch):
         assert reused == _join(reused_want[:blocks]).to_bytes()
 
 
-def test_kernel_choice_at_threshold(monkeypatch):
-    # the real threshold T; B = T + 8 blocks, so 2B+3 ends in a partial batch
-    batch = 8 * (T // 8 + 1)
-    monkeypatch.setattr(trevisan, "_batch_blocks", lambda n, m, d: batch)
-    tabled = []
-    lookup = CompiledMasks._lookup
+def test_one_kernel_per_seed_mode(monkeypatch):
+    # a reused seed always runs the byte tables and never builds mask rows;
+    # fresh seeds always run the row fold
+    kernels = []
+    for name in ("_fold", "_lookup"):
+        def spy(self, blocks, _name=name, _kernel=getattr(CompiledMasks, name)):
+            kernels.append((_name, len(blocks)))
+            return _kernel(self, blocks)
 
-    def spy(self, blocks):
-        tabled.append(len(blocks))
-        return lookup(self, blocks)
+        monkeypatch.setattr(CompiledMasks, name, spy)
 
-    monkeypatch.setattr(CompiledMasks, "_lookup", spy)
+    def no_rows(*args):
+        raise AssertionError("a reused seed compiled mask rows")
+
     inst = _odd_instance()
     rng = random.Random(23)
-    most = 2 * batch + 3
-    data = BitString(13 * most, rng.getrandbits(13 * most))
+    data = BitString(13 * 9, rng.getrandbits(13 * 9))
+    seeds = BitString(15 * 9, rng.getrandbits(15 * 9))
+    y = seeds.prefix(15)
+    with monkeypatch.context() as patch:
+        patch.setattr(trevisan, "code_masks", no_rows)
+        for blocks in (1, 9):
+            kernels.clear()
+            out, _ = extract_bytes(inst, data.prefix(13 * blocks).to_bytes(), y.to_bytes(), True)
+            want = [extract(inst, data.substring(range(13 * b, 13 * (b + 1))), y)
+                    for b in range(blocks)]
+            assert out == _join(want).to_bytes() and kernels == [("_lookup", blocks)]
+    kernels.clear()
+    extract_bytes(inst, data.to_bytes(), seeds.to_bytes())
+    assert kernels and {name for name, _ in kernels} == {"_fold"}
+
+
+def test_reused_stream_across_real_batch_edges(monkeypatch):
+    # _batch_blocks' own rule on a 100-byte reused budget: n = 13, m = 11
+    # gives 100 // 11 = 9 blocks, cut to 8 so that batches start on a byte;
+    # 2B + 3 blocks end in a partial batch, read 3 bytes at a time
+    monkeypatch.setattr(trevisan, "_REUSED_BATCH_BYTES", 100)
+    inst = _odd_instance()
+    assert trevisan._batch_blocks(13, 11, 0) == 8
+    rng = random.Random(29)
+    data = BitString(13 * 19, rng.getrandbits(13 * 19))
     y = BitString(15, rng.getrandbits(15))
-    want = [extract(inst, data.substring(range(13 * b, 13 * (b + 1))), y) for b in range(most)]
-    for blocks, batches in ((T - 1, []), (T, [T]), (T + 1, [T + 1]), (most, [batch, batch, 3])):
-        tabled.clear()
-        out, _ = extract_bytes(inst, data.prefix(13 * blocks).to_bytes(), y.to_bytes(), True)
-        assert out == _join(want[:blocks]).to_bytes() and tabled == batches
+    want = [extract(inst, data.substring(range(13 * b, 13 * (b + 1))), y) for b in range(19)]
+    for blocks in (7, 8, 9, 16, 19):
+        part = data.prefix(13 * blocks).to_bytes()
+        for wrap in (io.BytesIO, _Trickle):
+            out = io.BytesIO()
+            report = extract_stream(inst, wrap(part), wrap(y.to_bytes()), out, reuse_seed=True)
+            assert out.getvalue() == _join(want[:blocks]).to_bytes()
+            assert report.blocks == report.joint_error_factor == blocks
 
 
 def test_fresh_stream_needs_no_seed_past_last_block():
@@ -290,21 +333,22 @@ def test_unread_seed_bits_reported():
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 129, 256])
 def test_apply_matches_popcount_parity(words, m):
     # at 1024 words a slice holds 64 rows: m = 65, 129, 256 run several
-    # slices, 65 and 129 with a partial last one; 3 blocks run the row
-    # fold, T blocks the byte tables
+    # slices, 65 and 129 with a partial last one; both kernels, on 1 and 33
+    # blocks
     rng = random.Random(words * 1000 + m)
     n = 64 * words - 5
     matrix = np.random.default_rng(rng.getrandbits(32)).integers(
         0, 1 << 64, size=(m, words), dtype=np.uint64
     )
-    for blocks in (3, T):
+    for blocks in (1, 33):
         xs = [rng.getrandbits(n) for _ in range(blocks)]
         want = []
         for x in xs:
             xw = np.frombuffer((x << (64 * words - n)).to_bytes(8 * words, "big"), dtype=np.uint64)
             par = np.bitwise_count(matrix & xw).sum(axis=1) & 1
             want.append(int("".join(str(b) for b in par), 2))
-        assert _values(CompiledMasks(matrix, n).apply(_rows(xs, n)), m) == want
+        assert _values(CompiledMasks(n, m, rows=matrix).apply(_rows(xs, n)), m) == want
+        assert _values(_tables(matrix, n).apply(_rows(xs, n)), m) == want
 
 
 @pytest.mark.parametrize(
@@ -323,25 +367,82 @@ def test_table_kernel_matches_row_fold(n, m):
     matrix = np.random.default_rng(rng.getrandbits(32)).integers(
         0, 1 << 64, size=(m, (n + 63) // 64), dtype=np.uint64
     )
-    blocks = _rows([rng.getrandbits(n) for _ in range(4 * T + 3)], n)
-    fold = np.concatenate([CompiledMasks(matrix, n).apply(b[None]) for b in blocks])
-    masks = CompiledMasks(matrix, n)
+    blocks = _rows([rng.getrandbits(n) for _ in range(131)], n)
+    fold = CompiledMasks(n, m, rows=matrix).apply(blocks)
+    masks = _tables(matrix, n)
     assert (masks.apply(blocks) == fold).all()
-    # the row matrix is dropped; short batches now run on the tables too
-    assert masks._matrix is None
+    # the same tables serve every later batch, short ones too
     assert (masks.apply(blocks[:3]) == fold[:3]).all()
 
 
+@pytest.mark.parametrize("width", [1, 3, None])
+@pytest.mark.parametrize("k", [1, 7, 64, 65, 130])
+@pytest.mark.parametrize(
+    "n, s",
+    [
+        (1, 1),  # one-bit symbols, one bit of input
+        (203, 8),  # a symbol is a byte; n % 8 = 3
+        (130, 63),  # neither n nor a slice of symbols on a byte or word edge
+        (197, 64),  # symbols fill a word; n % 64 = 5
+    ],
+)
+def test_column_compile_matches_row_transpose(n, s, k, width, monkeypatch):
+    # slices of `width` symbols (None: the default, one slice) break inside
+    # bytes and words, and k pairs fill 64-pair groups partly
+    if width:
+        monkeypatch.setattr(code_extractor, "_COLUMN_SLICE_WORDS", 64 * ((k + 63) // 64) * width)
+    spec = CodeSpec(n=n, s=s, delta=Fraction(1, 4))
+    rng = random.Random(n * 1000 + s * 10 + k)
+    a = np.array([rng.randrange(spec.q) for _ in range(k)], dtype=np.uint64)
+    u = np.array([rng.randrange(spec.q) for _ in range(k)], dtype=np.uint64)
+    cols = code_columns(spec, a, u)
+    assert cols.shape == (8, (n + 7) // 8, (k + 63) // 64) and cols.dtype == np.uint64
+    assert (cols == _columns_of(code_masks(spec, a, u), n)).all()
+
+
+def test_reused_stream_memory_bound(monkeypatch):
+    # production shape n = 2^16, m = 256: peak traced memory of a reused
+    # seed's stream stays within its byte columns (2 MiB), one batch buffer
+    # and 1.5 MiB of scratch (the byte tables take ~0.8 MiB); a row matrix
+    # and a full steps array (2 MiB each here) would not fit.  The compile
+    # starts before any batch buffer is allocated.
+    held = []
+
+    def spy(inst, seeds):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return seed_masks(inst, seeds)
+
+    monkeypatch.setattr(trevisan, "seed_masks", spy)
+    p = preset("cor1", 1 << 16, Fraction(1, 8), 256)
+    inst = TrevisanInstance(block_design(p.t, p.m), CodeSpec(n=1 << 16, s=p.s_bits, delta=p.delta))
+    inst._seed_gather  # built once per instance, not per stream
+    rng = np.random.default_rng(30)
+    blocks = 32
+    source = io.BytesIO(rng.integers(0, 256, blocks << 13, dtype=np.uint8).tobytes())
+    seed = io.BytesIO(rng.integers(0, 256, (inst.d + 7) // 8, dtype=np.uint8).tobytes())
+    tracemalloc.start()
+    try:
+        report = extract_stream(inst, source, seed, io.BytesIO(), reuse_seed=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = 8 * (1 << 13) * 4 * 8
+    batch = trevisan._batch_blocks(1 << 16, 256, 0) << 13
+    assert report.blocks == blocks and peak < columns + batch + (3 << 19)
+    assert len(held) == 1 and held[0] < 1 << 16
+
+
 def test_batch_size_bounds():
-    # reused seed (d = 0): 1 MiB of input rows
-    assert trevisan._batch_blocks(1 << 16, 256, 0) == 128
+    # reused seed (d = 0): 4 MiB of input rows
+    assert trevisan._batch_blocks(1 << 16, 256, 0) == 512
     assert trevisan._batch_blocks(13, 7, 0) % 8 == 0  # batches start on a byte
     assert trevisan._batch_blocks(16, 7, 15) % 8 == 0  # ... for seeds too
-    assert trevisan._batch_blocks(1 << 24, 256, 0) == 1  # one block over 1 MiB
-    assert trevisan._batch_blocks((1 << 24) + 1, 256, 0) == 8
-    assert trevisan._batch_blocks(16, 60000, 0) == (1 << 20) // 60000
-    # fresh seeds at the production shape: 41 seed rows of 24 971 bytes fit
-    # in 1 MiB, and 8 does not divide d
+    assert trevisan._batch_blocks(1 << 25, 256, 0) == 1  # one block over 4 MiB
+    assert trevisan._batch_blocks((1 << 25) + 1, 256, 0) == 8
+    assert trevisan._batch_blocks(16, 60000, 0) == (1 << 22) // 60000
+    # fresh seeds: 1 MiB of input rows at the production shape (d = 31 744);
+    # 41 seed rows of 24 971 bytes fit in 1 MiB, and 8 does not divide d
+    assert trevisan._batch_blocks(1 << 16, 256, 31744) == 128
     assert trevisan._batch_blocks(1 << 16, 256, 199764) == 40
 
 
@@ -526,9 +627,9 @@ def test_fresh_layers_called_once_per_group(monkeypatch):
     _group_of(monkeypatch, inst, 4)
     compiles, applies = [], []
 
-    def compile_spy(*args):
-        compiles.append(len(args[1]))
-        return seed_masks(*args)
+    def compile_spy(inst, seeds):
+        compiles.append(1 if isinstance(seeds, BitString) else len(seeds))
+        return seed_masks(inst, seeds)
 
     apply = CompiledMasks.apply
 
@@ -549,14 +650,15 @@ def test_fresh_layers_called_once_per_group(monkeypatch):
 
 
 def test_seed_rows_compile_like_bitstrings():
-    # g seed rows compile to the g sets of the seeds one by one; d = 15
+    # g seed rows compile to g row sets, each the transpose of the columns
+    # its seed compiles to on its own; d = 15
     inst = _odd_instance()
     rng = random.Random(28)
     ys = [BitString(15, rng.getrandbits(15)) for _ in range(3)]
     rows = np.frombuffer(b"".join(y.to_bytes() for y in ys), dtype=np.uint8).reshape(3, 2)
     grouped = seed_masks(inst, rows)
     for j, y in enumerate(ys):
-        assert (grouped._matrix[j] == seed_masks(inst, y)._matrix[0]).all()
+        assert (_columns_of(grouped._rows[j], inst.n) == seed_masks(inst, y)._columns).all()
     with pytest.raises(ParameterError):
         seed_masks(inst, rows[:, :1])
 
@@ -567,10 +669,12 @@ def test_per_block_mask_sets():
     n, m, g = 150, 13, 5
     sets = rng.integers(0, 1 << 64, size=(g, m, 3), dtype=np.uint64)
     blocks = _rows([random.Random(27).getrandbits(n) for _ in range(g)], n)
-    want = np.concatenate([CompiledMasks(sets[j], n).apply(blocks[j : j + 1]) for j in range(g)])
-    assert (CompiledMasks(sets, n).apply(blocks) == want).all()
+    want = np.concatenate(
+        [CompiledMasks(n, m, rows=sets[j]).apply(blocks[j : j + 1]) for j in range(g)]
+    )
+    assert (CompiledMasks(n, m, rows=sets).apply(blocks) == want).all()
     with pytest.raises(ParameterError):
-        CompiledMasks(sets, n).apply(blocks[:-1])
+        CompiledMasks(n, m, rows=sets).apply(blocks[:-1])
 
 
 def test_reader_reads_only_needed_bytes():
