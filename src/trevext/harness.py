@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from .bitfield import BitString
 from .code_extractor import extract_bit
 from .entropy import Distribution, JointDistribution, hmin_cond, variational_distance
@@ -136,30 +138,63 @@ class FamilyErrorReport:
     worst_support: tuple
 
 
-def _flat_scorer(ext, seed: Optional[Distribution]):
-    """A function from a set of input values to the exact error of the flat
-    source on it.
+# count cells of one chunk of flat supports: 128 KiB per int64 scratch array
+_FLAT_CELLS = 1 << 14
 
-    Ext is tabulated once on every (input, seed) pair, so scoring a support
-    only counts table entries; the count goes through `_distance`.
+
+class _FlatKernel:
+    """Exact errors of flat sources with 2^k-element supports, in integers.
+
+    Ext is evaluated once per (input, seed) pair into a (2^n, seeds) int64
+    table.  Entry (x, y) is the rank of Ext(x, y) among the distinct outputs
+    of seed y, so a support's counts take at most 2^n cells per seed,
+    whatever m is.  A support S of size K puts mass p_y·c_{y,z}/K on cell
+    (y, z), c_{y,z} = #{x in S: Ext(x, y) = z}; scaled by K·L, the
+    numerator of `_distance` is the integer total Σ_y p_y·D_y with
+
+        D_y = Σ_{z < 2^m} |2^m·c_{y,z} − K|
+            = Σ_{r < R} |2^m·c_{y,r} − K| + (2^m − R)·K,
+
+    R the most distinct outputs of any one seed: ranks a seed does not
+    reach count c = 0, and so does each of the 2^m − R outputs past them.
+    Since D_y ≤ 2·2^m·K and Σ_y p_y = L, each total is at most 2·2^m·K·L,
+    the error's denominator; the totals are int64 when that is below 2^63,
+    else Python ints.  Masses never pass through floating point.
     """
-    n, m, seeds, ly = _scaled_seed(ext, seed)
-    columns = [
-        ([_output(ext, m, BitString(n, xv), y) for xv in range(1 << n)], py)
-        for y, py in seeds
-    ]
 
-    def score(support) -> Fraction:
-        cells = []
-        for column, py in columns:
-            cell: Dict[int, int] = {}
-            for xv in support:
-                z = column[xv]
-                cell[z] = cell.get(z, 0) + py
-            cells.append(cell)
-        return _distance(cells, m, len(support) * ly)
+    def __init__(self, ext, seed: Optional[Distribution], k: int):
+        n, m, seeds, ly = _scaled_seed(ext, seed)
+        ranks = []
+        for y, _py in seeds:
+            column = [_output(ext, m, BitString(n, xv), y) for xv in range(1 << n)]
+            rank = {z: r for r, z in enumerate(dict.fromkeys(column))}
+            ranks.append([rank[z] for z in column])
+        self.width = 1 << m  # 2^m
+        self.size = 1 << k  # K
+        self.outputs = max(map(max, ranks)) + 1  # R
+        self.denominator = 2 * self.width * self.size * ly
+        self.dtype = np.int64 if self.denominator < 1 << 63 else object
+        self.table = np.array(ranks, dtype=np.int64).T.copy()
+        self.masses = np.array([py for _y, py in seeds], dtype=self.dtype)
+        # supports per chunk; cell ids are rank-major, (r, support, seed), so
+        # that the sum over ranks adds whole rows
+        self.chunk = max(1, _FLAT_CELLS // (len(seeds) * max(self.outputs, self.size)))
+        self.base = np.arange(self.chunk * len(seeds)).reshape(self.chunk, 1, len(seeds))
 
-    return score
+    def totals(self, supports: np.ndarray) -> np.ndarray:
+        """The total Σ_y p_y·D_y of each row of a (C, K) array of input
+        values, C at most `chunk`; the error is total / `denominator`."""
+        count, seeds = len(supports), len(self.masses)
+        ids = self.table[supports]  # (C, K, seeds)
+        ids *= count * seeds
+        ids += self.base[:count]
+        c = np.bincount(ids.reshape(-1), minlength=self.outputs * count * seeds)
+        c = c.reshape(self.outputs, count, seeds).astype(self.dtype, copy=False)
+        c *= self.width
+        c -= self.size
+        dist = np.abs(c).sum(axis=0)
+        dist += (self.width - self.outputs) * self.size
+        return dist @ self.masses
 
 
 def max_error_flat_sources(
@@ -176,33 +211,42 @@ def max_error_flat_sources(
     the max over them bounds the max over all k-sources.  Exhaustive when
     the number of supports is small; otherwise random supports plus greedy
     single-swap hill climbing, deterministic in `rng_seed`.  Ext is
-    evaluated once per (input, seed) pair, whatever the number of supports.
+    evaluated once per (input, seed) pair, whatever the number of supports;
+    supports are scored in exact integer totals by one kernel
+    (`_FlatKernel`), a chunk of supports per call when exhaustive, one at a
+    time on the walk.  The worst support is the first maximum met.
     """
     n, _d, _m = _dims(ext)
     size = 1 << k
     if size > 1 << n:
         raise ParameterError("k exceeds n")
-    score = _flat_scorer(ext, seed)
+    kernel = _FlatKernel(ext, seed, k)
 
     if math.comb(1 << n, size) <= MAX_EXHAUSTIVE_FAMILIES:
-        best, best_sup, count = Fraction(0), (), 0
-        for sup in itertools.combinations(range(1 << n), size):
-            count += 1
-            e = score(sup)
-            if e > best:
-                best, best_sup = e, sup
+        supports = itertools.combinations(range(1 << n), size)
+        row = np.dtype((np.intp, (size,)))
+        best, best_sup, count = 0, (), 0
+        while len(chunk := np.fromiter(itertools.islice(supports, kernel.chunk), row)):
+            totals = kernel.totals(chunk)
+            i = int(np.argmax(totals))  # the first maximum of the chunk
+            if totals[i] > best:
+                best, best_sup = int(totals[i]), chunk[i].tolist()
+            count += len(chunk)
         return FamilyErrorReport(
-            best, "exhaustive", count, tuple(BitString(n, v) for v in best_sup)
+            Fraction(best, kernel.denominator),
+            "exhaustive",
+            count,
+            tuple(BitString(n, v) for v in best_sup),
         )
 
     # the walk iterates sets of BitStrings, so their order fixes the result
     universe = [BitString(n, v) for v in range(1 << n)]
 
-    def err(sup) -> Fraction:
-        return score([x.value for x in sup])
+    def err(sup) -> int:
+        return int(kernel.totals(np.array([[x.value for x in sup]], dtype=np.intp))[0])
 
     rng = random.Random(rng_seed)
-    best, best_sup, count = Fraction(0), (), 0
+    best, best_sup, count = 0, (), 0
     for _ in range(samples):
         sup = set(rng.sample(universe, size))
         e = err(sup)
@@ -223,7 +267,10 @@ def max_error_flat_sources(
         if e > best:
             best, best_sup = e, frozenset(sup)
     return FamilyErrorReport(
-        best, "sampled", count, tuple(sorted(best_sup, key=lambda b: b.value))
+        Fraction(best, kernel.denominator),
+        "sampled",
+        count,
+        tuple(sorted(best_sup, key=lambda b: b.value)),
     )
 
 

@@ -55,18 +55,12 @@ class TrevisanInstance:
         return self.design.m
 
     @cached_property
-    def _seed_index(self) -> np.ndarray:
-        """Row i: the seed positions output bit i reads, the first t of S_i
-        in ascending order (what _bit_seed takes); built once per instance."""
-        index = np.sort(np.array(self.design.sets, dtype=np.intp), axis=1)[:, : self.code.t]
-        index.flags.writeable = False
-        return index
-
-    @cached_property
     def _seed_gather(self) -> tuple:
-        """(byte, shift): seed bit _seed_index[i, j] of a packed seed row is
-        bit `shift` of byte `byte` (MSB-first, as the record reader packs)."""
-        index = self._seed_index
+        """(byte, shift), (m, t) each: the seed bits output bit i reads, the
+        first t of S_i in ascending order (what _bit_seed takes), as bit
+        `shift` of byte `byte` of a packed seed row (MSB-first, as the
+        record reader packs); built once per instance."""
+        index = np.sort(np.array(self.design.sets, dtype=np.intp), axis=1)[:, : self.code.t]
         at, shift = index >> 3, (7 - (index & 7)).astype(np.uint8)
         at.flags.writeable = shift.flags.writeable = False
         return at, shift
@@ -283,10 +277,10 @@ class _BlockReader:
         self._name = name
         self._head = head
         self._rows = np.zeros((blocks, (n + 7) // 8), dtype=np.uint8)
-        # with 8 | n the stream's bytes are the rows; otherwise the packed
-        # bits are read, then realigned
-        packed = (blocks * n + 7) // 8
-        self._raw = self._rows.reshape(-1) if n % 8 == 0 else np.empty(packed, np.uint8)
+        # the stream's bytes are read into the front of the rows' buffer:
+        # with 8 | n they are the rows, otherwise packed bits, realigned in
+        # place
+        self._raw = self._rows.reshape(-1)
         self._spare = 0  # bits of the last read's bytes that no record holds
         self._error = None
 
@@ -331,11 +325,15 @@ class _BlockReader:
         return self._spare + 8 * (size - pos)
 
     def _realign(self, k: int):
-        """Unpack the k packed records into their rows, a byte-aligned group
-        of about 1 MiB of unpacked bits, or of 8 records, at a time."""
+        """Unpack the k packed records at the front of the buffer into their
+        rows, a byte-aligned group of about 512 KiB of unpacked bits, or of 8
+        records, at a time (the unpacked bits and packbits' own copy of them
+        are the scratch).  Groups go from the last to the first: each
+        group's rows start at or after its own packed bits, so a write never
+        reaches the packed bits of an earlier record."""
         n = self._n
-        step = 8 * max(1, (1 << 17) // n)
-        for b in range(0, k, step):
+        step = 8 * max(1, (1 << 16) // n)
+        for b in reversed(range(0, k, step)):
             cnt = min(step, k - b)
             lo = b * n // 8
             bits = np.unpackbits(self._raw[lo : lo + (cnt * n + 7) // 8], count=cnt * n)

@@ -1,16 +1,21 @@
-"""Every callable the benchmark wraps by name must still exist.
+"""Every callable the benchmark wraps by name must still exist, and every
+committed benchmark record must say what it measured.
 
 perfbench/child.py replaces the callables listed in its TRACED and COUNTED
-tables; a missing one breaks every traced benchmark run.
+tables; a missing one breaks every traced benchmark run.  A BENCH_*.json at
+the repository root records a speed claim: the commit it compares against,
+the command that measured it, the claim and the machine.
 """
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 import child  # noqa: E402
 
 sys.path.pop(0)
@@ -24,3 +29,20 @@ def test_benchmarked_callable_resolves(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+BENCH_RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_bench_records_exist():
+    assert BENCH_RECORDS
+
+
+@pytest.mark.parametrize("path", BENCH_RECORDS, ids=lambda p: p.name)
+def test_bench_record_fields(path):
+    record = json.loads(path.read_text())
+    assert isinstance(record, dict)
+    for key in ("parent_commit", "command", "claim", "machine"):
+        assert record.get(key), f"{path.name} lacks {key}"
+    commit = record["parent_commit"]
+    assert len(commit) == 40 and all(c in "0123456789abcdef" for c in commit)

@@ -1,7 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+
+from trevext import harness
 
 from trevext.bitfield import BitString
 from trevext.code_extractor import CodeSpec
@@ -176,6 +180,110 @@ def test_flat_family_matches_reference_non_uniform_seed():
     assert rep.sources_checked == len(errs)
     assert rep.max_error == max(errs.values())
     assert errs[tuple(x.value for x in rep.worst_support)] == rep.max_error
+
+
+def _sparse_extractor():
+    """3 -> 5 bits on a 1-bit seed, reaching 8 of the 32 outputs per seed."""
+    return AdvertisedExtractor(
+        lambda x, y: BitString(5, (3 * x.value + 7 * y.value) % 32), 3, 1, 5, 1, Fraction(0))
+
+
+def _all_supports(n, k):
+    return np.array(list(itertools.combinations(range(1 << n), 1 << k)), dtype=np.intp)
+
+
+def _reference_errors(ext, k, seed=None):
+    return [fraction_extractor_error(ext, flat_source([BitString(ext.n, v) for v in sup]), seed)
+            for sup in itertools.combinations(range(1 << ext.n), 1 << k)]
+
+
+@pytest.mark.parametrize("ext, k", [
+    (toeplitz_extractor(3, 2, Fraction(1, 4)), 1),  # m > k
+    (micro_instance(), 1),  # m > k
+    (_sparse_extractor(), 1),  # m > k, 8 of 2^m outputs reached
+    (toeplitz_extractor(3, 1, Fraction(1, 4)), 2),  # m < k
+    (toeplitz_extractor(4, 1, Fraction(1, 4)), 2),  # m < k
+], ids=["toeplitz3-2", "trevisan", "sparse", "toeplitz3-1", "toeplitz4-1"])
+def test_flat_kernel_every_support_matches_reference(ext, k):
+    kernel = harness._FlatKernel(ext, None, k)
+    supports = _all_supports(ext.n, k)
+    got = [Fraction(int(t), kernel.denominator)
+           for lo in range(0, len(supports), kernel.chunk)
+           for t in kernel.totals(supports[lo : lo + kernel.chunk])]
+    assert got == _reference_errors(ext, k)
+
+
+def test_flat_kernel_chunks_split_supports(monkeypatch):
+    # 28 supports of 2 of 8 inputs; each takes 16 cells (2 seeds x 8
+    # outputs), so 48 cells give chunks of 3, the last of one support
+    ext = _sparse_extractor()
+    want = max_error_flat_sources(ext, 1)
+    sizes = []
+    totals = harness._FlatKernel.totals
+
+    def spy(self, supports):
+        sizes.append(len(supports))
+        return totals(self, supports)
+
+    monkeypatch.setattr(harness._FlatKernel, "totals", spy)
+    for cells, chunks in [(48, [3] * 9 + [1]), (1, [1] * 28)]:
+        monkeypatch.setattr(harness, "_FLAT_CELLS", cells)
+        sizes.clear()
+        assert max_error_flat_sources(ext, 1) == want
+        assert sizes == chunks
+
+
+def test_flat_family_first_maximum_wins(monkeypatch):
+    # 56 of the 70 supports tie at the maximum, the first of them second in
+    # combinations order; the report names it, whatever the chunking (a
+    # support takes 32 cells: 8 seeds x 4 inputs)
+    ext = toeplitz_extractor(3, 1, Fraction(1, 4))
+    errs = _reference_errors(ext, 2)
+    first = errs.index(max(errs))
+    assert errs.count(max(errs)) == 56 and first == 1
+    want = list(itertools.combinations(range(8), 4))[first]
+    for cells in [harness._FLAT_CELLS, 32, 64, 96]:
+        monkeypatch.setattr(harness, "_FLAT_CELLS", cells)
+        rep = max_error_flat_sources(ext, 2)
+        assert rep.max_error == max(errs)
+        assert tuple(x.value for x in rep.worst_support) == want
+
+
+def test_flat_kernel_exact_past_int64():
+    # scaled seed masses over 2^70: totals are Python ints, not int64
+    ext = toeplitz_extractor(3, 2, Fraction(1, 4))
+    rng = random.Random(9)
+    weights = [rng.randrange(1, 1 << 66) for _ in range(1 << ext.d)]
+    den = 1 << 70
+    masses = {BitString(ext.d, v): Fraction(w, den) for v, w in enumerate(weights[:-1])}
+    masses[BitString(ext.d, (1 << ext.d) - 1)] = 1 - sum(masses.values())
+    seed = Distribution(masses)
+    kernel = harness._FlatKernel(ext, seed, 1)
+    assert kernel.dtype is object and kernel.denominator >= 1 << 63
+    errs = _reference_errors(ext, 1, seed)
+    got = kernel.totals(_all_supports(ext.n, 1))
+    assert [Fraction(t, kernel.denominator) for t in got] == errs
+    rep = max_error_flat_sources(ext, 1, seed=seed)
+    assert rep.max_error == max(errs)
+    assert tuple(x.value for x in rep.worst_support) == \
+        list(itertools.combinations(range(8), 2))[errs.index(max(errs))]
+
+
+def test_flat_family_evaluates_ext_once_per_pair():
+    inner = toeplitz_extractor(4, 2, Fraction(1, 4))
+    calls = []
+
+    def counted(x, y):
+        calls.append((x.value, y.value))
+        return inner(x, y)
+
+    ext = AdvertisedExtractor(counted, inner.n, inner.d, inner.m, inner.k, inner.eps)
+    rep = max_error_flat_sources(ext, 2)
+    assert rep.sources_checked == 1820
+    assert sorted(calls) == [(x, y) for x in range(16) for y in range(32)]
+    calls.clear()
+    max_error_flat_sources(ext, 3, samples=2)  # any k: one tabulation
+    assert len(calls) == len(set(calls)) == 16 * 32
 
 
 def test_flat_family_exhaustive_identity():

@@ -404,8 +404,10 @@ def test_reused_stream_memory_bound(monkeypatch):
     # production shape n = 2^16, m = 256: peak traced memory of a reused
     # seed's stream stays within its byte columns (2 MiB), one batch buffer
     # and 1.5 MiB of scratch (the byte tables take ~0.8 MiB); a row matrix
-    # and a full steps array (2 MiB each here) would not fit.  The compile
-    # starts before any batch buffer is allocated.
+    # and a full steps array (2 MiB each here) would not fit.  At n = 2^16 - 1
+    # the packed bits are realigned inside the batch buffer, so no second
+    # batch-sized buffer fits either.  The compile starts before any batch
+    # buffer is allocated.
     held = []
 
     def spy(inst, seeds):
@@ -413,23 +415,26 @@ def test_reused_stream_memory_bound(monkeypatch):
         return seed_masks(inst, seeds)
 
     monkeypatch.setattr(trevisan, "seed_masks", spy)
-    p = preset("cor1", 1 << 16, Fraction(1, 8), 256)
-    inst = TrevisanInstance(block_design(p.t, p.m), CodeSpec(n=1 << 16, s=p.s_bits, delta=p.delta))
-    inst._seed_gather  # built once per instance, not per stream
-    rng = np.random.default_rng(30)
-    blocks = 32
-    source = io.BytesIO(rng.integers(0, 256, blocks << 13, dtype=np.uint8).tobytes())
-    seed = io.BytesIO(rng.integers(0, 256, (inst.d + 7) // 8, dtype=np.uint8).tobytes())
-    tracemalloc.start()
-    try:
-        report = extract_stream(inst, source, seed, io.BytesIO(), reuse_seed=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    columns = 8 * (1 << 13) * 4 * 8
-    batch = trevisan._batch_blocks(1 << 16, 256, 0) << 13
-    assert report.blocks == blocks and peak < columns + batch + (3 << 19)
-    assert len(held) == 1 and held[0] < 1 << 16
+    for n in (1 << 16, (1 << 16) - 1):
+        p = preset("cor1", n, Fraction(1, 8), 256)
+        code = CodeSpec(n=n, s=p.s_bits, delta=p.delta)
+        inst = TrevisanInstance(block_design(p.t, p.m), code)
+        inst._seed_gather  # built once per instance, not per stream
+        rng = np.random.default_rng(30)
+        blocks = 32
+        source = io.BytesIO(rng.integers(0, 256, blocks * n // 8, dtype=np.uint8).tobytes())
+        seed = io.BytesIO(rng.integers(0, 256, (inst.d + 7) // 8, dtype=np.uint8).tobytes())
+        held.clear()
+        tracemalloc.start()
+        try:
+            report = extract_stream(inst, source, seed, io.BytesIO(), reuse_seed=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = 8 * (1 << 13) * 4 * 8
+        batch = trevisan._batch_blocks(n, 256, 0) << 13
+        assert report.blocks == blocks and peak < columns + batch + (3 << 19), n
+        assert len(held) == 1 and held[0] < 1 << 16
 
 
 def test_batch_size_bounds():
@@ -675,6 +680,24 @@ def test_per_block_mask_sets():
     assert (CompiledMasks(n, m, rows=sets).apply(blocks) == want).all()
     with pytest.raises(ParameterError):
         CompiledMasks(n, m, rows=sets).apply(blocks[:-1])
+
+
+def test_reader_realigns_groups_in_place():
+    # 8 does not divide n: each read's packed bits are realigned inside the
+    # row buffer, 8 records per group at this n, last group first; 8 and 21
+    # records are one group and three (one partial)
+    n, total = 40001, 29
+    value = random.Random(31).getrandbits(n * total)
+    size = (n * total + 7) // 8
+    data = (value << (8 * size - n * total)).to_bytes(size, "big")
+    reader = _BlockReader(io.BytesIO(data), n, 21, "input")
+    width = (n + 7) // 8
+    got = [row.tobytes() for count in (8, 21) for row in reader.read(count)]
+    want = [
+        ((value >> (n * (total - 1 - j)) & ((1 << n) - 1)) << (8 * width - n)).to_bytes(width, "big")
+        for j in range(total)
+    ]
+    assert got == want and len(reader.read(1)) == 0
 
 
 def test_reader_reads_only_needed_bytes():
