@@ -183,7 +183,10 @@ class BitString:
         idx = sorted(indices)
         if idx and (idx[0] < 0 or idx[-1] >= self.length):
             raise ParameterError("substring index out of range")
-        return BitString.from_bits(self[i] for i in idx)
+        v, x, last = 0, self.value, self.length - 1
+        for i in idx:
+            v = (v << 1) | ((x >> (last - i)) & 1)
+        return BitString(len(idx), v)
 
     def prefix(self, n: int) -> "BitString":
         if n > self.length:
@@ -193,12 +196,16 @@ class BitString:
     def chunk(self, start: int, width: int) -> int:
         """Integer value of bits [start, start+width), big-endian.
 
-        Positions past the end read as 0 (high-index zero padding).
+        Positions past the end read as 0 (high-index zero padding); a
+        negative start raises IndexError unless no bit is read.
         """
-        v = 0
-        for i in range(start, start + width):
-            v = (v << 1) | (self[i] if i < self.length else 0)
-        return v
+        if width <= 0:
+            return 0
+        if start < 0:
+            raise IndexError(start)
+        shift = self.length - start - width
+        v = self.value >> shift if shift >= 0 else self.value << -shift
+        return v & ((1 << width) - 1)
 
 
 class BinaryField:

@@ -85,9 +85,17 @@ def _load_or_build_design(kind: str, t: int, m: int, r: Fraction, cache_dir=None
     design = block_design(t, m) if kind == "block" else greedy_basic_design(t, m, r)
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-        with tempfile.NamedTemporaryFile(dir=cache_dir, suffix=".tmp", delete=False) as fh:
-            fh.write(serialize_design(design))
-        os.replace(fh.name, path)
+        # written beside the entry and moved into place; a failed write
+        # leaves no partial file in the cache
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(serialize_design(design))
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
     return design
 
 
@@ -323,14 +331,14 @@ def cmd_selftest(args) -> int:
         raise ParameterError("--out writes test vectors only with --level full")
     rng_seed = args.rng_seed
     vectors = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     for name, check in _selftest_checks(full, rng_seed):
         try:
             check()
         except TrevextError as exc:
             print(f"FAIL {name}: {exc} (reproduce with --rng-seed {rng_seed})")
             return EXIT_VERIFICATION
-        print(f"ok {name} ({time.time() - t0:.1f}s)")
+        print(f"ok {name} ({time.perf_counter() - t0:.1f}s)")
     if args.out:
         from .universal_hash import toeplitz_extractor
         ext = toeplitz_extractor(4, 2, Fraction(1, 4))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,7 +69,14 @@ class CodeSpec:
         return 1 / self.delta**2
 
     def field(self) -> BinaryField:
-        return BinaryField(self.s)
+        return _field(self.s)
+
+
+@lru_cache(maxsize=None)
+def _field(s: int) -> BinaryField:
+    """GF(2^s), built once per symbol size: at most one field per supported
+    s, shared by every caller (a BinaryField is never mutated)."""
+    return BinaryField(s)
 
 
 def min_symbol_size(n: int, delta: Fraction) -> int:
@@ -105,22 +113,23 @@ def message_symbols(spec: CodeSpec, x: BitString) -> list:
     return [x.chunk(j * spec.s, spec.s) for j in range(spec.ell)]
 
 
-def _eval_message(spec: CodeSpec, symbols, a: int) -> int:
-    f = spec.field()
+def codeword_bit(spec: CodeSpec, symbols: list, y: BitString) -> int:
+    """The bit of :func:`extract_bit` for x given as its message symbols:
+    split y = (a, z) and return <p(a), z>, p(a) by Horner's rule over
+    :meth:`BinaryField.mul`.  The seed length is not checked here."""
+    mul = spec.field().mul
+    a = y.chunk(0, spec.s)
     acc = 0
     for c in reversed(symbols):
-        acc = f.mul(acc, a) ^ c
-    return acc
+        acc = mul(acc, a) ^ c
+    return (acc & y.chunk(spec.s, spec.s)).bit_count() & 1
 
 
 def extract_bit(spec: CodeSpec, x: BitString, y: BitString) -> int:
     """One codeword bit: split y = (a, z), return <p_x(a), z> over GF(2)."""
     if y.length != spec.t:
         raise ParameterError(f"seed length {y.length} != t={spec.t}")
-    a = y.chunk(0, spec.s)
-    z = y.chunk(spec.s, spec.s)
-    v = _eval_message(spec, message_symbols(spec, x), a)
-    return (v & z).bit_count() & 1
+    return codeword_bit(spec, message_symbols(spec, x), y)
 
 
 def _step_slices(spec: CodeSpec, a: np.ndarray, u: np.ndarray, width: int):

@@ -164,9 +164,10 @@ class _FlatKernel:
 
     def __init__(self, ext, seed: Optional[Distribution], k: int):
         n, m, seeds, ly = _scaled_seed(ext, seed)
+        inputs = [BitString(n, xv) for xv in range(1 << n)]
         ranks = []
         for y, _py in seeds:
-            column = [_output(ext, m, BitString(n, xv), y) for xv in range(1 << n)]
+            column = [_output(ext, m, x, y) for x in inputs]
             rank = {z: r for r, z in enumerate(dict.fromkeys(column))}
             ranks.append([rank[z] for z in column])
         self.width = 1 << m  # 2^m

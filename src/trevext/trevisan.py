@@ -26,7 +26,13 @@ from typing import BinaryIO, Optional
 import numpy as np
 
 from .bitfield import BitString
-from .code_extractor import CodeSpec, code_columns, code_masks, extract_bit
+from .code_extractor import (
+    CodeSpec,
+    code_columns,
+    code_masks,
+    codeword_bit,
+    message_symbols,
+)
 from .errors import ParameterError
 from .weak_design import WeakDesign
 
@@ -74,15 +80,18 @@ def extract(inst: TrevisanInstance, x: BitString, y: BitString) -> BitString:
     """m output bits, bit i from the one-bit extractor on y_{S_{i+1}}.
 
     The bit-serial reference oracle: the analysis harness and the tests use
-    it; streaming runs on compiled masks (:func:`seed_masks`).
+    it; streaming runs on compiled masks (:func:`seed_masks`).  x is cut
+    into message symbols once, and each bit is one :func:`codeword_bit`.
     """
     if x.length != inst.n:
         raise ParameterError(f"input length {x.length} != n={inst.n}")
     if y.length != inst.d:
         raise ParameterError(f"seed length {y.length} != d={inst.d}")
-    return BitString.from_bits(
-        extract_bit(inst.code, x, _bit_seed(inst, y, i)) for i in range(inst.m)
-    )
+    symbols = message_symbols(inst.code, x)
+    v = 0
+    for i in range(inst.m):
+        v = (v << 1) | codeword_bit(inst.code, symbols, _bit_seed(inst, y, i))
+    return BitString(inst.m, v)
 
 
 def seed_masks(inst: TrevisanInstance, seeds) -> CompiledMasks:

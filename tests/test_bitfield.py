@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trevext.bitfield import (
     IRREDUCIBLE_POLY,
@@ -74,6 +76,104 @@ def test_chunk_big_endian_and_padding():
     # positions past the end read as zero
     assert b.chunk(3, 4) == 0b1000
     assert b.chunk(5, 4) == 0
+
+
+def test_chunk_edge_cases():
+    b = BitString.from_str("10110")
+    # a negative start is an index error, as for b[-1]
+    for start, width in ((-1, 1), (-1, 3), (-4, 9)):
+        with pytest.raises(IndexError):
+            b.chunk(start, width)
+    with pytest.raises(IndexError):
+        BitString(0, 0).chunk(-1, 1)
+    # no bits read: 0 wherever it starts
+    assert [b.chunk(start, 0) for start in (-1, 0, 4, 5, 99)] == [0] * 5
+    # straddling the end, or wholly past it, reads zeros there
+    assert b.chunk(4, 3) == 0b000
+    assert b.chunk(2, 6) == 0b110000
+    assert b.chunk(99, 7) == 0
+    assert BitString(0, 0).chunk(0, 5) == 0
+
+
+# -- BitString against a per-bit model ---------------------------------------
+#
+# The model is the string of '0'/'1' characters, bit 0 first; every operation
+# below is written per bit on it, independently of BitString's integer value.
+
+_props = settings(max_examples=300, deadline=None, database=None)
+_bit_strings = st.text(alphabet="01", max_size=150)
+
+
+def _from_model(s: str) -> BitString:
+    return BitString(len(s), int(s, 2) if s else 0)
+
+
+@_props
+@given(_bit_strings, st.integers(0, 160), st.integers(0, 80))
+def test_chunk_matches_model(s, start, width):
+    bits = s[start : start + width].ljust(width, "0")
+    assert _from_model(s).chunk(start, width) == (int(bits, 2) if bits else 0)
+
+
+@_props
+@given(_bit_strings, st.data())
+def test_substring_matches_model(s, data):
+    b = _from_model(s)
+    if s:
+        # repeated positions are read once per occurrence
+        idx = data.draw(st.lists(st.integers(0, len(s) - 1), max_size=2 * len(s)))
+        assert b.substring(idx) == _from_model("".join(s[i] for i in sorted(idx)))
+        assert b.substring(tuple(idx)) == b.substring(idx)
+    bad = data.draw(st.one_of(st.integers(len(s), len(s) + 9), st.integers(-9, -1)))
+    with pytest.raises(ParameterError):
+        b.substring([bad] + list(range(len(s))))
+
+
+@_props
+@given(_bit_strings, st.integers(-5, 160))
+def test_prefix_matches_model(s, n):
+    if 0 <= n <= len(s):
+        assert _from_model(s).prefix(n) == _from_model(s[:n])
+    else:
+        with pytest.raises(ParameterError):
+            _from_model(s).prefix(n)
+
+
+@_props
+@given(st.lists(st.integers(0, 1), max_size=150))
+def test_from_bits_matches_model(bits):
+    s = "".join(map(str, bits))
+    b = BitString.from_bits(bits)
+    assert b == _from_model(s) and list(b) == bits and str(b) == s
+    assert BitString.from_bits(iter(bits)) == b and BitString.from_str(s) == b
+
+
+@_props
+@given(st.lists(st.integers(0, 1), max_size=20), st.sampled_from([2, -1, 3, "1", None]))
+def test_from_bits_rejects_non_bits(bits, bad):
+    with pytest.raises(ParameterError):
+        BitString.from_bits(bits + [bad] + bits)
+
+
+@_props
+@given(_bit_strings)
+def test_to_bytes_matches_model(s):
+    padded = s.ljust(-(-len(s) // 8) * 8, "0")
+    expected = bytes(int(padded[i : i + 8], 2) for i in range(0, len(padded), 8))
+    assert _from_model(s).to_bytes() == expected
+
+
+@_props
+@given(st.binary(max_size=20), st.data())
+def test_from_bytes_matches_model(raw, data):
+    s = "".join(format(byte, "08b") for byte in raw)
+    assert BitString.from_bytes(raw) == _from_model(s)
+    length = data.draw(st.integers(0, len(s) + 9))
+    if length <= len(s):
+        assert BitString.from_bytes(raw, length) == _from_model(s[:length])
+    else:
+        with pytest.raises(ParameterError):
+            BitString.from_bytes(raw, length)
 
 
 # -- fields ------------------------------------------------------------------

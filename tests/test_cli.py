@@ -9,6 +9,7 @@ import pytest
 
 import trevext
 from trevext.cli import (
+    EXIT_IO,
     EXIT_OK,
     EXIT_PARAMETER,
     EXIT_VERIFICATION,
@@ -381,6 +382,28 @@ def test_generated_block_design_cache_reused_by_extract(tmp_path):
                 "--in", tmp_path / "in.bin", "--out", tmp_path / "out.bin",
                 "--reuse-seed", "--design-cache", cache]) == EXIT_OK
     assert len(list(cache.iterdir())) == 1
+
+
+@pytest.mark.parametrize("command", ["design", "extract"])
+def test_failed_cache_write_leaves_no_temp_file(tmp_path, capsys, monkeypatch, command):
+    import trevext.cli as cli
+
+    def failing(design):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "serialize_design", failing)
+    cache = tmp_path / "cache"
+    (tmp_path / "in.bin").write_bytes(b"\x12\x34")
+    argv = {
+        "design": ["design", "generate", "--kind", "block", "--t", 32, "--m", 2,
+                   "--out", tmp_path / "design.bin"],
+        "extract": ["extract", "--preset", "cor1", "--n", 16, "--m", 2, "--eps", "1/2",
+                    "--in", tmp_path / "in.bin", "--out", tmp_path / "out.bin"],
+    }[command]
+    assert run(argv + ["--design-cache", cache]) == EXIT_IO
+    assert "No space left" in capsys.readouterr().err
+    assert list(cache.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "in.bin"]
 
 
 def test_cache_of_an_earlier_construction_ignored(tmp_path):

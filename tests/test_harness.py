@@ -286,6 +286,27 @@ def test_flat_family_evaluates_ext_once_per_pair():
     assert len(calls) == len(set(calls)) == 16 * 32
 
 
+@pytest.mark.parametrize("ext, k, max_error, checked", [
+    (micro_instance(), 1, Fraction(39, 64), 120),
+    (toeplitz_extractor(4, 2, Fraction(1, 4)), 2, Fraction(21, 64), 1820),
+], ids=["trevisan-k1", "toeplitz-k2"])
+def test_flat_family_tabulates_each_pair_once(monkeypatch, ext, k, max_error, checked):
+    calls = []
+    output = harness._output
+
+    def spy(ext_, m, x, y):
+        calls.append((x, y))
+        return output(ext_, m, x, y)
+
+    monkeypatch.setattr(harness, "_output", spy)
+    rep = max_error_flat_sources(ext, k)
+    assert (rep.max_error, rep.regime, rep.sources_checked) == (max_error, "exhaustive", checked)
+    assert sorted((x.value, y.value) for x, y in calls) == \
+        [(x, y) for x in range(1 << ext.n) for y in range(1 << ext.d)]
+    # one input BitString per value, shared by every seed
+    assert len({id(x) for x, _y in calls}) == 1 << ext.n
+
+
 def test_flat_family_exhaustive_identity():
     rep = max_error_flat_sources(identity_extractor(2), k=1)
     assert rep.regime == "exhaustive"

@@ -83,6 +83,34 @@ def test_set_size_may_exceed_code_seed():
     assert out[1] == extract_bit(code, x, y.substring((1, 2, 3, 4)))
 
 
+def test_oracle_runs_without_numpy_or_mask_compiler(monkeypatch):
+    # the bit-serial oracle stays independent of the kernel it checks
+    p = preset("cor1", 40, Fraction(1, 2), 5)
+    inst = TrevisanInstance(block_design(p.t, p.m), CodeSpec(n=40, s=p.s_bits, delta=p.delta))
+    rng = random.Random(11)
+    xs = [BitString(inst.n, rng.getrandbits(inst.n)) for _ in range(4)]
+    y = BitString(inst.d, rng.getrandbits(inst.d))
+    rows = _rows([x.value for x in xs], inst.n)
+    want = _values(seed_masks(inst, y).apply(rows), inst.m)
+
+    class Forbidden:
+        def __getattr__(self, name):
+            raise AssertionError(f"the oracle touched numpy.{name}")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle ran the mask compiler")
+
+    for module in (trevisan, code_extractor):
+        monkeypatch.setattr(module, "np", Forbidden())
+    for name in ("code_masks", "code_columns", "seed_masks", "CompiledMasks"):
+        monkeypatch.setattr(trevisan, name, forbidden)
+    for name in ("code_masks", "code_columns", "_step_slices"):
+        monkeypatch.setattr(code_extractor, name, forbidden)
+    assert [extract(inst, x, y).value for x in xs] == want
+    v = y.substring(inst.design.sets[0]).prefix(inst.code.t)
+    assert extract_bit(inst.code, xs[0], v) == want[0] >> (inst.m - 1)
+
+
 def test_design_narrower_than_code_rejected():
     design = WeakDesign.from_sets(4, [(0, 1, 2)])
     code = CodeSpec(n=4, s=2, delta=Fraction(3, 8))
