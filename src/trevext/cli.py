@@ -188,6 +188,21 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
+def _write_design(path: str, design) -> None:
+    """Serialize `design`, write it beside `path` and move it into place, so
+    a failure leaves no empty or partial file at `path`."""
+    data = serialize_design(design)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 _DESIGN_FLAGS = {"generate": ("t", "m", "out"), "verify": ("in",), "export": ("in", "out")}
 
 
@@ -199,8 +214,7 @@ def cmd_design(args) -> int:
     r = _parse_fraction(args.r, "overlap target --r")
     if args.action == "generate":
         design = _load_or_build_design(args.kind, args.t, args.m, r, args.design_cache)
-        with open(args.out, "wb") as fh:
-            fh.write(serialize_design(design))
+        _write_design(args.out, design)
         # r_certified is exact: from_sets summed every overlap of the design
         ok = design.r_certified <= (r if args.kind == "greedy" else 1)
         print(f"design t={design.t} m={design.m} d={design.d} "
@@ -214,8 +228,7 @@ def cmd_design(args) -> int:
         print(f"design t={design.t} m={design.m} d={design.d} "
               f"r_certified={design.r_certified} verified")
         return EXIT_OK
-    with open(args.out, "wb") as fh:
-        fh.write(serialize_design(design))
+    _write_design(args.out, design)
     print(f"exported {design.m} sets to {args.out}")
     return EXIT_OK
 
@@ -289,8 +302,9 @@ def _selftest_checks(full: bool, rng_seed: int):
             harness.smoothing_robustness_check(ext, Distribution(mass), base)
 
     def check_stream():
-        # a random micro instance streamed with fresh seeds (row fold) and
-        # with one reused seed (byte tables), against extract
+        # a random micro instance streamed with fresh seeds (step loop) and
+        # with one reused seed (byte tables), against extract; the full
+        # level adds the step kernel's word edges, symbols of 1 and 64 bits
         from functools import reduce
 
         from .code_extractor import code_params
@@ -299,20 +313,24 @@ def _selftest_checks(full: bool, rng_seed: int):
         def join(bits):
             return reduce(BitString.concat, bits, BitString(0, 0)).to_bytes()
 
-        for _ in range(4 if full else 1):
-            n, m = rng.randint(9, 40), rng.randint(1, 12)
-            code = code_params(n, Fraction(1, 3))
+        for s in [None] * (4 if full else 1) + ([1, 64] if full else []):
+            if s is None:
+                code = code_params(rng.randint(9, 40), Fraction(1, 3))
+            else:
+                code = CodeSpec(1 if s == 1 else rng.randint(65, 256), s, Fraction(1, 3))
+            n, m = code.n, rng.randint(1, 12)
             d = code.t + rng.randrange(1, 8)
             sets = [rng.sample(range(d), code.t) for _ in range(m)]
             inst = TrevisanInstance(WeakDesign.from_sets(d, sets), code)
             for reuse in (False, True):
-                xs = [BitString(n, rng.getrandbits(n)) for _ in range(5)]
-                ys = [BitString(d, rng.getrandbits(d)) for _ in range(1 if reuse else 5)]
+                # 8 blocks end on a byte, so that n = 1 leaves no padding bit
+                xs = [BitString(n, rng.getrandbits(n)) for _ in range(8)]
+                ys = [BitString(d, rng.getrandbits(d)) for _ in range(1 if reuse else 8)]
                 want = [extract(inst, x, ys[0 if reuse else i]) for i, x in enumerate(xs)]
                 out, _ = extract_bytes(inst, join(xs), join(ys), reuse)
                 if out != join(want):
                     raise VerificationError(
-                        f"stream differs from extract at n={n} m={m} reuse={reuse}")
+                        f"stream differs from extract at n={n} s={code.s} m={m} reuse={reuse}")
 
     checks = [
         ("weak designs", check_designs),

@@ -132,44 +132,87 @@ def extract_bit(spec: CodeSpec, x: BitString, y: BitString) -> int:
     return codeword_bit(spec, message_symbols(spec, x), y)
 
 
+# bytes of step state per chunk of lanes (seed pairs stepped together): a
+# call with more pairs steps them a chunk at a time, so that the state stays
+# within this bound, plus numpy's fixed-size iteration buffers (under
+# 1/4 MiB), whatever the number of pairs.  At s = 62 a fresh-seed chunk is
+# ~450 lanes, whose nibble tables (~0.9 MiB) stay in a 2 MiB L2 cache.
+_LANE_BYTES = 5 << 18
+
+
+def _lane_words(s: int, width: int) -> int:
+    """Words of :func:`_step_slices` state per lane, at most.  While the
+    tables are built: the rows a * x^b (64 words) with their transpose's
+    scratch and the products' temporaries (36), then the rows and the
+    tables (16 words per 4 bits of symbol); while stepping: the tables, 3
+    step buffers (base, index, gathered entry) per 4 bits and a slice of
+    `width` steps."""
+    p = (s + 3) // 4
+    return max(100, 64 + 16 * p, 19 * p + width) + 1
+
+
 def _step_slices(spec: CodeSpec, a: np.ndarray, u: np.ndarray, width: int):
     """Yield (j, steps) for the k uint64 seed pairs (a, u), `width` symbols
-    at a time: steps[:, i] = (M_a^T)^(j+i) u for the symbols j, j+1, ... of
-    the slice (fewer in the last), a (k, c) view that the next slice
+    at a time: steps[i] = (M_a^T)^(j+i) u for the symbols j, j+1, ... of
+    the slice (fewer in the last), a (c, k) view that the next slice
     overwrites.
 
     The one-bit extractor is GF(2)-linear in x: with M_a the multiply-by-a
     matrix on symbol bits, <p_x(a), u> = sum_j <c_j a^j, u> =
     sum_j <c_j, (M_a^T)^j u> over the message symbols c_j, so the s-bit
-    vector (M_a^T)^j u is the mask of symbol j.  All k pairs advance
-    together, one symbol per step, on s-bit vectors held in uint64 words.
-    A step ANDs each u with its s rows a * x^b into one buffer, takes the
-    parity of each popcount as a byte, and packs all k*s of them LSB-first
-    into the next k words, read little-endian whatever the host's byte
-    order.
+    vector (M_a^T)^j u is the mask of symbol j.  All k pairs (lanes)
+    advance together, one symbol per step, on s-bit vectors held in uint64
+    words.  M_a^T u is the XOR of the columns of M_a^T at the set bits of
+    u, and column c is bit c of each row a * x^b: the rows are
+    bit-transposed once, and each 4 bits of u select one entry of a
+    16-entry table of XORs of 4 columns, built by doubling.  A step cuts u
+    into nibbles by shift and mask, indexes each lane's tables, gathers
+    the entries in one take and XOR-reduces them; the index math uses
+    shifts and casts only, whatever the host's byte order or intp width.
     """
     s, ell, k = spec.s, spec.ell, len(a)
+    nibbles = (s + 3) // 4
     # x^s reduced; spec.field() refuses s > 64 before any uint64 arithmetic
     low = np.uint64(spec.field().modulus ^ (1 << s))
-    # rows[i, b] = a_i * x^b in GF(2^s): bit b of M_a^T u_i is <rows[i, b], u_i>
-    rows = np.empty((k, s), dtype=np.uint64)
+    # rows[0, b, i] = a_i * x^b in GF(2^s), zero for b >= s; after the
+    # transpose word c holds bit c of every row, the column c of M_a^T
+    rows = np.zeros((1, 64, k), dtype=np.uint64)
     for b in range(s):
-        rows[:, b] = a
+        rows[0, b] = a
         a = (a << np.uint64(1)) ^ (((a >> np.uint64(s - 1)) & np.uint64(1)) * low)
         a &= np.uint64((1 << s) - 1)
-    steps = np.empty((k, min(width, ell)), dtype=np.uint64)
-    # parity[i, b] = bit b of the next u_i; columns s.. stay zero, so each
-    # row packs into exactly the 8 bytes of its word
-    masked = np.empty((k, s), dtype=np.uint64)
-    parity = np.zeros((k, 64), dtype=np.uint8)
+    _transpose64(rows)
+    columns = rows[0, : 4 * nibbles].reshape(nibbles, 4, k)
+    # tables[p, i, v] = M_a^T (v << 4p) at lane i
+    tables = np.empty((nibbles, k, 16), dtype=np.uint64)
+    tables[:, :, 0] = 0
+    for r in range(4):
+        np.bitwise_xor(
+            tables[:, :, : 1 << r], columns[:, r, :, None], out=tables[:, :, 1 << r : 2 << r]
+        )
+    del rows, columns
+    flat = tables.reshape(-1)
+    base = np.arange(0, 16 * nibbles * k, 16, dtype=np.intp).reshape(nibbles, k)
+    shifts = np.arange(0, 4 * nibbles, 4, dtype=np.int64)[:, None]
+    index = np.empty((nibbles, k), dtype=np.intp)
+    got = np.empty((nibbles, k), dtype=np.uint64)
+    steps = np.empty((min(width, ell), k), dtype=np.uint64)
+    last = u
     for j in range(0, ell, width):
-        part = steps[:, : min(width, ell - j)]
-        for i in range(part.shape[1]):
-            part[:, i] = u
-            np.bitwise_and(rows, u[:, None], out=masked)
-            np.bitwise_count(masked, out=parity[:, :s])
-            parity &= np.uint8(1)
-            u = np.packbits(parity, bitorder="little").view("<u8")
+        part = steps[: min(width, ell - j)]
+        for i in range(len(part)):
+            if j + i:
+                # nibble p of u is bits 4p..4p+3 of its int64 reading, whose
+                # sign bits the mask drops; on a 64-bit intp the shift
+                # writes the index buffer without a cast
+                np.right_shift(last.view(np.int64), shifts, out=index, casting="unsafe")
+                index &= 15
+                index += base
+                flat.take(index, out=got, mode="clip")
+                np.bitwise_xor.reduce(got, axis=0, out=part[i])
+            else:
+                part[0] = u
+            last = part[i]
         yield j, part
 
 
@@ -181,18 +224,23 @@ def code_masks(spec: CodeSpec, a: np.ndarray, u: np.ndarray) -> np.ndarray:
     layout of input block rows: input bit i at byte i // 8, bit 7 - i % 8,
     zero past n.  Symbol j (big-endian, zero-padded at the high-index end)
     holds input bits [j*s, (j+1)*s), its bit s-1 first.  The symbol masks
-    come from :func:`_step_slices`, all ell in one slice.
+    come from :func:`_step_slices`, all ell in one slice, a chunk of pairs
+    at a time.  Only the exhaustive helpers (:func:`codeword_table`,
+    :func:`min_distance_exhaustive`) build mask rows; streaming evaluates
+    fresh seeds in the step loop and packs a reused seed with
+    :func:`code_columns`.
     """
     s, ell, n, k = spec.s, spec.ell, spec.n, len(a)
-    ((_, steps),) = _step_slices(spec, a, u, ell)
     words = (n + 63) // 64
     matrix = np.zeros((k, words), dtype=np.uint64)
     masks = matrix.view(np.uint8)
-    # unpack ~64 KiB of mask bits at a time: one row at the production shape
-    chunk = max(1, (1 << 16) // (64 * words))
+    # pairs per chunk: their step state within _LANE_BYTES, and ~64 KiB of
+    # mask bits unpacked at a time
+    chunk = max(1, min(_LANE_BYTES // (8 * _lane_words(s, ell)), (1 << 16) // (64 * words)))
     for r in range(0, k, chunk):
+        ((_, steps),) = _step_slices(spec, a[r : r + chunk], u[r : r + chunk], ell)
         # each s-bit vector's bits MSB-first, symbol 0 first
-        vec = steps[r : r + chunk].astype(">u8").view(np.uint8)
+        vec = np.ascontiguousarray(steps.T, dtype=">u8").view(np.uint8)
         bits = np.unpackbits(vec, axis=1).reshape(-1, ell, 64)[:, :, 64 - s :]
         bits = bits.reshape(-1, ell * s)
         masks[r : r + chunk, : (n + 7) // 8] = np.packbits(bits[:, :n], axis=1)
@@ -205,6 +253,8 @@ _COLUMN_SLICE_WORDS = 1 << 15
 # word q of a 64-row group holds row 8*(q//8) + 7 - q%8, so that after the
 # transpose row r sits at byte r // 8, bit 7 - r % 8 of the little-endian word
 _ROW_ORDER = np.arange(64) ^ 7
+
+
 _TRANSPOSE_STEPS = [
     (32, 0x00000000FFFFFFFF),
     (16, 0x0000FFFF0000FFFF),
@@ -217,14 +267,20 @@ _TRANSPOSE_STEPS = [
 
 def _transpose64(x: np.ndarray):
     """Transpose in place each 64x64 bit matrix x[g, :, c] of a (G, 64, C)
-    uint64 array: bit b of word q goes to bit q of word b."""
+    uint64 array: bit b of word q goes to bit q of word b.  The scratch is
+    half of x."""
     groups, _, c = x.shape
+    scratch = np.empty(groups * 32 * c, dtype=np.uint64)
     for h, mask in _TRANSPOSE_STEPS:
         v = x.reshape(groups, 32 // h, 2, h, c)
         lo, hi = v[:, :, 0], v[:, :, 1]
-        t = ((lo >> np.uint64(h)) ^ hi) & np.uint64(mask)
+        t = scratch.reshape(lo.shape)
+        np.right_shift(lo, np.uint64(h), out=t)
+        t ^= hi
+        t &= np.uint64(mask)
         hi ^= t
-        lo ^= t << np.uint64(h)
+        t <<= np.uint64(h)
+        lo ^= t
 
 
 def code_columns(spec: CodeSpec, a: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -234,25 +290,30 @@ def code_columns(spec: CodeSpec, a: np.ndarray, u: np.ndarray) -> np.ndarray:
     the k-bit column of the input bit with value 1 << j in block byte p,
     that is input bit 8p + 7 - j; its bit for pair r sits at byte r // 8,
     bit 7 - r % 8 of the little-endian words, so the words' bytes are the
-    MSB-first output bits.  No row matrix is built: each slice of
-    :func:`_step_slices` is bit-transposed 64 pairs at a time and scattered
-    into the columns of its input bits.
+    MSB-first output bits.  No row matrix is built: the pairs run through
+    :func:`_step_slices` as many 64-pair groups at a time as fit in
+    _LANE_BYTES of step state, and each slice of steps is bit-transposed
+    64 pairs at a time and scattered into the columns of its input bits.
     """
     s, n, k = spec.s, spec.n, len(a)
     words = (k + 63) // 64
     columns = np.zeros((8, (n + 7) // 8, words), dtype=np.uint64)
-    width = max(1, _COLUMN_SLICE_WORDS // (64 * words))
-    buf = np.zeros((64 * words, min(width, spec.ell)), dtype=np.uint64)
-    for j, steps in _step_slices(spec, a, u, width):
-        c = steps.shape[1]
-        part = buf[:, :c]
-        part[:k] = steps
-        group = part.reshape(words, 64, c)[:, _ROW_ORDER]
-        _transpose64(group)
-        # input bit i is bit s-1 - i%s of symbol i//s: word [w, s-1 - i%s,
-        # i//s - j] of the transposed slice holds its pairs 64w..64w+63
-        i = np.arange(j * s, min((j + c) * s, n))
-        columns[7 - (i & 7), i >> 3] = group[:, s - 1 - i % s, i // s - j].T
+    # 64-pair groups per chunk; the slice of steps is bounded on its own
+    groups = max(1, _LANE_BYTES // (8 * 64 * _lane_words(s, 0)))
+    width = max(1, _COLUMN_SLICE_WORDS // (64 * max(1, min(groups, words))))
+    for w in range(0, words, groups):
+        g = min(groups, words - w)
+        # whole groups: pairs past k are (0, 0), whose steps are all zero
+        pa, pu = np.zeros((2, 64 * g), dtype=np.uint64)
+        pa[: k - 64 * w], pu[: k - 64 * w] = a[64 * w : 64 * (w + g)], u[64 * w : 64 * (w + g)]
+        for j, steps in _step_slices(spec, pa, pu, width):
+            c = len(steps)
+            group = steps.T.reshape(g, 64, c)[:, _ROW_ORDER]
+            _transpose64(group)
+            # input bit i is bit s-1 - i%s of symbol i//s: word [h, s-1 - i%s,
+            # i//s - j] of the transposed slice holds its pairs of group w + h
+            i = np.arange(j * s, min((j + c) * s, n))
+            columns[7 - (i & 7), i >> 3, w : w + g] = group[:, s - 1 - i % s, i // s - j].T
     return columns
 
 

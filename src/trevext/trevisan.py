@@ -5,15 +5,17 @@ positions of design set S_{i+1} (1-based in the usual presentation), taken
 in ascending index order; if the design's set size exceeds the code's seed
 length t, only the first t of those bits are consumed.
 
-For a fixed seed the whole map x -> Ext(x, y) is GF(2)-linear, so a seed is
-compiled into m parity masks over the input bits (:func:`seed_masks`).
-Streaming reads blocks in bounded batches and runs every block on those
-masks (:class:`CompiledMasks`), with one kernel per seed mode: fresh seeds
-are compiled a group of blocks at a time, as many as fit in
-``_GROUP_BYTES`` of mask rows, and each group is folded together, block j
-against its own rows; a reused seed is compiled once into byte columns,
-and every batch runs on byte tables built from them.  The bit-serial
-:func:`extract` is the reference oracle they are tested against.
+For a fixed seed the whole map x -> Ext(x, y) is GF(2)-linear: output bit
+i is sum_j <c_j, (M_a^T)^j u> over the message symbols c_j of x, at the
+seed pair (a, u) of S_i.  Streaming reads blocks in bounded batches and
+runs them through :func:`seed_masks` and :class:`CompiledMasks`, with one
+kernel per seed mode.  Fresh seeds keep only the (a, u) pair of every
+(block, output) lane and evaluate Ext in the step loop, all lanes of a
+batch stepped together on per-lane nibble tables of M_a^T, in chunks of
+bounded state; no mask is built.  A reused seed is compiled once into byte
+columns, and every batch runs on byte tables built from them.  The
+bit-serial :func:`extract` is the reference oracle they are tested
+against.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ import numpy as np
 
 from .bitfield import BitString
 from .code_extractor import (
+    _LANE_BYTES,
     CodeSpec,
+    _lane_words,
+    _step_slices,
     code_columns,
-    code_masks,
     codeword_bit,
     message_symbols,
 )
@@ -95,15 +99,15 @@ def extract(inst: TrevisanInstance, x: BitString, y: BitString) -> BitString:
 
 
 def seed_masks(inst: TrevisanInstance, seeds) -> CompiledMasks:
-    """Compile seeds into parity masks: output bit i = parity(x & mask_i),
-    the masks of :func:`~trevext.code_extractor.code_masks` at each
-    output's (a, u).
+    """Compile seeds for :meth:`CompiledMasks.apply`: output bit i of a
+    block x is <p_x(a), u> at that output's seed pair (a, u).
 
     ``seeds`` is one d-bit BitString, a seed that every block shares,
     compiled straight into byte columns (:func:`code_columns`); or a
     (g, ceil(d/8)) uint8 array of seed rows as the record reader returns
-    them, compiled into g row sets, one per block of a batch of exactly g
-    blocks (one set serves any batch).  All pairs compile in one call.
+    them, of which only the (a, u) pair of every (seed, output) lane is
+    kept, to be evaluated in the step loop: no mask is built.  g > 1 rows
+    serve a batch of exactly g blocks, one row any batch.
     """
     if isinstance(seeds, BitString):
         if seeds.length != inst.d:
@@ -112,93 +116,144 @@ def seed_masks(inst: TrevisanInstance, seeds) -> CompiledMasks:
         return CompiledMasks(inst.n, inst.m, columns=code_columns(inst.code, *_pairs(inst, row)))
     if seeds.ndim != 2 or seeds.shape[1] != (inst.d + 7) // 8:
         raise ParameterError(f"seed rows {seeds.shape} are not ceil(d/8) bytes wide")
-    words = (inst.n + 63) // 64
-    matrix = code_masks(inst.code, *_pairs(inst, seeds))
-    return CompiledMasks(inst.n, inst.m, rows=matrix.reshape(len(seeds), inst.m, words))
+    a, u = _pairs(inst, seeds)
+    pairs = a.reshape(-1, inst.m), u.reshape(-1, inst.m)
+    return CompiledMasks(inst.n, inst.m, code=inst.code, pairs=pairs)
+
+
+# bytes of gathered seed bits, and of their weighted sums, per step of _pairs
+_PAIR_BYTES = 1 << 18
 
 
 def _pairs(inst: TrevisanInstance, seeds: np.ndarray) -> tuple:
     """The (a, u) pair of every output of every seed row, output-major
     within each seed, straight from the packed rows: row (j, i) holds the
     first t = 2s bits of seed j at S_i, ascending (what _bit_seed gives);
-    a is the first s, u the second s, each big-endian."""
-    s = inst.code.s
+    a is the first s, u the second s, each big-endian.  Rows are gathered
+    a few at a time, within _PAIR_BYTES of scratch."""
+    s, m = inst.code.s, inst.m
     at, shift = inst._seed_gather
-    picked = (seeds[:, at] >> shift) & np.uint8(1)
     weights = (np.uint64(1) << np.arange(s, dtype=np.uint64))[::-1]
-    a = (picked[..., :s] * weights).sum(axis=-1, dtype=np.uint64).reshape(-1)
-    u = (picked[..., s:] * weights).sum(axis=-1, dtype=np.uint64).reshape(-1)
+    a = np.empty(len(seeds) * m, dtype=np.uint64)
+    u = np.empty(len(seeds) * m, dtype=np.uint64)
+    step = max(1, _PAIR_BYTES // (8 * m * inst.code.t))
+    for r in range(0, len(seeds), step):
+        picked = (seeds[r : r + step, at] >> shift) & np.uint8(1)
+        lanes = slice(r * m, r * m + picked.shape[0] * m)
+        a[lanes] = (picked[..., :s] * weights).sum(axis=-1, dtype=np.uint64).reshape(-1)
+        u[lanes] = (picked[..., s:] * weights).sum(axis=-1, dtype=np.uint64).reshape(-1)
     return a, u
 
 
-# words per slice of the row fold: 512 KiB of rows ANDed with every block of
-# the batch (at least one row, when the blocks alone are more) into a
-# scratch buffer that stays in cache while it is folded
-_SLICE_WORDS = 1 << 16
-# bytes of the mask rows of one group of fresh seeds, compiled by a single
-# code_masks call and, with g > 1 blocks, folded in one slice: 8 blocks at
-# n = 8192, m = 32; one block at n = 2^16, m = 256, whose masks alone take
-# 2 MiB
-_GROUP_BYTES = 1 << 18
+# symbols per slice of the fresh-seed step loop
+_FRESH_WIDTH = 16
 # byte tables: at most 512 KiB of 256-entry tables per chunk of byte positions
 _TABLE_WORDS = 1 << 16
 # gathered table words per step of the byte-table kernel: 256 KiB
 _GATHER_WORDS = 1 << 15
 
 
+def _fresh_lanes(s: int, m: int) -> int:
+    """Most lanes per chunk of :meth:`CompiledMasks.apply` on fresh seeds,
+    their state within _LANE_BYTES: per lane, its step state, its sums and
+    terms (a slice each) and 6 words of indices and pair; per block, shared
+    by its m lanes, one slice of its symbols as :func:`_symbols` cuts them
+    (2s + 80 bytes of scratch per symbol).  A chunk starting or ending
+    inside a block holds up to 2 blocks more than lanes / m."""
+    per_lane = 8 * (_lane_words(s, _FRESH_WIDTH) + 2 * _FRESH_WIDTH + 6)
+    per_block = (2 * s + 80) * _FRESH_WIDTH + 16
+    return max(1, (_LANE_BYTES - 2 * per_block) // (per_lane + -(-per_block // m)))
+
+
+def _symbols(code: CodeSpec, blocks: np.ndarray, j: int, count: int) -> np.ndarray:
+    """(len(blocks), count) uint64: message symbols j, j+1, ... of each block
+    row as :func:`~trevext.code_extractor.message_symbols` cuts them (input
+    bit j*s is bit s-1 of symbol j; zero past n), by way of their bits."""
+    s, n, k = code.s, code.n, len(blocks)
+    lo, hi = j * s, min((j + count) * s, n)
+    bits = np.zeros((k, count * s), dtype=np.uint8)
+    got = np.unpackbits(blocks[:, lo >> 3 : (hi + 7) >> 3], axis=1)
+    bits[:, : hi - lo] = got[:, lo & 7 : (lo & 7) + hi - lo]
+    wide = np.zeros((k, count, 64), dtype=np.uint8)
+    wide[:, :, 64 - s :] = bits.reshape(k, count, s)
+    return np.packbits(wide, axis=2).view(">u8")[:, :, 0].astype(np.uint64)
+
+
 class CompiledMasks:
-    """m parity masks over n-bit blocks: output bit i = parity(x & mask_i).
+    """A compiled seed: output bit i of a block x is <p_x(a_i), u_i>.
 
-    Packed one of two ways, each with its own kernel:
+    Held one of two ways, each with its own kernel:
 
-    * ``rows``, fresh seeds: a (g, m, ceil(n/64)) uint64 array of g mask
-      sets (a 2-D matrix is one set) whose row bytes are laid out like the
-      blocks :meth:`apply` takes: input bit i at byte i // 8, bit 7 - i % 8,
-      zero past n.  g > 1 sets are one per block of a batch of g blocks; one
-      set serves any batch.  The kernel is a row fold.
+    * ``pairs``, fresh seeds: (a, u), each a (g, m) uint64 array, the seed
+      pair of every output of g seeds, with the ``code`` they run on.  g > 1
+      seeds are one per block of a batch of g blocks; one seed serves any
+      batch.  The kernel evaluates Ext in the step loop of
+      :func:`~trevext.code_extractor._step_slices`: each (block, output)
+      lane accumulates acc ^= c_j & (M_a^T)^j u over the block's message
+      symbols c_j, and the parity of acc is the output bit, since parity is
+      linear.  Lanes run in chunks of at most _LANE_BYTES of state, so a
+      block's outputs may span chunks and memory stays bounded at any m.
     * ``columns``, a reused seed: (8, ceil(n/8), ceil(m/64)) uint64 byte
       columns as :func:`~trevext.code_extractor.code_columns` packs them.
       The kernel is byte-indexed XOR tables (the Method of Four Russians),
       built for each batch.
     """
 
-    def __init__(self, n: int, m: int, rows=None, columns=None):
+    def __init__(self, n: int, m: int, columns=None, code=None, pairs=None):
         self.n = n
         self.m = m
-        self._rows = rows if rows is None or rows.ndim == 3 else rows[None]
         self._columns = columns
+        self._code = code
+        self._pairs = pairs
 
     def apply(self, blocks: np.ndarray) -> np.ndarray:
         """Outputs of a batch of blocks.
 
         ``blocks`` is a (B, ceil(n/8)) uint8 array, one block per row,
         MSB-first and zero-padded at the end; the result is (B, ceil(m/8))
-        uint8 in the same layout, output bit 0 first.  With g > 1 mask sets
-        B must be g, block j running on set j.
+        uint8 in the same layout, output bit 0 first.  With g > 1 fresh
+        seeds B must be g, block j running on seed j.
         """
-        return self._fold(blocks) if self._columns is None else self._lookup(blocks)
+        return self._evaluate(blocks) if self._columns is None else self._lookup(blocks)
 
-    def _fold(self, blocks: np.ndarray) -> np.ndarray:
-        """Row fold of every block at once: each block's bytes, zero-padded
-        to whole words, are ANDed with its set's rows, a cache-sized slice
-        of rows at a time, and each row XOR-folded to one word;
-        parity(popcount) of the fold is the row's parity, since parity is
-        additive over the words."""
-        sets, m, words = self._rows.shape
+    def _evaluate(self, blocks: np.ndarray) -> np.ndarray:
+        """Ext in the step loop, a chunk of (block, output) lanes at a time,
+        lane b*m + i being output i of block b."""
+        sets, m = self._pairs[0].shape
         if sets > 1 and len(blocks) != sets:
-            raise ParameterError(f"{len(blocks)} blocks for {sets} mask sets")
-        rows = max(1, _SLICE_WORDS // (words * max(1, len(blocks))))
-        buf = np.empty((min(rows, m), len(blocks), words), dtype=np.uint64)
-        acc = np.empty((m, len(blocks)), dtype=np.uint64)
-        padded = np.zeros((len(blocks), 8 * words), dtype=np.uint8)
-        padded[:, : blocks.shape[1]] = blocks
-        xw = padded.view(np.uint64)
-        for r in range(0, m, rows):
-            part = self._rows[:, r : r + rows].transpose(1, 0, 2)
-            tmp = buf[: len(part)]
-            np.bitwise_and(part, xw, out=tmp)
-            np.bitwise_xor.reduce(tmp, axis=2, out=acc[r : r + len(part)])
-        return np.packbits(np.bitwise_count(acc.T) & np.uint8(1), axis=1)
+            raise ParameterError(f"{len(blocks)} blocks for {sets} seeds")
+        total = len(blocks) * m
+        # chunks of equal size: a short last chunk would cost a full step loop
+        chunks = max(1, -(-total // _fresh_lanes(self._code.s, m)))
+        lanes = max(1, -(-total // chunks))
+        bits = np.empty(total, dtype=np.uint8)
+        for lo in range(0, total, lanes):
+            hi = min(lo + lanes, total)
+            bits[lo:hi] = self._evaluate_lanes(blocks, lo, hi)
+        return np.packbits(bits.reshape(len(blocks), m), axis=1)
+
+    def _evaluate_lanes(self, blocks: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Output bits of lanes lo..hi-1: their pairs run through
+        _step_slices, and each slice of steps is ANDed with the symbols of
+        each lane's block and XORed into that lane's sums, one per symbol of
+        the slice; the parity of a lane's sums is its bit.  Everything the
+        chunk allocates is freed on return, before the next chunk's."""
+        code, m = self._code, self.m
+        a, u = self._pairs
+        lane = np.arange(lo, hi)
+        block = lane // m
+        pair = lane if len(a) > 1 else lane % m
+        owner = block - block[0]
+        mine = blocks[block[0] : block[-1] + 1]
+        width = min(_FRESH_WIDTH, code.ell)
+        acc = np.zeros((width, hi - lo), dtype=np.uint64)
+        term = np.empty_like(acc)
+        for j, steps in _step_slices(code, a.reshape(-1)[pair], u.reshape(-1)[pair], width):
+            c = len(steps)
+            _symbols(code, mine, j, c).T.take(owner, axis=1, out=term[:c], mode="clip")
+            term[:c] &= steps
+            acc[:c] ^= term[:c]
+        return np.bitwise_count(np.bitwise_xor.reduce(acc, axis=0)) & np.uint8(1)
 
     def _lookup(self, blocks: np.ndarray) -> np.ndarray:
         """Byte tables: for each chunk of g byte positions, entry v of byte
@@ -257,22 +312,23 @@ _REUSED_BATCH_BYTES = 1 << 22
 
 def _batch_blocks(n: int, m: int, d: int) -> int:
     """Blocks per batch.  A block takes ceil(n/8) bytes of input row, with
-    fresh seeds ceil(d/8) bytes of seed row (d = 0 for a reused seed), up
-    to 8*ceil(m/64) bytes of output words and, for the writer, m bytes of
-    unpacked output bits; each of these buffers stays within _BATCH_BYTES,
-    or _REUSED_BATCH_BYTES for a reused seed.  When 8 does not divide n or
-    d the batch is a multiple of 8 blocks, so that only a stream's last
-    read can end inside a byte."""
+    fresh seeds ceil(d/8) bytes of seed row (d = 0 for a reused seed) and
+    16m bytes of (a, u) pairs, up to 8*ceil(m/64) bytes of output words
+    and m bytes of unpacked output bits; each of these buffers stays within
+    _BATCH_BYTES, or _REUSED_BATCH_BYTES for a reused seed.  When 8 does not
+    divide n or d the batch is a multiple of 8 blocks, so that only a
+    stream's last read can end inside a byte."""
     budget = _BATCH_BYTES if d else _REUSED_BATCH_BYTES
-    b = max(1, budget // max((n + 7) // 8, (d + 7) // 8, m, 8))
+    pairs = 16 * m if d else m
+    b = max(1, budget // max((n + 7) // 8, (d + 7) // 8, pairs, 8))
     return b if n % 8 == 0 and d % 8 == 0 else max(8, b - b % 8)
 
 
 class _BlockReader:
     """Reads records of n bits packed MSB-first in a stream, input blocks or
     seeds, in batches of at most `blocks` rows of ceil(n/8) bytes, each
-    MSB-first and zero-padded at the end (the layout of the mask rows and
-    of :meth:`CompiledMasks.apply`); `name` labels the stream in errors.
+    MSB-first and zero-padded at the end (the layout of
+    :meth:`CompiledMasks.apply`); `name` labels the stream in errors.
 
     A read takes only the bytes its records need.  Only a stream's last
     read may end inside a byte: the spare bits of that byte are counted as
@@ -376,11 +432,6 @@ class _BitWriter:
             self._carry = self._carry[:0]
 
 
-def _group_blocks(n: int, m: int) -> int:
-    """Fresh-seed blocks per mask compile: their masks fit in _GROUP_BYTES."""
-    return max(1, _GROUP_BYTES // (8 * m * ((n + 63) // 64)))
-
-
 def _next_seeds(seeds: _BlockReader, count: int) -> np.ndarray:
     """The next `count` seed rows; raises when fewer are left."""
     rows = seeds.read(count)
@@ -408,8 +459,8 @@ def extract_stream(
     report carries the union-bound error factor.
     Otherwise each block runs on d fresh seed bits, a batch's seeds read
     only when the batch has been read, so a clean end of input consumes no
-    further seed, and compiled a group of blocks per :func:`seed_masks`
-    call.  A short final source block is an error; nothing is implicitly
+    further seed; each batch is one :func:`seed_masks` call, which keeps
+    the seed pairs, and one apply, which evaluates them.  A short final source block is an error; nothing is implicitly
     padded.  Seed bits left after the last block are reported, not
     rejected.
     """
@@ -423,15 +474,12 @@ def extract_stream(
         # a whole byte: an input that has one holds a block or fails as short
         head = source.read(1)
         masks = seed_masks(inst, seed) if head else None
-    group = _group_blocks(inst.n, inst.m)
     reader = _BlockReader(source, inst.n, blocks, "input", head)
     while len(batch := reader.read(blocks)):
         if reuse_seed:
             writer.write(masks.apply(batch))
         else:
-            ys = _next_seeds(seeds, len(batch))
-            for g in range(0, len(batch), group):
-                writer.write(seed_masks(inst, ys[g : g + group]).apply(batch[g : g + group]))
+            writer.write(seed_masks(inst, _next_seeds(seeds, len(batch))).apply(batch))
         report.blocks += len(batch)
     writer.flush()
     report.joint_error_factor = report.blocks if reuse_seed else 1

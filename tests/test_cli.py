@@ -406,6 +406,34 @@ def test_failed_cache_write_leaves_no_temp_file(tmp_path, capsys, monkeypatch, c
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "in.bin"]
 
 
+@pytest.mark.parametrize("fails", ["serialize_design", "replace"])
+@pytest.mark.parametrize("action", ["generate", "export"])
+def test_failed_design_write_leaves_no_file(tmp_path, capsys, monkeypatch, action, fails):
+    # generate and export write beside --out and move the file into place:
+    # a failure before or at the move leaves neither --out nor the temporary
+    import trevext.cli as cli
+
+    design = tmp_path / "d.bin"
+    if action == "export":
+        assert run(["design", "generate", "--kind", "block", "--t", 4, "--m", 8,
+                    "--out", design]) == EXIT_OK
+    capsys.readouterr()
+
+    def failing(*args):
+        raise OSError(28, "No space left on device")
+
+    if fails == "replace":
+        monkeypatch.setattr(cli.os, "replace", failing)
+    else:
+        monkeypatch.setattr(cli, "serialize_design", failing)
+    out = tmp_path / "out.bin"
+    argv = {"generate": ["design", "generate", "--kind", "block", "--t", 4, "--m", 8],
+            "export": ["design", "export", "--in", design]}[action]
+    assert run(argv + ["--out", out]) == EXIT_IO
+    assert "No space left" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["d.bin"] if action == "export" else [])
+
+
 def test_cache_of_an_earlier_construction_ignored(tmp_path):
     # the scored greedy cached block designs as wd_v1_block_...: at cor1
     # n=16 m=2 that design had d = 3008 against today's 64, and reading it

@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from trevext import code_extractor
 from trevext.bitfield import BinaryField, BitString
 from trevext.code_extractor import (
     CodeSpec,
+    code_columns,
     code_masks,
     code_params,
     codeword_table,
@@ -102,20 +104,35 @@ def test_min_distance_matches_codeword_oracle():
         assert min_distance_exhaustive(spec) == Fraction(weight, spec.n_bar), spec
 
 
+def _column_bits(columns, x, k):
+    """Outputs of code_columns' byte columns on input x: the XOR of the
+    columns of x's set bits, pair r at byte r // 8, bit 7 - r % 8 of the
+    little-endian words."""
+    i = np.array([b for b in range(x.length) if x.value >> (x.length - 1 - b) & 1], dtype=np.intp)
+    acc = np.bitwise_xor.reduce(columns[7 - (i & 7), i >> 3], axis=0)
+    return np.unpackbits(acc.astype("<u8").view(np.uint8))[:k].tolist()
+
+
 def _check_code_masks(spec, k, rng):
-    """code_masks at k random pairs against extract_bit on 3 random inputs."""
+    """code_masks and code_columns at k random pairs against extract_bit on
+    3 random inputs."""
     n, s = spec.n, spec.s
     a = [rng.randrange(spec.q) for _ in range(k)]
     u = [rng.randrange(spec.q) for _ in range(k)]
-    masks = code_masks(spec, np.array(a, dtype=np.uint64), np.array(u, dtype=np.uint64))
+    pairs = np.array(a, dtype=np.uint64), np.array(u, dtype=np.uint64)
+    masks = code_masks(spec, *pairs)
     assert masks.shape == (k, -(-n // 64)) and masks.dtype == np.uint64
+    columns = code_columns(spec, *pairs)
+    assert columns.shape == (8, -(-n // 8), -(-k // 64)) and columns.dtype == np.uint64
     words = masks.shape[1]
     rows = [int.from_bytes(row.tobytes(), "big") >> (64 * words - n) for row in masks]
     for _ in range(3):
         x = BitString(n, rng.getrandbits(n))
-        for ai, ui, row in zip(a, u, rows):
-            y = BitString(s, ai).concat(BitString(s, ui))
-            assert (x.value & row).bit_count() & 1 == extract_bit(spec, x, y)
+        want = [
+            extract_bit(spec, x, BitString(s, ai).concat(BitString(s, ui))) for ai, ui in zip(a, u)
+        ]
+        assert [(x.value & row).bit_count() & 1 for row in rows] == want
+        assert k == 0 or _column_bits(columns, x, k) == want
 
 
 @pytest.mark.parametrize("n,s,delta", [(20, 5, Fraction(1, 4)), (150, 8, Fraction(1, 4))])
@@ -137,6 +154,18 @@ def test_code_masks_match_extract_bit(n, s, delta):
 )
 def test_code_masks_symbol_size_edges(n, s, k):
     _check_code_masks(CodeSpec(n=n, s=s, delta=Fraction(1, 4)), k, random.Random(n + s))
+
+
+@pytest.mark.parametrize("lanes", [1, 7, 70])
+@pytest.mark.parametrize("n,s", [(1, 1), (203, 8), (130, 63), (197, 64)])
+def test_lane_chunks_match_extract_bit(n, s, lanes, monkeypatch):
+    # a step-state budget of `lanes` pairs per chunk of code_masks: 200
+    # pairs run in chunks that end inside 64-pair groups, and code_columns
+    # steps one 64-pair group per chunk
+    spec = CodeSpec(n=n, s=s, delta=Fraction(1, 4))
+    words = code_extractor._lane_words(s, spec.ell)
+    monkeypatch.setattr(code_extractor, "_LANE_BYTES", 8 * words * lanes)
+    _check_code_masks(spec, 200, random.Random(n * lanes + s))
 
 
 def test_min_distance_example():

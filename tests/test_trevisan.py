@@ -53,6 +53,18 @@ def _tables(matrix, n):
     return CompiledMasks(n, len(matrix), columns=_columns_of(matrix, n))
 
 
+def _row_fold(matrix, blocks):
+    """Reference outputs of a (m, words) row matrix on block rows: bit i of
+    a block is parity(x & row i), each row ANDed with the zero-padded block
+    and popcounted, packed like apply's output."""
+    m, words = matrix.shape
+    padded = np.zeros((len(blocks), 8 * words), dtype=np.uint8)
+    padded[:, : blocks.shape[1]] = blocks
+    xw = padded.view(np.uint64)
+    par = np.bitwise_count(xw[:, None, :] & matrix[None]).sum(axis=2) & 1
+    return np.packbits(par.astype(np.uint8), axis=1)
+
+
 def micro_instance():
     design = WeakDesign.from_sets(6, [(0, 1, 2, 3), (2, 3, 4, 5)])
     code = CodeSpec(n=4, s=2, delta=Fraction(3, 8))
@@ -102,7 +114,7 @@ def test_oracle_runs_without_numpy_or_mask_compiler(monkeypatch):
 
     for module in (trevisan, code_extractor):
         monkeypatch.setattr(module, "np", Forbidden())
-    for name in ("code_masks", "code_columns", "seed_masks", "CompiledMasks"):
+    for name in ("_step_slices", "code_columns", "seed_masks", "CompiledMasks"):
         monkeypatch.setattr(trevisan, name, forbidden)
     for name in ("code_masks", "code_columns", "_step_slices"):
         monkeypatch.setattr(code_extractor, name, forbidden)
@@ -127,7 +139,7 @@ def test_seed_masks_equivalence():
         assert (masks.m, masks.n) == (inst.m, inst.n)
         direct = [extract(inst, BitString(4, xv), y).value for xv in range(16)]
         assert _values(masks.apply(_rows(range(16), 4)), inst.m) == direct
-        # the seed as a one-row set runs the row fold to the same outputs
+        # the seed as a one-row set runs the step loop to the same outputs
         row = np.frombuffer(y.to_bytes(), dtype=np.uint8)[None]
         assert _values(seed_masks(inst, row).apply(_rows(range(16), 4)), inst.m) == direct
 
@@ -275,18 +287,19 @@ def test_stream_matches_blockwise_extract(n, s, delta, m, extra, monkeypatch):
 
 
 def test_one_kernel_per_seed_mode(monkeypatch):
-    # a reused seed always runs the byte tables and never builds mask rows;
-    # fresh seeds always run the row fold
+    # a reused seed always runs the byte tables and never steps blocks
+    # through the fresh-seed loop; fresh seeds always run the step loop and
+    # never build mask rows or byte columns
     kernels = []
-    for name in ("_fold", "_lookup"):
+    for name in ("_evaluate", "_lookup"):
         def spy(self, blocks, _name=name, _kernel=getattr(CompiledMasks, name)):
             kernels.append((_name, len(blocks)))
             return _kernel(self, blocks)
 
         monkeypatch.setattr(CompiledMasks, name, spy)
 
-    def no_rows(*args):
-        raise AssertionError("a reused seed compiled mask rows")
+    def forbidden(*args):
+        raise AssertionError("the other seed mode's compiler ran")
 
     inst = _odd_instance()
     rng = random.Random(23)
@@ -294,7 +307,7 @@ def test_one_kernel_per_seed_mode(monkeypatch):
     seeds = BitString(15 * 9, rng.getrandbits(15 * 9))
     y = seeds.prefix(15)
     with monkeypatch.context() as patch:
-        patch.setattr(trevisan, "code_masks", no_rows)
+        patch.setattr(trevisan, "_step_slices", forbidden)
         for blocks in (1, 9):
             kernels.clear()
             out, _ = extract_bytes(inst, data.prefix(13 * blocks).to_bytes(), y.to_bytes(), True)
@@ -302,8 +315,14 @@ def test_one_kernel_per_seed_mode(monkeypatch):
                     for b in range(blocks)]
             assert out == _join(want).to_bytes() and kernels == [("_lookup", blocks)]
     kernels.clear()
-    extract_bytes(inst, data.to_bytes(), seeds.to_bytes())
-    assert kernels and {name for name, _ in kernels} == {"_fold"}
+    with monkeypatch.context() as patch:
+        for module in (trevisan, code_extractor):
+            for name in ("code_masks", "code_columns"):
+                patch.setattr(module, name, forbidden, raising=False)
+        out, _ = extract_bytes(inst, data.to_bytes(), seeds.to_bytes())
+    want = [extract(inst, data.substring(range(13 * b, 13 * (b + 1))),
+                    seeds.substring(range(15 * b, 15 * (b + 1)))) for b in range(9)]
+    assert out == _join(want).to_bytes() and kernels == [("_evaluate", 9)]
 
 
 def test_reused_stream_across_real_batch_edges(monkeypatch):
@@ -360,9 +379,8 @@ def test_unread_seed_bits_reported():
 @pytest.mark.parametrize("words", [1, 3, 1024])
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 129, 256])
 def test_apply_matches_popcount_parity(words, m):
-    # at 1024 words a slice holds 64 rows: m = 65, 129, 256 run several
-    # slices, 65 and 129 with a partial last one; both kernels, on 1 and 33
-    # blocks
+    # the byte tables on 1 and 33 blocks: m = 65, 129 end in a partial
+    # column word, 1024 words span several table chunks
     rng = random.Random(words * 1000 + m)
     n = 64 * words - 5
     matrix = np.random.default_rng(rng.getrandbits(32)).integers(
@@ -375,7 +393,6 @@ def test_apply_matches_popcount_parity(words, m):
             xw = np.frombuffer((x << (64 * words - n)).to_bytes(8 * words, "big"), dtype=np.uint64)
             par = np.bitwise_count(matrix & xw).sum(axis=1) & 1
             want.append(int("".join(str(b) for b in par), 2))
-        assert _values(CompiledMasks(n, m, rows=matrix).apply(_rows(xs, n)), m) == want
         assert _values(_tables(matrix, n).apply(_rows(xs, n)), m) == want
 
 
@@ -396,7 +413,7 @@ def test_table_kernel_matches_row_fold(n, m):
         0, 1 << 64, size=(m, (n + 63) // 64), dtype=np.uint64
     )
     blocks = _rows([rng.getrandbits(n) for _ in range(131)], n)
-    fold = CompiledMasks(n, m, rows=matrix).apply(blocks)
+    fold = _row_fold(matrix, blocks)
     masks = _tables(matrix, n)
     assert (masks.apply(blocks) == fold).all()
     # the same tables serve every later batch, short ones too
@@ -463,6 +480,32 @@ def test_reused_stream_memory_bound(monkeypatch):
         batch = trevisan._batch_blocks(n, 256, 0) << 13
         assert report.blocks == blocks and peak < columns + batch + (3 << 19), n
         assert len(held) == 1 and held[0] < 1 << 16
+
+
+@pytest.mark.parametrize("m, batch", [(2000, 1), (2000, 5), (3, 600)])
+def test_fresh_lane_state_bounded(m, batch):
+    # fresh seeds at n = 1024, s = 16: a chunk holds at most ~980 lanes, so
+    # the 2000 outputs of a block span chunks, and at m = 3 a chunk spans
+    # ~220 blocks.  Peak traced memory of apply stays within _LANE_BYTES,
+    # 1/4 MiB of numpy's fixed-size iteration buffers, the m bytes of output
+    # bits per block and the packed output, whatever m and the batch size;
+    # the outputs match the oracle
+    inst = TrevisanInstance(block_design(32, m), CodeSpec(n=1024, s=16, delta=Fraction(1, 4)))
+    assert batch * m > trevisan._fresh_lanes(16, m)
+    rng = random.Random(m + batch)
+    xs = [BitString(1024, rng.getrandbits(1024)) for _ in range(batch)]
+    ys = [BitString(inst.d, rng.getrandbits(inst.d)) for _ in range(batch)]
+    blocks = _rows([x.value for x in xs], 1024)
+    masks = seed_masks(inst, np.stack([np.frombuffer(y.to_bytes(), dtype=np.uint8) for y in ys]))
+    tracemalloc.start()
+    try:
+        out = masks.apply(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < trevisan._LANE_BYTES + (1 << 18) + batch * m + out.nbytes
+    for b in (0, batch - 1):
+        assert _values(out[b : b + 1], m) == [extract(inst, xs[b], ys[b]).value]
 
 
 def test_batch_size_bounds():
@@ -591,11 +634,9 @@ def test_sub_byte_tails(wrap, monkeypatch):
         run(data + b"\x00", seeds, True)  # a 9-bit tail
 
 
-def _group_of(monkeypatch, inst, g):
-    """Fresh-seed groups of g blocks: the group bytes of g mask sets."""
-    words = (inst.n + 63) // 64
-    monkeypatch.setattr(trevisan, "_GROUP_BYTES", g * 8 * inst.m * words)
-    assert trevisan._group_blocks(inst.n, inst.m) == g
+def _lanes_of(monkeypatch, lanes):
+    """Fresh-seed lane chunks of at most `lanes` (block, output) lanes."""
+    monkeypatch.setattr(trevisan, "_fresh_lanes", lambda s, m: lanes)
 
 
 @pytest.mark.parametrize("batch", [None, 8])
@@ -608,14 +649,14 @@ def _group_of(monkeypatch, inst, g):
     ],
 )
 def test_grouped_fresh_matches_extract(n, s, m, extra, batch, monkeypatch):
-    # groups of g = 3 blocks; with 8-block batches a batch is groups 3, 3, 2
-    g = 3
+    # lane chunks of about half a block (a block's outputs split across
+    # chunks), of 2.5 blocks (chunks span blocks and split one) and the
+    # default; with 8-block batches a stream is several batches
     if batch:
         monkeypatch.setattr(trevisan, "_batch_blocks", lambda n, m, d: batch)
     rng = random.Random(n * 100 + m)
     inst = _random_instance(rng, n, s, Fraction(1, 3), m, extra)
-    _group_of(monkeypatch, inst, g)
-    most = 2 * g + 3
+    most = 9
     data = BitString(n * most, rng.getrandbits(n * most))
     seeds = BitString(inst.d * most, rng.getrandbits(inst.d * most))
     want = [
@@ -623,20 +664,25 @@ def test_grouped_fresh_matches_extract(n, s, m, extra, batch, monkeypatch):
                 seeds.substring(range(inst.d * b, inst.d * (b + 1))))
         for b in range(most)
     ]
-    for blocks in (g - 1, g, g + 1, most):
-        out, report = extract_bytes(
-            inst, data.prefix(n * blocks).to_bytes(), seeds.prefix(inst.d * blocks).to_bytes()
-        )
-        assert out == _join(want[:blocks]).to_bytes() and report.blocks == blocks
+    for lanes in (m // 2 + 1, 5 * m // 2 + 1, None):
+        with monkeypatch.context() as patch:
+            if lanes:
+                _lanes_of(patch, lanes)
+            for blocks in (2, 3, 4, most):
+                out, report = extract_bytes(
+                    inst, data.prefix(n * blocks).to_bytes(),
+                    seeds.prefix(inst.d * blocks).to_bytes(),
+                )
+                assert out == _join(want[:blocks]).to_bytes() and report.blocks == blocks
 
 
 @pytest.mark.parametrize("wrap", [io.BytesIO, _Trickle])
 def test_grouped_fresh_seed_errors(wrap, monkeypatch):
-    # n = 13, d = 15, groups of 3 in batches of 8 (3, 3, 2, then 1): seeds
-    # run out, or end in a bad tail, inside the second group or at the
-    # second batch
+    # n = 13, d = 15, m = 11, lane chunks of 3 blocks and one lane in
+    # batches of 8: seeds run out, or end in a bad tail, inside the second
+    # chunk or at the second batch
     inst = _odd_instance()
-    _group_of(monkeypatch, inst, 3)
+    _lanes_of(monkeypatch, 3 * inst.m + 1)
     monkeypatch.setattr(trevisan, "_batch_blocks", lambda n, m, d: 8)
     rng = random.Random(25)
     data = BitString(13 * 9, rng.getrandbits(13 * 9)).to_bytes()
@@ -655,10 +701,50 @@ def test_grouped_fresh_seed_errors(wrap, monkeypatch):
             run(bad.to_bytes())
 
 
-def test_fresh_layers_called_once_per_group(monkeypatch):
+@pytest.mark.parametrize(
+    "n, s, m",
+    [
+        (1, 1, 5),  # one-bit symbols and input
+        (203, 8, 13),  # a symbol is a byte; n % 8 = 3
+        (130, 63, 9),  # symbols on neither a byte nor a word edge
+        (197, 64, 70),  # symbols fill a word; n % 64 = 5
+    ],
+)
+def test_fresh_evaluation_matches_extract(n, s, m, monkeypatch):
+    # the fresh-seed step loop against the bit-serial oracle, at the symbol
+    # sizes of the word edges; lane chunks of one lane, of part of a block
+    # (its outputs split across chunks), of 2.5 blocks (a chunk spans blocks
+    # and splits one) and the default
+    rng = random.Random(n * 100 + s)
+    inst = _random_instance(rng, n, s, Fraction(1, 3), m, 1)
+    most = 8  # whole bytes at n = 1, where a padding bit would be a block
+    data = BitString(n * most, rng.getrandbits(n * most))
+    seeds = BitString(inst.d * most, rng.getrandbits(inst.d * most))
+    xs = [data.substring(range(n * b, n * (b + 1))) for b in range(most)]
+    ys = [seeds.substring(range(inst.d * b, inst.d * (b + 1))) for b in range(most)]
+    fresh = _join(extract(inst, x, y) for x, y in zip(xs, ys)).to_bytes()
+    shared = [extract(inst, x, ys[0]).value for x in xs]
+    blocks = _rows([x.value for x in xs], n)
+    row = np.frombuffer(ys[0].to_bytes(), dtype=np.uint8)[None]
+    for lanes in (1, m // 2 + 1, 5 * m // 2, None):
+        with monkeypatch.context() as patch:
+            if lanes:
+                _lanes_of(patch, lanes)
+            out, report = extract_bytes(inst, data.to_bytes(), seeds.to_bytes())
+            assert out == fresh and report.blocks == most
+            # one seed row broadcast over every block of the batch
+            assert _values(seed_masks(inst, row).apply(blocks), m) == shared
+
+
+def test_fresh_layers_called_once_per_batch(monkeypatch):
+    # one compile and one apply per batch of fresh seeds, and one step loop
+    # per chunk of (block, output) lanes, in chunks of equal size: the 88
+    # lanes of 8 blocks at most 30 per chunk are 30, 30, 28; a reused seed
+    # is compiled once and never runs the fresh-seed step loop
     inst = _odd_instance()
-    _group_of(monkeypatch, inst, 4)
-    compiles, applies = [], []
+    _small_batches(monkeypatch, 8)
+    _lanes_of(monkeypatch, 30)
+    compiles, applies, loops = [], [], []
 
     def compile_spy(inst, seeds):
         compiles.append(1 if isinstance(seeds, BitString) else len(seeds))
@@ -670,44 +756,64 @@ def test_fresh_layers_called_once_per_group(monkeypatch):
         applies.append(len(blocks))
         return apply(self, blocks)
 
+    step_slices = trevisan._step_slices
+
+    def loop_spy(spec, a, u, width):
+        loops.append(len(a))
+        return step_slices(spec, a, u, width)
+
     monkeypatch.setattr(trevisan, "seed_masks", compile_spy)
     monkeypatch.setattr(CompiledMasks, "apply", apply_spy)
+    monkeypatch.setattr(trevisan, "_step_slices", loop_spy)
     rng = random.Random(26)
     data = BitString(13 * 10, rng.getrandbits(13 * 10)).to_bytes()
     seeds = BitString(15 * 10, rng.getrandbits(15 * 10)).to_bytes()
-    _, report = extract_bytes(inst, data, seeds)  # 10 blocks: G = 3 groups
-    assert report.blocks == 10 and compiles == applies == [4, 4, 2]
-    compiles.clear(), applies.clear()
+    _, report = extract_bytes(inst, data, seeds)  # 10 blocks: batches 8, 2
+    assert report.blocks == 10 and compiles == applies == [8, 2]
+    assert loops == [30, 30, 28, 22]
+    compiles.clear(), applies.clear(), loops.clear()
     _, report = extract_bytes(inst, data, seeds, reuse_seed=True)
-    assert report.blocks == 10 and compiles == [1] and applies == [10]
+    assert report.blocks == 10 and compiles == [1] and applies == [8, 2] and not loops
 
 
 def test_seed_rows_compile_like_bitstrings():
-    # g seed rows compile to g row sets, each the transpose of the columns
-    # its seed compiles to on its own; d = 15
+    # g seed rows compile to the (a, u) pairs each seed has on its own, and
+    # each row, broadcast over a batch in the step loop, gives the outputs
+    # its seed gives on the byte tables; d = 15
     inst = _odd_instance()
     rng = random.Random(28)
     ys = [BitString(15, rng.getrandbits(15)) for _ in range(3)]
     rows = np.frombuffer(b"".join(y.to_bytes() for y in ys), dtype=np.uint8).reshape(3, 2)
+    blocks = _rows([rng.getrandbits(13) for _ in range(20)], 13)
     grouped = seed_masks(inst, rows)
+    a, u = grouped._pairs
+    assert a.shape == u.shape == (3, inst.m)
     for j, y in enumerate(ys):
-        assert (_columns_of(grouped._rows[j], inst.n) == seed_masks(inst, y)._columns).all()
+        one = seed_masks(inst, rows[j : j + 1])
+        assert (one._pairs[0] == a[j]).all() and (one._pairs[1] == u[j]).all()
+        tables = seed_masks(inst, y)
+        assert (one.apply(blocks) == tables.apply(blocks)).all()
+        assert (grouped.apply(blocks[:3])[j] == tables.apply(blocks[j : j + 1])[0]).all()
+    assert one.apply(blocks[:0]).shape == tables.apply(blocks[:0]).shape == (0, 2)
     with pytest.raises(ParameterError):
         seed_masks(inst, rows[:, :1])
 
 
 def test_per_block_mask_sets():
-    # g sets apply to a batch of g blocks, block j on set j; other counts raise
-    rng = np.random.default_rng(27)
-    n, m, g = 150, 13, 5
-    sets = rng.integers(0, 1 << 64, size=(g, m, 3), dtype=np.uint64)
-    blocks = _rows([random.Random(27).getrandbits(n) for _ in range(g)], n)
-    want = np.concatenate(
-        [CompiledMasks(n, m, rows=sets[j]).apply(blocks[j : j + 1]) for j in range(g)]
-    )
-    assert (CompiledMasks(n, m, rows=sets).apply(blocks) == want).all()
+    # g seeds apply to a batch of g blocks, block j on seed j, as the oracle
+    # gives; other block counts raise
+    rng = random.Random(27)
+    inst = _random_instance(rng, 150, 8, Fraction(1, 3), 13, 1)
+    g = 5
+    ys = [BitString(inst.d, rng.getrandbits(inst.d)) for _ in range(g)]
+    xs = [BitString(150, rng.getrandbits(150)) for _ in range(g)]
+    rows = np.stack([np.frombuffer(y.to_bytes(), dtype=np.uint8) for y in ys])
+    blocks = _rows([x.value for x in xs], 150)
+    want = [extract(inst, x, y).value for x, y in zip(xs, ys)]
+    masks = seed_masks(inst, rows)
+    assert _values(masks.apply(blocks), inst.m) == want
     with pytest.raises(ParameterError):
-        CompiledMasks(n, m, rows=sets).apply(blocks[:-1])
+        masks.apply(blocks[:-1])
 
 
 def test_reader_realigns_groups_in_place():
