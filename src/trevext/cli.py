@@ -304,7 +304,9 @@ def _selftest_checks(full: bool, rng_seed: int):
     def check_stream():
         # a random micro instance streamed with fresh seeds (step loop) and
         # with one reused seed (byte tables), against extract; the full
-        # level adds the step kernel's word edges, symbols of 1 and 64 bits
+        # level adds the step kernel's word edges, symbols of 1 and 64 bits,
+        # and a wide input whose byte tables span 2 or more chunks, split
+        # among this host's CPUs
         from functools import reduce
 
         from .code_extractor import code_params
@@ -313,9 +315,11 @@ def _selftest_checks(full: bool, rng_seed: int):
         def join(bits):
             return reduce(BitString.concat, bits, BitString(0, 0)).to_bytes()
 
-        for s in [None] * (4 if full else 1) + ([1, 64] if full else []):
+        for s in [None] * (4 if full else 1) + ([1, 64, "wide"] if full else []):
             if s is None:
                 code = code_params(rng.randint(9, 40), Fraction(1, 3))
+            elif s == "wide":
+                code = code_params(rng.randint(4096, 6144), Fraction(1, 3))
             else:
                 code = CodeSpec(1 if s == 1 else rng.randint(65, 256), s, Fraction(1, 3))
             n, m = code.n, rng.randint(1, 12)

@@ -13,14 +13,17 @@ kernel per seed mode.  Fresh seeds keep only the (a, u) pair of every
 (block, output) lane and evaluate Ext in the step loop, all lanes of a
 batch stepped together on per-lane nibble tables of M_a^T, in chunks of
 bounded state; no mask is built.  A reused seed is compiled once into byte
-columns, and every batch runs on byte tables built from them.  The
-bit-serial :func:`extract` is the reference oracle they are tested
-against.
+columns, and every batch runs on byte tables built from them, its byte
+positions split into one range of whole table chunks per CPU (at most 4),
+each range on its own thread with its own scratch.  The bit-serial
+:func:`extract` is the reference oracle they are tested against.
 """
 
 from __future__ import annotations
 
 import io
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import BinaryIO, Optional
@@ -147,10 +150,23 @@ def _pairs(inst: TrevisanInstance, seeds: np.ndarray) -> tuple:
 
 # symbols per slice of the fresh-seed step loop
 _FRESH_WIDTH = 16
-# byte tables: at most 512 KiB of 256-entry tables per chunk of byte positions
+# byte tables, per worker: at most 512 KiB of 256-entry tables per chunk of
+# byte positions, and at most 1 MiB of entries gathered from one chunk (a
+# whole batch's at n = 2^16, m = 256; a batch of more than 512 blocks takes
+# fewer byte positions per chunk)
 _TABLE_WORDS = 1 << 16
-# gathered table words per step of the byte-table kernel: 256 KiB
-_GATHER_WORDS = 1 << 15
+_TAKE_WORDS = 1 << 17
+# most threads the byte-table kernel runs on, each with its own ~1.8 MiB of
+# scratch (two were measured: one per CPU of a 2-vCPU host)
+_MAX_WORKERS = 4
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
 
 
 def _fresh_lanes(s: int, m: int) -> int:
@@ -196,7 +212,12 @@ class CompiledMasks:
     * ``columns``, a reused seed: (8, ceil(n/8), ceil(m/64)) uint64 byte
       columns as :func:`~trevext.code_extractor.code_columns` packs them.
       The kernel is byte-indexed XOR tables (the Method of Four Russians),
-      built for each batch.
+      built for each batch a chunk of byte positions at a time; each chunk's
+      entries for the whole batch are gathered by one ``take``.  The chunks
+      are split into contiguous ranges, one per worker thread, up to one
+      per CPU and at most _MAX_WORKERS, each with its own tables, gather
+      and sums (~1.8 MiB at n = 2^16, m = 256); the output is the XOR of
+      the ranges' sums.
     """
 
     def __init__(self, n: int, m: int, columns=None, code=None, pairs=None):
@@ -256,37 +277,73 @@ class CompiledMasks:
         return np.bitwise_count(np.bitwise_xor.reduce(acc, axis=0)) & np.uint8(1)
 
     def _lookup(self, blocks: np.ndarray) -> np.ndarray:
-        """Byte tables: for each chunk of g byte positions, entry v of byte
-        p's table is the XOR of the columns of the bits set in v, built by
-        doubling; each block gathers one entry per byte and XORs them."""
+        """Byte tables over contiguous ranges of whole table chunks, one
+        range per worker: range 0 on the calling thread, each other one on a
+        thread of its own; the output is the XOR of the ranges' sums."""
+        _, nb, w = self._columns.shape
+        # byte positions per chunk: its tables and its gather both bounded
+        g = max(1, min(_TABLE_WORDS // 256, _TAKE_WORDS // max(1, len(blocks))) // w)
+        chunks = -(-nb // g)
+        workers = min(_cpus(), chunks, _MAX_WORKERS)
+        cuts = [min(nb, g * (chunks * i // workers)) for i in range(workers + 1)]
+        sums = [None] * workers
+        errors = []
+
+        def run(i):
+            try:
+                sums[i] = self._lookup_range(blocks, cuts[i], cuts[i + 1], g)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = []
+        try:
+            for i in range(1, workers):
+                thread = threading.Thread(target=run, args=(i,))
+                thread.start()
+                threads.append(thread)
+            acc = self._lookup_range(blocks, cuts[0], cuts[1], g)
+        finally:
+            for thread in threads:
+                thread.join()
+        if errors:
+            raise errors[0]
+        for part in sums[1:]:
+            acc ^= part
+        return acc.view(np.uint8)[:, : (self.m + 7) // 8]
+
+    def _lookup_range(self, blocks: np.ndarray, lo: int, hi: int, g: int) -> np.ndarray:
+        """(B, ceil(m/64)) uint64: the XOR over byte positions lo..hi-1 of
+        each block's table entries.  For each chunk of g byte positions,
+        entry v of byte p's table is the XOR of the columns of the bits set
+        in v, built by doubling; the chunk's bytes of every block are copied
+        into one contiguous buffer, indexed once, gathered by one take and
+        XOR-reduced over the chunk's bytes."""
         cols = self._columns
-        _, nb, w = cols.shape
-        g = max(1, _TABLE_WORDS // (256 * w))  # byte positions per table
-        step = max(1, _GATHER_WORDS // (g * w))  # blocks per gather
+        w, count = cols.shape[2], len(blocks)
         table = np.empty(256 * g * w, dtype=np.uint64)
         offsets = np.arange(g, dtype=np.intp)[:, None]
-        index = np.empty(g * step, dtype=np.intp)
-        got = np.empty(g * step * w, dtype=np.uint64)
-        part = np.empty((step, w), dtype=np.uint64)
-        acc = np.zeros((len(blocks), w), dtype=np.uint64)
-        for p in range(0, nb, g):
-            c = cols[:, p : p + g]
+        data = np.empty(count * g, dtype=np.uint8)
+        index = np.empty(g * count, dtype=np.intp)
+        got = np.empty(g * count * w, dtype=np.uint64)
+        part = np.empty((count, w), dtype=np.uint64)
+        acc = np.zeros((count, w), dtype=np.uint64)
+        for p in range(lo, hi, g):
+            c = cols[:, p : min(p + g, hi)]
             k = c.shape[1]
             tab = table[: 256 * k * w].reshape(256, k, w)  # [v, byte, word]
             tab[0] = 0
             for j in range(8):
                 np.bitwise_xor(tab[: 1 << j], c[j], out=tab[1 << j : 2 << j])
-            flat = tab.reshape(256 * k, w)
-            for b in range(0, len(blocks), step):
-                x = blocks[b : b + step, p : p + k]
-                idx = index[: k * len(x)].reshape(k, len(x))
-                np.multiply(x.T, np.intp(k), out=idx)
-                idx += offsets[:k]
-                val = got[: k * len(x) * w].reshape(k, len(x), w)
-                np.take(flat, idx, axis=0, out=val, mode="clip")
-                np.bitwise_xor.reduce(val, axis=0, out=part[: len(x)])
-                acc[b : b + len(x)] ^= part[: len(x)]
-        return acc.view(np.uint8)[:, : (self.m + 7) // 8]
+            x = data[: count * k].reshape(count, k)
+            np.copyto(x, blocks[:, p : p + k])
+            idx = index[: k * count].reshape(k, count)
+            np.multiply(x.T, np.intp(k), out=idx)
+            idx += offsets[:k]
+            val = got[: k * count * w].reshape(k, count, w)
+            np.take(tab.reshape(256 * k, w), idx, axis=0, out=val, mode="clip")
+            np.bitwise_xor.reduce(val, axis=0, out=part)
+            acc ^= part
+        return acc
 
 
 @dataclass
@@ -305,8 +362,9 @@ class StreamReport:
 _BATCH_BYTES = 1 << 20
 # ... and with a reused seed: 512 blocks at n = 2^16.  Each batch builds the
 # byte tables afresh, 256 entries per input byte, 32 times the mask words;
-# at n = 2^16, m = 256 that is ~7 ms, about what 128 blocks take to gather,
-# so larger batches spread it over more blocks
+# at n = 2^16, m = 256 that is ~5 ms of a ~19 ms batch on one thread (the
+# rest is index, gather and XOR), so larger batches spread it over more
+# blocks.  A batch's table chunks are split among up to one thread per CPU
 _REUSED_BATCH_BYTES = 1 << 22
 
 
@@ -315,12 +373,14 @@ def _batch_blocks(n: int, m: int, d: int) -> int:
     fresh seeds ceil(d/8) bytes of seed row (d = 0 for a reused seed) and
     16m bytes of (a, u) pairs, up to 8*ceil(m/64) bytes of output words
     and m bytes of unpacked output bits; each of these buffers stays within
-    _BATCH_BYTES, or _REUSED_BATCH_BYTES for a reused seed.  When 8 does not
+    _BATCH_BYTES, or _REUSED_BATCH_BYTES for a reused seed.  With a reused
+    seed each of up to 4 byte-table workers also keeps 8*ceil(m/64) bytes of
+    sums per block, so a block counts at least 32 bytes.  When 8 does not
     divide n or d the batch is a multiple of 8 blocks, so that only a
     stream's last read can end inside a byte."""
     budget = _BATCH_BYTES if d else _REUSED_BATCH_BYTES
     pairs = 16 * m if d else m
-    b = max(1, budget // max((n + 7) // 8, (d + 7) // 8, pairs, 8))
+    b = max(1, budget // max((n + 7) // 8, (d + 7) // 8, pairs, 8 if d else 32))
     return b if n % 8 == 0 and d % 8 == 0 else max(8, b - b % 8)
 
 
@@ -460,9 +520,9 @@ def extract_stream(
     Otherwise each block runs on d fresh seed bits, a batch's seeds read
     only when the batch has been read, so a clean end of input consumes no
     further seed; each batch is one :func:`seed_masks` call, which keeps
-    the seed pairs, and one apply, which evaluates them.  A short final source block is an error; nothing is implicitly
-    padded.  Seed bits left after the last block are reported, not
-    rejected.
+    the seed pairs, and one apply, which evaluates them.  A short final
+    source block is an error; nothing is implicitly padded.  Seed bits left
+    after the last block are reported, not rejected.
     """
     blocks = _batch_blocks(inst.n, inst.m, 0 if reuse_seed else inst.d)
     seeds = _BlockReader(seed_source, inst.d, 1 if reuse_seed else blocks, "seed")

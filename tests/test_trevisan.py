@@ -1,5 +1,7 @@
 import io
 import random
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
@@ -378,9 +380,11 @@ def test_unread_seed_bits_reported():
 
 @pytest.mark.parametrize("words", [1, 3, 1024])
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 129, 256])
-def test_apply_matches_popcount_parity(words, m):
+def test_apply_matches_popcount_parity(words, m, monkeypatch):
     # the byte tables on 1 and 33 blocks: m = 65, 129 end in a partial
-    # column word, 1024 words span several table chunks
+    # column word, 1024 words span several table chunks, split among 1 to
+    # 3 workers, the last range ending in a partial chunk; 1 and 3 words
+    # are one chunk, fewer than the workers
     rng = random.Random(words * 1000 + m)
     n = 64 * words - 5
     matrix = np.random.default_rng(rng.getrandbits(32)).integers(
@@ -393,7 +397,9 @@ def test_apply_matches_popcount_parity(words, m):
             xw = np.frombuffer((x << (64 * words - n)).to_bytes(8 * words, "big"), dtype=np.uint64)
             par = np.bitwise_count(matrix & xw).sum(axis=1) & 1
             want.append(int("".join(str(b) for b in par), 2))
-        assert _values(_tables(matrix, n).apply(_rows(xs, n)), m) == want
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(trevisan, "_cpus", lambda: workers)
+            assert _values(_tables(matrix, n).apply(_rows(xs, n)), m) == want, workers
 
 
 @pytest.mark.parametrize(
@@ -405,9 +411,13 @@ def test_apply_matches_popcount_parity(words, m):
         (2397, 1),  # 1 word: 256 bytes per table, 300 = 256 + 44
     ],
 )
-def test_table_kernel_matches_row_fold(n, m):
-    # more blocks than one gather step (128 at these shapes), and byte
-    # positions that end in a partial chunk
+def test_table_kernel_matches_row_fold(n, m, monkeypatch):
+    # byte positions that end in a partial chunk, the chunks split among 1
+    # to 3 workers (more than the one or two chunks of the default tables).
+    # Shrinking the tables, or the gather of a chunk's 131 blocks, to 1792
+    # words cuts them into chunks of 1 to 13 byte positions, most shapes
+    # ending in a partial chunk; with the gather shrunk, the 3-block batch
+    # runs on whole-size chunks again
     rng = random.Random(n + m)
     matrix = np.random.default_rng(rng.getrandbits(32)).integers(
         0, 1 << 64, size=(m, (n + 63) // 64), dtype=np.uint64
@@ -415,9 +425,41 @@ def test_table_kernel_matches_row_fold(n, m):
     blocks = _rows([rng.getrandbits(n) for _ in range(131)], n)
     fold = _row_fold(matrix, blocks)
     masks = _tables(matrix, n)
-    assert (masks.apply(blocks) == fold).all()
-    # the same tables serve every later batch, short ones too
-    assert (masks.apply(blocks[:3]) == fold[:3]).all()
+    for shrink in (None, "_TABLE_WORDS", "_TAKE_WORDS"):
+        for workers in (1, 2, 3):
+            with monkeypatch.context() as patch:
+                patch.setattr(trevisan, "_cpus", lambda: workers)
+                if shrink:
+                    patch.setattr(trevisan, shrink, 1792)
+                assert (masks.apply(blocks) == fold).all(), (shrink, workers)
+                # the same tables serve every later batch, short ones too
+                assert (masks.apply(blocks[:3]) == fold[:3]).all(), (shrink, workers)
+
+
+def test_lookup_worker_error_raised_and_threads_joined(monkeypatch):
+    # a worker's error reaches the caller of apply, and every thread the
+    # kernel started has ended when apply returns; the workers fail late,
+    # after range 0 on the calling thread is done
+    class Boom(Exception):
+        pass
+
+    lookup_range = CompiledMasks._lookup_range
+
+    def failing(self, blocks, lo, hi, g):
+        if lo:
+            time.sleep(0.05)
+            raise Boom(lo)
+        return lookup_range(self, blocks, lo, hi, g)
+
+    monkeypatch.setattr(trevisan, "_cpus", lambda: 3)
+    monkeypatch.setattr(CompiledMasks, "_lookup_range", failing)
+    rng = np.random.default_rng(31)
+    matrix = rng.integers(0, 1 << 64, size=(9, 64), dtype=np.uint64)
+    masks = _tables(matrix, 64 * 64)  # 512 byte positions, 2 chunks
+    before = threading.active_count()
+    with pytest.raises(Boom):
+        masks.apply(rng.integers(0, 256, (5, 512), dtype=np.uint8))
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("width", [1, 3, None])
@@ -448,11 +490,12 @@ def test_column_compile_matches_row_transpose(n, s, k, width, monkeypatch):
 def test_reused_stream_memory_bound(monkeypatch):
     # production shape n = 2^16, m = 256: peak traced memory of a reused
     # seed's stream stays within its byte columns (2 MiB), one batch buffer
-    # and 1.5 MiB of scratch (the byte tables take ~0.8 MiB); a row matrix
-    # and a full steps array (2 MiB each here) would not fit.  At n = 2^16 - 1
-    # the packed bits are realigned inside the batch buffer, so no second
-    # batch-sized buffer fits either.  The compile starts before any batch
-    # buffer is allocated.
+    # and 1.5 MiB of scratch (each worker's byte tables take 512 KiB); a row
+    # matrix and a full steps array (2 MiB each here) would not fit.  At
+    # n = 2^16 - 1 the packed bits are realigned inside the batch buffer, so
+    # no second batch-sized buffer fits either.  The compile starts before
+    # any batch buffer is allocated.  The worker count is pinned to 2, then
+    # to 1, so the result does not depend on the host's CPUs
     held = []
 
     def spy(inst, seeds):
@@ -460,26 +503,28 @@ def test_reused_stream_memory_bound(monkeypatch):
         return seed_masks(inst, seeds)
 
     monkeypatch.setattr(trevisan, "seed_masks", spy)
-    for n in (1 << 16, (1 << 16) - 1):
-        p = preset("cor1", n, Fraction(1, 8), 256)
-        code = CodeSpec(n=n, s=p.s_bits, delta=p.delta)
-        inst = TrevisanInstance(block_design(p.t, p.m), code)
-        inst._seed_gather  # built once per instance, not per stream
-        rng = np.random.default_rng(30)
-        blocks = 32
-        source = io.BytesIO(rng.integers(0, 256, blocks * n // 8, dtype=np.uint8).tobytes())
-        seed = io.BytesIO(rng.integers(0, 256, (inst.d + 7) // 8, dtype=np.uint8).tobytes())
-        held.clear()
-        tracemalloc.start()
-        try:
-            report = extract_stream(inst, source, seed, io.BytesIO(), reuse_seed=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        columns = 8 * (1 << 13) * 4 * 8
-        batch = trevisan._batch_blocks(n, 256, 0) << 13
-        assert report.blocks == blocks and peak < columns + batch + (3 << 19), n
-        assert len(held) == 1 and held[0] < 1 << 16
+    for workers in (2, 1):
+        monkeypatch.setattr(trevisan, "_cpus", lambda: workers)
+        for n in (1 << 16, (1 << 16) - 1):
+            p = preset("cor1", n, Fraction(1, 8), 256)
+            code = CodeSpec(n=n, s=p.s_bits, delta=p.delta)
+            inst = TrevisanInstance(block_design(p.t, p.m), code)
+            inst._seed_gather  # built once per instance, not per stream
+            rng = np.random.default_rng(30)
+            blocks = 32
+            source = io.BytesIO(rng.integers(0, 256, blocks * n // 8, dtype=np.uint8).tobytes())
+            seed = io.BytesIO(rng.integers(0, 256, (inst.d + 7) // 8, dtype=np.uint8).tobytes())
+            held.clear()
+            tracemalloc.start()
+            try:
+                report = extract_stream(inst, source, seed, io.BytesIO(), reuse_seed=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            columns = 8 * (1 << 13) * 4 * 8
+            batch = trevisan._batch_blocks(n, 256, 0) << 13
+            assert report.blocks == blocks and peak < columns + batch + (3 << 19), (n, workers)
+            assert len(held) == 1 and held[0] < 1 << 16
 
 
 @pytest.mark.parametrize("m, batch", [(2000, 1), (2000, 5), (3, 600)])
@@ -516,6 +561,8 @@ def test_batch_size_bounds():
     assert trevisan._batch_blocks(1 << 25, 256, 0) == 1  # one block over 4 MiB
     assert trevisan._batch_blocks((1 << 25) + 1, 256, 0) == 8
     assert trevisan._batch_blocks(16, 60000, 0) == (1 << 22) // 60000
+    # ... and at most 1 MiB of each byte-table worker's sums
+    assert trevisan._batch_blocks(64, 1, 0) == 1 << 17
     # fresh seeds: 1 MiB of input rows at the production shape (d = 31 744);
     # 41 seed rows of 24 971 bytes fit in 1 MiB, and 8 does not divide d
     assert trevisan._batch_blocks(1 << 16, 256, 31744) == 128
