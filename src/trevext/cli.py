@@ -306,7 +306,7 @@ def _selftest_checks(full: bool, rng_seed: int):
         # with one reused seed (byte tables), against extract; the full
         # level adds the step kernel's word edges, symbols of 1 and 64 bits,
         # and a wide input whose byte tables span 2 or more chunks, split
-        # among this host's CPUs
+        # among the host's CPUs
         from functools import reduce
 
         from .code_extractor import code_params

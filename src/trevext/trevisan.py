@@ -14,7 +14,7 @@ kernel per seed mode.  Fresh seeds keep only the (a, u) pair of every
 batch stepped together on per-lane nibble tables of M_a^T, in chunks of
 bounded state; no mask is built.  A reused seed is compiled once into byte
 columns, and every batch runs on byte tables built from them, its byte
-positions split into one range of whole table chunks per CPU (at most 4),
+positions split into one range of whole table chunks per CPU (at most 2),
 each range on its own thread with its own scratch.  The bit-serial
 :func:`extract` is the reference oracle they are tested against.
 """
@@ -157,8 +157,8 @@ _FRESH_WIDTH = 16
 _TABLE_WORDS = 1 << 16
 _TAKE_WORDS = 1 << 17
 # most threads the byte-table kernel runs on, each with its own ~1.8 MiB of
-# scratch (two were measured: one per CPU of a 2-vCPU host)
-_MAX_WORKERS = 4
+# scratch: two, the count measured (one per CPU of a 2-vCPU host)
+_MAX_WORKERS = 2
 
 
 def _cpus() -> int:
@@ -317,7 +317,7 @@ class CompiledMasks:
         entry v of byte p's table is the XOR of the columns of the bits set
         in v, built by doubling; the chunk's bytes of every block are copied
         into one contiguous buffer, indexed once, gathered by one take and
-        XOR-reduced over the chunk's bytes."""
+        XOR-reduced, with the sums so far, into the sums."""
         cols = self._columns
         w, count = cols.shape[2], len(blocks)
         table = np.empty(256 * g * w, dtype=np.uint64)
@@ -325,7 +325,6 @@ class CompiledMasks:
         data = np.empty(count * g, dtype=np.uint8)
         index = np.empty(g * count, dtype=np.intp)
         got = np.empty(g * count * w, dtype=np.uint64)
-        part = np.empty((count, w), dtype=np.uint64)
         acc = np.zeros((count, w), dtype=np.uint64)
         for p in range(lo, hi, g):
             c = cols[:, p : min(p + g, hi)]
@@ -341,8 +340,8 @@ class CompiledMasks:
             idx += offsets[:k]
             val = got[: k * count * w].reshape(k, count, w)
             np.take(tab.reshape(256 * k, w), idx, axis=0, out=val, mode="clip")
-            np.bitwise_xor.reduce(val, axis=0, out=part)
-            acc ^= part
+            val[0] ^= acc
+            np.bitwise_xor.reduce(val, axis=0, out=acc)
         return acc
 
 
@@ -364,7 +363,8 @@ _BATCH_BYTES = 1 << 20
 # byte tables afresh, 256 entries per input byte, 32 times the mask words;
 # at n = 2^16, m = 256 that is ~5 ms of a ~19 ms batch on one thread (the
 # rest is index, gather and XOR), so larger batches spread it over more
-# blocks.  A batch's table chunks are split among up to one thread per CPU
+# blocks.  A batch's table chunks are split among up to one thread per CPU,
+# at most _MAX_WORKERS
 _REUSED_BATCH_BYTES = 1 << 22
 
 
@@ -374,8 +374,10 @@ def _batch_blocks(n: int, m: int, d: int) -> int:
     16m bytes of (a, u) pairs, up to 8*ceil(m/64) bytes of output words
     and m bytes of unpacked output bits; each of these buffers stays within
     _BATCH_BYTES, or _REUSED_BATCH_BYTES for a reused seed.  With a reused
-    seed each of up to 4 byte-table workers also keeps 8*ceil(m/64) bytes of
-    sums per block, so a block counts at least 32 bytes.  When 8 does not
+    seed each byte-table worker also keeps 8*ceil(m/64) bytes of sums per
+    block and, when a chunk holds one byte position, as many of gathered
+    entries, 8 of index and 1 of input byte; a block counts at least 32
+    bytes, so these stay within the budget per worker.  When 8 does not
     divide n or d the batch is a multiple of 8 blocks, so that only a
     stream's last read can end inside a byte."""
     budget = _BATCH_BYTES if d else _REUSED_BATCH_BYTES

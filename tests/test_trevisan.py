@@ -378,6 +378,13 @@ def test_unread_seed_bits_reported():
     assert report.blocks == 2 and report.seed_bits_unread is None
 
 
+def _pin_workers(patch, workers):
+    # the byte-table kernel splits among `workers` threads, past the
+    # production cap, whatever the host's CPUs
+    patch.setattr(trevisan, "_cpus", lambda: workers)
+    patch.setattr(trevisan, "_MAX_WORKERS", workers)
+
+
 @pytest.mark.parametrize("words", [1, 3, 1024])
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 129, 256])
 def test_apply_matches_popcount_parity(words, m, monkeypatch):
@@ -398,7 +405,7 @@ def test_apply_matches_popcount_parity(words, m, monkeypatch):
             par = np.bitwise_count(matrix & xw).sum(axis=1) & 1
             want.append(int("".join(str(b) for b in par), 2))
         for workers in (1, 2, 3):
-            monkeypatch.setattr(trevisan, "_cpus", lambda: workers)
+            _pin_workers(monkeypatch, workers)
             assert _values(_tables(matrix, n).apply(_rows(xs, n)), m) == want, workers
 
 
@@ -428,7 +435,7 @@ def test_table_kernel_matches_row_fold(n, m, monkeypatch):
     for shrink in (None, "_TABLE_WORDS", "_TAKE_WORDS"):
         for workers in (1, 2, 3):
             with monkeypatch.context() as patch:
-                patch.setattr(trevisan, "_cpus", lambda: workers)
+                _pin_workers(patch, workers)
                 if shrink:
                     patch.setattr(trevisan, shrink, 1792)
                 assert (masks.apply(blocks) == fold).all(), (shrink, workers)
@@ -451,7 +458,7 @@ def test_lookup_worker_error_raised_and_threads_joined(monkeypatch):
             raise Boom(lo)
         return lookup_range(self, blocks, lo, hi, g)
 
-    monkeypatch.setattr(trevisan, "_cpus", lambda: 3)
+    _pin_workers(monkeypatch, 3)
     monkeypatch.setattr(CompiledMasks, "_lookup_range", failing)
     rng = np.random.default_rng(31)
     matrix = rng.integers(0, 1 << 64, size=(9, 64), dtype=np.uint64)
@@ -490,12 +497,13 @@ def test_column_compile_matches_row_transpose(n, s, k, width, monkeypatch):
 def test_reused_stream_memory_bound(monkeypatch):
     # production shape n = 2^16, m = 256: peak traced memory of a reused
     # seed's stream stays within its byte columns (2 MiB), one batch buffer
-    # and 1.5 MiB of scratch (each worker's byte tables take 512 KiB); a row
-    # matrix and a full steps array (2 MiB each here) would not fit.  At
-    # n = 2^16 - 1 the packed bits are realigned inside the batch buffer, so
-    # no second batch-sized buffer fits either.  The compile starts before
-    # any batch buffer is allocated.  The worker count is pinned to 2, then
-    # to 1, so the result does not depend on the host's CPUs
+    # and 1.5 MiB of scratch, ~0.65 MiB per byte-table worker (its tables
+    # take 512 KiB); a row matrix and a full steps array (2 MiB each here)
+    # would not fit, nor would a third worker.  At n = 2^16 - 1 the packed
+    # bits are realigned inside the batch buffer, so no second batch-sized
+    # buffer fits either.  The compile starts before any batch buffer is
+    # allocated.  The worker count is pinned to the most the kernel runs,
+    # then to 1, so the result does not depend on the host's CPUs
     held = []
 
     def spy(inst, seeds):
@@ -503,7 +511,7 @@ def test_reused_stream_memory_bound(monkeypatch):
         return seed_masks(inst, seeds)
 
     monkeypatch.setattr(trevisan, "seed_masks", spy)
-    for workers in (2, 1):
+    for workers in (trevisan._MAX_WORKERS, 1):
         monkeypatch.setattr(trevisan, "_cpus", lambda: workers)
         for n in (1 << 16, (1 << 16) - 1):
             p = preset("cor1", n, Fraction(1, 8), 256)
