@@ -66,36 +66,48 @@ def _cache_path(cache_dir: str, kind: str, t: int, m: int, r: Fraction) -> str:
     return os.path.join(cache_dir, name)
 
 
-def _load_or_build_design(kind: str, t: int, m: int, r: Fraction, cache_dir=None):
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write `data` to a fresh temporary file beside `path` and move it into
+    place, so a failure leaves neither a partial file at `path` nor the
+    temporary, and concurrent writers of one path never share a temporary."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _load_or_build_design(kind: str, t: int, m: int, r: Fraction, cache_dir=None, out=None):
     """Design from the cache when present (checked against the request),
-    else built and cached.  Block designs are always r = 1 designs."""
+    else built and cached; serialized once for the cache entry and for
+    `out`, when given.  Block designs are always r = 1 designs."""
     if kind == "block":
         r = Fraction(1)
-    if cache_dir:
-        path = _cache_path(cache_dir, kind, t, m, r)
-        if os.path.exists(path):
-            with open(path, "rb") as fh:
-                design = deserialize_design(fh.read())
-            if (design.t, design.m) != (t, m) or design.r_certified > r:
-                raise VerificationError(
-                    f"cached design {path} has t={design.t} m={design.m} "
-                    f"r_certified={design.r_certified}; expected t={t} m={m} r<={r}"
-                )
-            return design
-    design = block_design(t, m) if kind == "block" else greedy_basic_design(t, m, r)
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        # written beside the entry and moved into place; a failed write
-        # leaves no partial file in the cache
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(serialize_design(design))
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
+    path = _cache_path(cache_dir, kind, t, m, r) if cache_dir else None
+    if path and os.path.exists(path):
+        with open(path, "rb") as fh:
+            design = deserialize_design(fh.read())
+        if (design.t, design.m) != (t, m) or design.r_certified > r:
+            raise VerificationError(
+                f"cached design {path} has t={design.t} m={design.m} "
+                f"r_certified={design.r_certified}; expected t={t} m={m} r<={r}"
+            )
+        targets = [out]
+    else:
+        design = block_design(t, m) if kind == "block" else greedy_basic_design(t, m, r)
+        if path:
+            os.makedirs(cache_dir, exist_ok=True)
+        # the cache entry first: a failed write of `out` leaves a valid entry
+        targets = [path, out]
+    targets = [target for target in targets if target]
+    if targets:
+        data = serialize_design(design)
+        for target in targets:
+            _write_atomic(target, data)
     return design
 
 
@@ -188,21 +200,6 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _write_design(path: str, design) -> None:
-    """Serialize `design`, write it beside `path` and move it into place, so
-    a failure leaves no empty or partial file at `path`."""
-    data = serialize_design(design)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
 _DESIGN_FLAGS = {"generate": ("t", "m", "out"), "verify": ("in",), "export": ("in", "out")}
 
 
@@ -213,8 +210,7 @@ def cmd_design(args) -> int:
         raise ParameterError(f"design {args.action} needs {', '.join(missing)}")
     r = _parse_fraction(args.r, "overlap target --r")
     if args.action == "generate":
-        design = _load_or_build_design(args.kind, args.t, args.m, r, args.design_cache)
-        _write_design(args.out, design)
+        design = _load_or_build_design(args.kind, args.t, args.m, r, args.design_cache, args.out)
         # r_certified is exact: from_sets summed every overlap of the design
         ok = design.r_certified <= (r if args.kind == "greedy" else 1)
         print(f"design t={design.t} m={design.m} d={design.d} "
@@ -228,7 +224,7 @@ def cmd_design(args) -> int:
         print(f"design t={design.t} m={design.m} d={design.d} "
               f"r_certified={design.r_certified} verified")
         return EXIT_OK
-    _write_design(args.out, design)
+    _write_atomic(args.out, serialize_design(design))
     print(f"exported {design.m} sets to {args.out}")
     return EXIT_OK
 
@@ -379,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     pp = sub.add_parser("params", help="compute extractor parameters")
-    pp.add_argument("--preset", choices=["cor1", "cor2", "cor3", "cor4"], required=True)
+    pp.add_argument("--preset", choices=["cor1", "cor2", "cor4"], required=True)
     pp.add_argument("--n", type=int, required=True)
     pp.add_argument("--m", type=int, required=True)
     pp.add_argument("--eps", required=True)

@@ -12,6 +12,13 @@ point a, mask z), and the induced one-bit extractor is
 The list-decoding radius parameter ``delta`` enters through the distance
 budget ``(ell - 1)/q <= 2*delta^2`` (Johnson bound regime), which makes the
 code (delta, 1/delta^2)-list-decodable.
+
+For a fixed seed the bit is GF(2)-linear in x.  :func:`extract_bit` is the
+bit-serial reference.  :func:`_step_slices` advances many seed pairs at
+once, and :func:`code_columns` packs their outputs in the one compiled
+form, a column per input bit.  The exhaustive helpers
+(:func:`codeword_table`, :func:`min_distance_exhaustive`,
+:func:`list_size_at`) tabulate every input's outputs from those columns.
 """
 
 from __future__ import annotations
@@ -216,37 +223,6 @@ def _step_slices(spec: CodeSpec, a: np.ndarray, u: np.ndarray, width: int):
         yield j, part
 
 
-def code_masks(spec: CodeSpec, a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Parity masks of the one-bit extractor at k uint64 seed pairs (a, u).
-
-    Row i of the (k, ceil(n/64)) uint64 result has <p_x(a_i), u_i> =
-    parity(x & row i) for every input x.  A row's bytes are the mask in the
-    layout of input block rows: input bit i at byte i // 8, bit 7 - i % 8,
-    zero past n.  Symbol j (big-endian, zero-padded at the high-index end)
-    holds input bits [j*s, (j+1)*s), its bit s-1 first.  The symbol masks
-    come from :func:`_step_slices`, all ell in one slice, a chunk of pairs
-    at a time.  Only the exhaustive helpers (:func:`codeword_table`,
-    :func:`min_distance_exhaustive`) build mask rows; streaming evaluates
-    fresh seeds in the step loop and packs a reused seed with
-    :func:`code_columns`.
-    """
-    s, ell, n, k = spec.s, spec.ell, spec.n, len(a)
-    words = (n + 63) // 64
-    matrix = np.zeros((k, words), dtype=np.uint64)
-    masks = matrix.view(np.uint8)
-    # pairs per chunk: their step state within _LANE_BYTES, and ~64 KiB of
-    # mask bits unpacked at a time
-    chunk = max(1, min(_LANE_BYTES // (8 * _lane_words(s, ell)), (1 << 16) // (64 * words)))
-    for r in range(0, k, chunk):
-        ((_, steps),) = _step_slices(spec, a[r : r + chunk], u[r : r + chunk], ell)
-        # each s-bit vector's bits MSB-first, symbol 0 first
-        vec = np.ascontiguousarray(steps.T, dtype=">u8").view(np.uint8)
-        bits = np.unpackbits(vec, axis=1).reshape(-1, ell, 64)[:, :, 64 - s :]
-        bits = bits.reshape(-1, ell * s)
-        masks[r : r + chunk, : (n + 7) // 8] = np.packbits(bits[:, :n], axis=1)
-    return matrix
-
-
 # mask words per slice of code_columns (256 KiB): the symbols of a slice are
 # stepped, bit-transposed and scattered into the columns together
 _COLUMN_SLICE_WORDS = 1 << 15
@@ -284,13 +260,17 @@ def _transpose64(x: np.ndarray):
 
 
 def code_columns(spec: CodeSpec, a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The masks of :func:`code_masks` at k seed pairs, packed by input bit.
+    """The one-bit extractor at k uint64 seed pairs (a, u), packed by input bit.
 
-    Returns (8, ceil(n/8), ceil(k/64)) uint64 byte columns: entry [j, p] is
-    the k-bit column of the input bit with value 1 << j in block byte p,
-    that is input bit 8p + 7 - j; its bit for pair r sits at byte r // 8,
-    bit 7 - r % 8 of the little-endian words, so the words' bytes are the
-    MSB-first output bits.  No row matrix is built: the pairs run through
+    The map x -> <p_x(a_r), u_r> is GF(2)-linear, so its outputs at all k
+    pairs are the XOR of the columns of x's set bits.  Returns
+    (8, ceil(n/8), ceil(k/64)) uint64 byte columns: entry [j, p] is the
+    k-bit column of the input bit with value 1 << j in block byte p (input
+    bits MSB-first, as in a block row), that is input bit 8p + 7 - j, and
+    is zero past n.  Its bit for pair r is <p_e(a_r), u_r> at the unit
+    input e of that bit; it sits at byte r // 8, bit 7 - r % 8 of the
+    little-endian words, so the words' bytes are the MSB-first output bits,
+    and bits past k are zero.  No row matrix is built: the pairs run through
     :func:`_step_slices` as many 64-pair groups at a time as fit in
     _LANE_BYTES of step state, and each slice of steps is bit-transposed
     64 pairs at a time and scattered into the columns of its input bits.
@@ -318,13 +298,30 @@ def code_columns(spec: CodeSpec, a: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _codeword_chunks(spec: CodeSpec, a: np.ndarray, u: np.ndarray):
-    """Yield (lo, bits), bits[i, c] = <p_x(a_c), u_c> at x = lo + i, for all x."""
-    # n <= MAX_EXHAUSTIVE_N: one word, read big-endian: input bit i is bit n-1-i of x
-    masks = code_masks(spec, a, u).view(">u8")[:, 0] >> np.uint64(64 - spec.n)
-    step = max(1, (1 << 20) // len(masks))  # table entries per chunk
-    for lo in range(0, 1 << spec.n, step):
-        xs = np.arange(lo, min(lo + step, 1 << spec.n), dtype=np.uint64)
-        yield lo, np.bitwise_count(xs[:, None] & masks) & np.uint8(1)
+    """Yield (lo, bits), bits[i, c] = <p_x(a_c), u_c> at x = lo + i, for all x
+    (n <= MAX_EXHAUSTIVE_N), in chunks of 2^h inputs, not in order of lo.
+
+    Input bit i is bit n-1-i of x, so bit b of x has the column of input
+    bit n-1-b.  The outputs of the h low bits are tabulated once by
+    doubling, table[2^b : 2^(b+1)] = table[:2^b] ^ column; the high bits run
+    in Gray-code order, each chunk flipping one high column in the XOR that
+    it adds to the table.  A chunk unpacks about 1 Mi outputs."""
+    n, k = spec.n, len(a)
+    columns = code_columns(spec, a, u)
+    bit = [columns[7 - i % 8, i // 8] for i in reversed(range(n))]
+    h = min(n, max(0, ((1 << 20) // k).bit_length() - 1))
+    table = np.zeros((1 << h, columns.shape[2]), dtype=np.uint64)
+    for b in range(h):
+        np.bitwise_xor(table[: 1 << b], bit[b], out=table[1 << b : 2 << b])
+    high = np.zeros(columns.shape[2], dtype=np.uint64)
+    chunk = np.empty_like(table)
+    for c in range(1 << (n - h)):
+        if c:
+            high ^= bit[h + (c & -c).bit_length() - 1]
+        np.bitwise_xor(table, high, out=chunk)
+        # pair r at byte r // 8, bit 7 - r % 8 of the little-endian words
+        raw = chunk.astype("<u8", copy=False).view(np.uint8)
+        yield (c ^ c >> 1) << h, np.unpackbits(raw, axis=1, count=k)
 
 
 def codeword_table(spec: CodeSpec) -> np.ndarray:
@@ -349,14 +346,12 @@ def min_distance_exhaustive(spec: CodeSpec) -> Fraction:
     if spec.n > MAX_EXHAUSTIVE_N or spec.n_bar > MAX_EXHAUSTIVE_NBAR:
         raise SizeGuardError("min-distance enumeration limited to n <= 14, n_bar <= 2^16")
     q, s = spec.q, spec.s
-    u = np.uint64(1) << np.arange(s, dtype=np.uint64)
-    nonzero = np.zeros(1 << spec.n, dtype=np.int64)  # #a with p_x(a) != 0, by x
-    block = max(1, (1 << 12) // s)  # evaluation points per compile
-    for a0 in range(0, q, block):
-        a = np.arange(a0, min(a0 + block, q), dtype=np.uint64)
-        for lo, bits in _codeword_chunks(spec, np.repeat(a, s), np.tile(u, len(a))):
-            hit = bits.reshape(len(bits), len(a), s).any(axis=2)
-            nonzero[lo : lo + len(bits)] += hit.sum(axis=1)
+    # pair a*s + b is (a, e_b): at most q*s = 2^11 pairs under the n_bar guard
+    a = np.repeat(np.arange(q, dtype=np.uint64), s)
+    u = np.tile(np.uint64(1) << np.arange(s, dtype=np.uint64), q)
+    nonzero = np.empty(1 << spec.n, dtype=np.int64)  # #a with p_x(a) != 0, by x
+    for lo, bits in _codeword_chunks(spec, a, u):
+        nonzero[lo : lo + len(bits)] = bits.reshape(len(bits), q, s).any(axis=2).sum(axis=1)
     return Fraction(int(nonzero[1:].min()) * (q // 2), spec.n_bar)
 
 

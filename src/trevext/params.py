@@ -17,7 +17,7 @@ from typing import Optional
 from .bitfield import MAX_BINARY_FIELD_DEGREE
 from .code_extractor import min_symbol_size
 from .entropy import _log2
-from .errors import ParameterError, UnsupportedParametersError
+from .errors import ParameterError
 from .weak_design import design_seed_length
 
 REPORT_SCHEMA_VERSION = 1
@@ -204,12 +204,6 @@ def preset(name: str, n: int, eps: Fraction, m: int, beta: float = 0.75) -> Extr
         )
         return ExtractorParams(
             **{**p.__dict__, "preset": "cor2", "notes": p.notes + stage2}
-        )
-    if name == "cor3":
-        raise UnsupportedParametersError(
-            "the local-extractor preset is not implemented: it needs the "
-            "locally computable one-bit extractor and design family whose "
-            "constructions are outside this library's scope"
         )
     if name == "cor4":
         return weak_seed_params(n, eps, m, beta)

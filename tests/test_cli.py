@@ -62,8 +62,11 @@ def test_params_bad_eps(capsys):
 
 
 def test_params_unsupported_preset_exit(capsys):
-    assert run(["params", "--preset", "cor3", "--n", 64, "--m", 2,
-                "--eps", "1/4"]) == EXIT_PARAMETER
+    # cor3 is not a preset choice: argparse refuses it with exit code 2
+    with pytest.raises(SystemExit) as exc:
+        run(["params", "--preset", "cor3", "--n", 64, "--m", 2, "--eps", "1/4"])
+    assert exc.value.code == EXIT_PARAMETER
+    assert "invalid choice: 'cor3'" in capsys.readouterr().err
 
 
 def _write_micro_inputs(tmp_path, blocks=2, reuse=False):
@@ -432,6 +435,39 @@ def test_failed_design_write_leaves_no_file(tmp_path, capsys, monkeypatch, actio
     assert run(argv + ["--out", out]) == EXIT_IO
     assert "No space left" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == (["d.bin"] if action == "export" else [])
+
+
+def test_design_generate_serializes_once_and_cleans_up(tmp_path, capsys, monkeypatch):
+    # one serialization feeds both the cache entry and --out; when a move
+    # into place fails, neither directory keeps a target or a temporary
+    import trevext.cli as cli
+
+    calls = []
+
+    def counted(design):
+        calls.append(design)
+        return serialize_design(design)
+
+    monkeypatch.setattr(cli, "serialize_design", counted)
+    (tmp_path / "out").mkdir()
+    argv = ["design", "generate", "--kind", "block", "--t", 4, "--m", 8,
+            "--design-cache", tmp_path / "cache", "--out", tmp_path / "out" / "d.bin"]
+    assert run(argv) == EXIT_OK and len(calls) == 1
+    assert run(argv) == EXIT_OK and len(calls) == 2  # a cache hit writes --out only
+    want = serialize_design(block_design(4, 8))
+    assert [p.read_bytes() for p in tmp_path.glob("*/*")] == [want, want]
+    capsys.readouterr()
+
+    def failing(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", failing)
+    for sub in ("out", "cache"):
+        for p in (tmp_path / sub).iterdir():
+            p.unlink()
+    assert run(argv) == EXIT_IO
+    assert "No space left" in capsys.readouterr().err
+    assert list(tmp_path.glob("*/*")) == []
 
 
 def test_cache_of_an_earlier_construction_ignored(tmp_path):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,6 @@ from trevext.bitfield import BinaryField, BitString
 from trevext.code_extractor import (
     CodeSpec,
     code_columns,
-    code_masks,
     code_params,
     codeword_table,
     extract_bit,
@@ -85,8 +85,9 @@ def oracle_codewords(spec):
 
 
 def test_codeword_table_consistency():
-    # (4, 2) has n % s == 0; the others have ell >= 2 and a zero-padded symbol
-    for n, s in [(4, 2), (5, 3), (7, 3), (6, 4)]:
+    # (4, 2) has n % s == 0; the others have ell >= 2 and a zero-padded
+    # symbol; n = 9 and 10 take a second, partial byte of columns
+    for n, s in [(4, 2), (5, 3), (7, 3), (6, 4), (9, 3), (10, 3)]:
         spec = valid_spec(n, s)
         table = codeword_table(spec)
         assert table.shape == (1 << n, spec.n_bar) and table.dtype == np.uint8
@@ -95,10 +96,12 @@ def test_codeword_table_consistency():
 
 def test_min_distance_matches_codeword_oracle():
     # n = 7, s = 3 is the smallest spec where counting nonzero popcounts
-    # instead of nonzero parities gives a wrong distance (7/16, not 3/8)
+    # instead of nonzero parities gives a wrong distance (7/16, not 3/8);
+    # n = 9 and 10 take a second, partial byte of columns
     specs = [sp for n in range(1, 8) for s in range(1, 5)
              if (sp := valid_spec(n, s)) is not None]
-    assert len(specs) >= 18
+    specs += [valid_spec(9, 3), valid_spec(10, 3)]
+    assert len(specs) >= 20
     for spec in specs:
         weight = min(sum(row) for row in oracle_codewords(spec)[1:])
         assert min_distance_exhaustive(spec) == Fraction(weight, spec.n_bar), spec
@@ -113,59 +116,81 @@ def _column_bits(columns, x, k):
     return np.unpackbits(acc.astype("<u8").view(np.uint8))[:k].tolist()
 
 
-def _check_code_masks(spec, k, rng):
-    """code_masks and code_columns at k random pairs against extract_bit on
-    3 random inputs."""
+def _check_code_columns(spec, k, rng):
+    """code_columns at k random pairs against extract_bit on 3 random inputs."""
     n, s = spec.n, spec.s
     a = [rng.randrange(spec.q) for _ in range(k)]
     u = [rng.randrange(spec.q) for _ in range(k)]
-    pairs = np.array(a, dtype=np.uint64), np.array(u, dtype=np.uint64)
-    masks = code_masks(spec, *pairs)
-    assert masks.shape == (k, -(-n // 64)) and masks.dtype == np.uint64
-    columns = code_columns(spec, *pairs)
+    columns = code_columns(spec, np.array(a, dtype=np.uint64), np.array(u, dtype=np.uint64))
     assert columns.shape == (8, -(-n // 8), -(-k // 64)) and columns.dtype == np.uint64
-    words = masks.shape[1]
-    rows = [int.from_bytes(row.tobytes(), "big") >> (64 * words - n) for row in masks]
     for _ in range(3):
         x = BitString(n, rng.getrandbits(n))
         want = [
             extract_bit(spec, x, BitString(s, ai).concat(BitString(s, ui))) for ai, ui in zip(a, u)
         ]
-        assert [(x.value & row).bit_count() & 1 for row in rows] == want
         assert k == 0 or _column_bits(columns, x, k) == want
 
 
 @pytest.mark.parametrize("n,s,delta", [(20, 5, Fraction(1, 4)), (150, 8, Fraction(1, 4))])
-def test_code_masks_match_extract_bit(n, s, delta):
-    # n = 20: 1024-row packing chunks with a partial tail; n = 150: 3 words
-    _check_code_masks(CodeSpec(n=n, s=s, delta=delta), 1500, random.Random(n))
+def test_code_columns_match_extract_bit(n, s, delta):
+    # 1500 pairs: 23 whole 64-pair groups and a partial one; n = 150 has 19
+    # column bytes, the last one partial
+    _check_code_columns(CodeSpec(n=n, s=s, delta=delta), 1500, random.Random(n))
 
 
 @pytest.mark.parametrize(
     "n,s,k",
     [
         (1, 1, 4),  # one-bit symbols
-        (64, 8, 300),  # the parities fill one whole byte
-        (130, 63, 200),  # one bit short of a whole parity word
-        (200, 64, 200),  # the parities fill all 8 bytes of the word
+        (64, 8, 300),  # a symbol fills one whole byte
+        (130, 63, 200),  # one bit short of a whole step word
+        (200, 64, 200),  # a symbol fills all 8 bytes of the step word
         (20, 5, 0),  # no pairs
         (200, 64, 0),
     ],
 )
-def test_code_masks_symbol_size_edges(n, s, k):
-    _check_code_masks(CodeSpec(n=n, s=s, delta=Fraction(1, 4)), k, random.Random(n + s))
+def test_code_columns_symbol_size_edges(n, s, k):
+    _check_code_columns(CodeSpec(n=n, s=s, delta=Fraction(1, 4)), k, random.Random(n + s))
 
 
 @pytest.mark.parametrize("lanes", [1, 7, 70])
 @pytest.mark.parametrize("n,s", [(1, 1), (203, 8), (130, 63), (197, 64)])
 def test_lane_chunks_match_extract_bit(n, s, lanes, monkeypatch):
-    # a step-state budget of `lanes` pairs per chunk of code_masks: 200
-    # pairs run in chunks that end inside 64-pair groups, and code_columns
-    # steps one 64-pair group per chunk
+    # a step-state budget of `lanes` 64-pair groups per chunk of
+    # code_columns: 500 pairs (7 whole groups and a partial one) run one
+    # group at a time, in chunks of 7 groups and 1, or all in one chunk
     spec = CodeSpec(n=n, s=s, delta=Fraction(1, 4))
-    words = code_extractor._lane_words(s, spec.ell)
-    monkeypatch.setattr(code_extractor, "_LANE_BYTES", 8 * words * lanes)
-    _check_code_masks(spec, 200, random.Random(n * lanes + s))
+    words = code_extractor._lane_words(s, 0)
+    monkeypatch.setattr(code_extractor, "_LANE_BYTES", 8 * 64 * words * lanes)
+    _check_code_columns(spec, 500, random.Random(n * lanes + s))
+
+
+def test_exhaustive_helpers_memory_bound():
+    # the helpers' scratch stays within ~1 Mi unpacked outputs, their
+    # tables and the step state of one compile (1.25 MiB), whatever the
+    # number of pairs (2.4 and 2.7 MiB traced under numpy 2.4).  At
+    # (n, s) = (14, 8) min_distance_exhaustive tabulates all 2^11 pairs
+    # (a, e_b) in 32 chunks of 2^9 inputs; the codeword table at (14, 7)
+    # (256 MiB, not counted) is filled in 256 chunks of 2^6 inputs
+    big = CodeSpec(n=14, s=8, delta=Fraction(1, 4))
+    spec = CodeSpec(n=14, s=7, delta=Fraction(1, 4))
+    tracemalloc.start()
+    try:
+        dist = min_distance_exhaustive(big)
+        scratch = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        table = codeword_table(spec)
+        table_scratch = tracemalloc.get_traced_memory()[1] - table.nbytes
+    finally:
+        tracemalloc.stop()
+    assert scratch <= 4 << 20 and table_scratch <= 4 << 20, (scratch, table_scratch)
+    # ell = 2: a nonzero message polynomial has at most one root
+    assert dist == Fraction(big.q - 1, 2 * big.q)
+    assert table.shape == (1 << 14, 1 << 14)
+    rng = random.Random(14)
+    for _ in range(300):
+        xv, yv = rng.randrange(1 << 14), rng.randrange(1 << 14)
+        assert table[xv, yv] == extract_bit(spec, BitString(14, xv), BitString(14, yv))
 
 
 def test_min_distance_example():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from trevext.errors import ParameterError, UnsupportedParametersError
+from trevext.errors import ParameterError
 from trevext.params import (
     PINNED_CONSTANTS,
     REPORT_SCHEMA_VERSION,
@@ -149,7 +149,8 @@ def test_two_stage_preset_notes():
 
 
 def test_local_preset_unsupported():
-    with pytest.raises(UnsupportedParametersError):
+    # the local-extractor preset was never built; it is an unknown name
+    with pytest.raises(ParameterError, match="unknown preset 'cor3'"):
         preset("cor3", 1024, Fraction(1, 1024), 64)
 
 

@@ -11,7 +11,13 @@ import pytest
 
 from trevext import code_extractor, trevisan
 from trevext.bitfield import BitString
-from trevext.code_extractor import CodeSpec, code_columns, code_masks, extract_bit
+from trevext.code_extractor import (
+    CodeSpec,
+    code_columns,
+    codeword_bit,
+    extract_bit,
+    message_symbols,
+)
 from trevext.errors import ParameterError
 from trevext.params import preset
 from trevext.trevisan import (
@@ -118,7 +124,7 @@ def test_oracle_runs_without_numpy_or_mask_compiler(monkeypatch):
         monkeypatch.setattr(module, "np", Forbidden())
     for name in ("_step_slices", "code_columns", "seed_masks", "CompiledMasks"):
         monkeypatch.setattr(trevisan, name, forbidden)
-    for name in ("code_masks", "code_columns", "_step_slices"):
+    for name in ("code_columns", "_step_slices"):
         monkeypatch.setattr(code_extractor, name, forbidden)
     assert [extract(inst, x, y).value for x in xs] == want
     v = y.substring(inst.design.sets[0]).prefix(inst.code.t)
@@ -319,8 +325,7 @@ def test_one_kernel_per_seed_mode(monkeypatch):
     kernels.clear()
     with monkeypatch.context() as patch:
         for module in (trevisan, code_extractor):
-            for name in ("code_masks", "code_columns"):
-                patch.setattr(module, name, forbidden, raising=False)
+            patch.setattr(module, "code_columns", forbidden)
         out, _ = extract_bytes(inst, data.to_bytes(), seeds.to_bytes())
     want = [extract(inst, data.substring(range(13 * b, 13 * (b + 1))),
                     seeds.substring(range(15 * b, 15 * (b + 1)))) for b in range(9)]
@@ -481,17 +486,29 @@ def test_lookup_worker_error_raised_and_threads_joined(monkeypatch):
     ],
 )
 def test_column_compile_matches_row_transpose(n, s, k, width, monkeypatch):
-    # slices of `width` symbols (None: the default, one slice) break inside
-    # bytes and words, and k pairs fill 64-pair groups partly
-    if width:
-        monkeypatch.setattr(code_extractor, "_COLUMN_SLICE_WORDS", 64 * ((k + 63) // 64) * width)
+    # at the default width (None: one slice) the column of input bit i is
+    # the oracle's outputs on the unit input e_i, zero past k and past n;
+    # slices of `width` symbols break inside bytes and words, and must give
+    # the same columns, while k pairs fill 64-pair groups partly
     spec = CodeSpec(n=n, s=s, delta=Fraction(1, 4))
     rng = random.Random(n * 1000 + s * 10 + k)
     a = np.array([rng.randrange(spec.q) for _ in range(k)], dtype=np.uint64)
     u = np.array([rng.randrange(spec.q) for _ in range(k)], dtype=np.uint64)
     cols = code_columns(spec, a, u)
-    assert cols.shape == (8, (n + 7) // 8, (k + 63) // 64) and cols.dtype == np.uint64
-    assert (cols == _columns_of(code_masks(spec, a, u), n)).all()
+    words = (k + 63) // 64
+    assert cols.shape == (8, (n + 7) // 8, words) and cols.dtype == np.uint64
+    if width:
+        monkeypatch.setattr(code_extractor, "_COLUMN_SLICE_WORDS", 64 * words * width)
+        assert (code_columns(spec, a, u) == cols).all()
+    else:
+        seeds = [BitString(s, int(ai)).concat(BitString(s, int(ui))) for ai, ui in zip(a, u)]
+        for i in range(8 * cols.shape[1]):
+            bits = np.unpackbits(cols[7 - i % 8, i // 8].astype("<u8").view(np.uint8)).tolist()
+            want = []  # past n the column is zero
+            if i < n:
+                unit = message_symbols(spec, BitString(n, 1 << (n - 1 - i)))
+                want = [codeword_bit(spec, unit, y) for y in seeds]
+            assert bits == want + [0] * (64 * words - len(want)), i
 
 
 def test_reused_stream_memory_bound(monkeypatch):
