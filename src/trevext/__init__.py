@@ -41,7 +41,6 @@ from .params import (
     rt_upper_bound,
     smooth_budget,
     trevisan_params,
-    weak_seed_params,
 )
 from .trevisan import TrevisanInstance, extract, extract_bytes, extract_stream, seed_masks
 from .universal_hash import ToeplitzSpec, compose, toeplitz_extractor, toeplitz_hash
@@ -102,6 +101,5 @@ __all__ = [
     "trevisan_params",
     "variational_distance",
     "verify_design",
-    "weak_seed_params",
     "weak_seed_split_check",
 ]

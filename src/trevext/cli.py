@@ -66,11 +66,18 @@ def _cache_path(cache_dir: str, kind: str, t: int, m: int, r: Fraction) -> str:
     return os.path.join(cache_dir, name)
 
 
+def _temporary_beside(path: str) -> tuple:
+    """(fd, name) of a fresh file, mode 0600, in the directory of `path`:
+    concurrent writers of one path never share a temporary, and a move
+    into place stays on one file system."""
+    return tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+
+
 def _write_atomic(path: str, data: bytes) -> None:
     """Write `data` to a fresh temporary file beside `path` and move it into
     place, so a failure leaves neither a partial file at `path` nor the
-    temporary, and concurrent writers of one path never share a temporary."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    temporary."""
+    fd, tmp = _temporary_beside(path)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -130,7 +137,7 @@ class _RecordedEntropy(io.RawIOBase):
 
 
 def cmd_params(args) -> int:
-    p = preset(args.preset, args.n, _parse_eps(args.eps), args.m, beta=args.beta)
+    p = preset(args.preset, args.n, _parse_eps(args.eps), args.m)
     print(params_report_json(p) if args.report == "machine" else params_report_text(p))
     return EXIT_OK
 
@@ -166,26 +173,33 @@ def cmd_extract(args) -> int:
     inst = TrevisanInstance(design, code)
 
     source = getattr(args, "in")
-    # write beside the output and move into place, so a failed run leaves
-    # neither an output nor a seed the run generated
-    tmp = args.out + ".tmp"
-    leftovers = [tmp]
+    # the output, and the seed record the run generates, are streamed into
+    # temporaries beside --out and moved into place, the seed record first:
+    # a failed run leaves neither, and an output never exists without its seed
+    temps = []  # (temporary, final path), in the order they are moved
+    moved = []  # final paths already in place
     try:
         with contextlib.ExitStack() as files:
+
+            def create(path):
+                fd, tmp = _temporary_beside(args.out)
+                temps.append((tmp, path))
+                return files.enter_context(os.fdopen(fd, "wb"))
+
             if args.seed_file:
                 seed = files.enter_context(open(args.seed_file, "rb"))
             else:
                 # seed bits are drawn as the stream reads them, so the input
                 # may be a pipe of unknown length
-                record = args.out + ".seed"
-                leftovers.append(record)
-                seed = _RecordedEntropy(files.enter_context(open(record, "wb")))
+                seed = _RecordedEntropy(create(args.out + ".seed"))
             src = files.enter_context(open(source, "rb"))
-            sink = files.enter_context(open(tmp, "wb"))
+            sink = create(args.out)
             report = extract_stream(inst, src, seed, sink, reuse_seed=args.reuse_seed)
-        os.replace(tmp, args.out)
+        for tmp, path in temps:
+            os.replace(tmp, path)
+            moved.append(path)
     except BaseException:
-        for path in leftovers:
+        for path in [tmp for tmp, _ in temps] + moved:
             if os.path.exists(path):
                 os.remove(path)
         raise
@@ -375,11 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     pp = sub.add_parser("params", help="compute extractor parameters")
-    pp.add_argument("--preset", choices=["cor1", "cor2", "cor4"], required=True)
+    pp.add_argument("--preset", choices=["cor1", "cor2"], required=True)
     pp.add_argument("--n", type=int, required=True)
     pp.add_argument("--m", type=int, required=True)
     pp.add_argument("--eps", required=True)
-    pp.add_argument("--beta", type=float, default=0.75)
     pp.add_argument("--report", choices=["text", "machine"], default="text")
     pp.set_defaults(fn=cmd_params)
 

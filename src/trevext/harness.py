@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
@@ -133,7 +132,7 @@ def extractor_error(ext, source, seed: Optional[Distribution] = None) -> Fractio
 @dataclass(frozen=True)
 class FamilyErrorReport:
     max_error: Fraction
-    regime: str  # "exhaustive" | "sampled"
+    regime: str  # always "exhaustive": every support is scored
     sources_checked: int
     worst_support: tuple
 
@@ -199,79 +198,40 @@ class _FlatKernel:
 
 
 def max_error_flat_sources(
-    ext,
-    k: int,
-    seed: Optional[Distribution] = None,
-    samples: int = 200,
-    hillclimb_passes: int = 2,
-    rng_seed: int = 0,
+    ext, k: int, seed: Optional[Distribution] = None
 ) -> FamilyErrorReport:
     """Max extractor error over flat sources with min-entropy exactly k.
 
     Flat sources are the extreme points of the min-entropy-k polytope, so
-    the max over them bounds the max over all k-sources.  Exhaustive when
-    the number of supports is small; otherwise random supports plus greedy
-    single-swap hill climbing, deterministic in `rng_seed`.  Ext is
-    evaluated once per (input, seed) pair, whatever the number of supports;
-    supports are scored in exact integer totals by one kernel
-    (`_FlatKernel`), a chunk of supports per call when exhaustive, one at a
-    time on the walk.  The worst support is the first maximum met.
+    the max over them bounds the max over all k-sources.  Every support is
+    scored, so the maximum is exact; more than MAX_EXHAUSTIVE_FAMILIES
+    supports raise SizeGuardError.  Ext is evaluated once per (input, seed)
+    pair, whatever the number of supports; a chunk of supports is scored per
+    call in exact integer totals (`_FlatKernel`).  The worst support is the
+    first maximum in combinations order.
     """
     n, _d, _m = _dims(ext)
     size = 1 << k
     if size > 1 << n:
         raise ParameterError("k exceeds n")
+    if math.comb(1 << n, size) > MAX_EXHAUSTIVE_FAMILIES:
+        raise SizeGuardError(
+            f"flat-source search limited to {MAX_EXHAUSTIVE_FAMILIES} supports")
     kernel = _FlatKernel(ext, seed, k)
-
-    if math.comb(1 << n, size) <= MAX_EXHAUSTIVE_FAMILIES:
-        supports = itertools.combinations(range(1 << n), size)
-        row = np.dtype((np.intp, (size,)))
-        best, best_sup, count = 0, (), 0
-        while len(chunk := np.fromiter(itertools.islice(supports, kernel.chunk), row)):
-            totals = kernel.totals(chunk)
-            i = int(np.argmax(totals))  # the first maximum of the chunk
-            if totals[i] > best:
-                best, best_sup = int(totals[i]), chunk[i].tolist()
-            count += len(chunk)
-        return FamilyErrorReport(
-            Fraction(best, kernel.denominator),
-            "exhaustive",
-            count,
-            tuple(BitString(n, v) for v in best_sup),
-        )
-
-    # the walk iterates sets of BitStrings, so their order fixes the result
-    universe = [BitString(n, v) for v in range(1 << n)]
-
-    def err(sup) -> int:
-        return int(kernel.totals(np.array([[x.value for x in sup]], dtype=np.intp))[0])
-
-    rng = random.Random(rng_seed)
+    supports = itertools.combinations(range(1 << n), size)
+    row = np.dtype((np.intp, (size,)))
     best, best_sup, count = 0, (), 0
-    for _ in range(samples):
-        sup = set(rng.sample(universe, size))
-        e = err(sup)
-        count += 1
-        for _ in range(hillclimb_passes):
-            improved = False
-            for drop in list(sup):
-                add = rng.choice(universe)
-                if add in sup:
-                    continue
-                cand = (sup - {drop}) | {add}
-                ce = err(cand)
-                count += 1
-                if ce > e:
-                    sup, e, improved = cand, ce, True
-            if not improved:
-                break
-        if e > best:
-            best, best_sup = e, frozenset(sup)
+    while len(chunk := np.fromiter(itertools.islice(supports, kernel.chunk), row)):
+        totals = kernel.totals(chunk)
+        i = int(np.argmax(totals))  # the first maximum of the chunk
+        if totals[i] > best:
+            best, best_sup = int(totals[i]), chunk[i].tolist()
+        count += len(chunk)
     return FamilyErrorReport(
         Fraction(best, kernel.denominator),
-        "sampled",
+        "exhaustive",
         count,
-        tuple(sorted(best_sup, key=lambda b: b.value)),
+        tuple(BitString(n, v) for v in best_sup),
     )
 
 

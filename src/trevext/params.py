@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .bitfield import MAX_BINARY_FIELD_DEGREE
 from .code_extractor import min_symbol_size
@@ -20,7 +19,7 @@ from .entropy import _log2
 from .errors import ParameterError
 from .weak_design import design_seed_length
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 # Pinned values for every O(1) appearing in a stated bound.
 PINNED_CONSTANTS = {
@@ -39,8 +38,6 @@ PINNED_CONSTANTS = {
     # family the optimized-loss preset is stated with.
     "toeplitz_loss_factor": 2.0,
     "almost_universal_loss_factor": 4.0,
-    # one-bit weak-seed extractor threshold: k = 3 log2(1/eps) + 3.
-    "weak_seed_one_bit_additive": 3.0,
 }
 
 
@@ -59,9 +56,6 @@ class ExtractorParams:
     k_c: float  # one-bit extractor threshold
     s_bits: int  # field symbol size
     constructible: bool  # field arithmetic available for this symbol size
-    s_req: Optional[float] = None  # required seed min-entropy (weak seed)
-    beta: Optional[float] = None
-    c_shape: Optional[float] = None  # d / t' for the weak-seed shape report
     notes: tuple = ()
 
     @property
@@ -112,59 +106,6 @@ def trevisan_params(
     )
 
 
-def weak_seed_params(n: int, eps: Fraction, m: int, beta: float) -> ExtractorParams:
-    """Weak-seed composition parameters (seed itself has min-entropy s_req).
-
-    The one-bit extractor is the seed-robust transform of the code
-    extractor: seed length t' = ceil(8t/beta), tolerating seed min-entropy
-    s_C = (1/2 + beta)t', with threshold k_C = 3 log2(1/eps_C) + 3.  The
-    m-fold budget is 6m*sqrt(eps_C) and the required d-bit-seed min-entropy
-    is s_req = d - (t' - s_C - log2(1/(3*sqrt(eps_C)))), clamped to d.
-    """
-    eps = Fraction(eps)
-    if m < 1 or not 0 < eps < 1:
-        raise ParameterError("need m >= 1 and 0 < eps < 1")
-    if not 0.5 < beta < 1:
-        raise ParameterError("beta must be in (1/2, 1)")
-    eps_c = (eps / (6 * m)) ** 2
-    delta = eps_c / 2
-    s = min_symbol_size(n, delta)
-    t = 2 * s
-    t_prime = math.ceil(8 * t / beta)
-    d = design_seed_length(t_prime, m, "block", Fraction(1))
-    k_c = 3 * _log2(1 / eps_c) + PINNED_CONSTANTS["weak_seed_one_bit_additive"]
-    k = k_c + m + _log2(1 / eps_c)
-    s_c = (0.5 + beta) * t_prime
-    log_term = _log2(1 / (3 * _sqrt_fraction(eps_c)))
-    s_raw = d - (t_prime - s_c - log_term)
-    clamped = s_raw > d
-    s_req = min(s_raw, float(d))
-    c_shape = d / t_prime
-    notes = (
-        f"shape: s/d = 1 - (1/2 - beta)/c with c = d/t' = {c_shape:.3f} "
-        f"gives {1 - (0.5 - beta) / c_shape:.4f} (raw s/d = {s_raw / d:.4f})",
-        "raw requirement exceeds d (beta > 1/2 makes t' - s_C negative); "
-        "clamped to the uniform-seed limit" if clamped else
-        "requirement below d; weak seed genuinely tolerated",
-        "advertised error 6m*sqrt(eps_C) equals eps exactly",
-    )
-    return ExtractorParams(
-        n=n, k=k, eps=eps, m=m, d=d, t=t_prime, r=Fraction(1), delta=delta,
-        preset="weak-seed", eps_c=eps_c, k_c=k_c, s_bits=s,
-        constructible=False, s_req=s_req, beta=beta, c_shape=c_shape,
-        notes=notes,
-    )
-
-
-def _sqrt_fraction(x: Fraction) -> Fraction:
-    """Exact square root when available, else a float-backed Fraction."""
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return Fraction(math.sqrt(num / den))
-
-
 @dataclass(frozen=True)
 class OutputLengthBound:
     m_max: float
@@ -189,7 +130,7 @@ def smooth_budget(eps: Fraction, eps_prime: Fraction) -> Fraction:
     return eps + 2 * eps_prime
 
 
-def preset(name: str, n: int, eps: Fraction, m: int, beta: float = 0.75) -> ExtractorParams:
+def preset(name: str, n: int, eps: Fraction, m: int) -> ExtractorParams:
     """Named parameter presets for the concrete constructions."""
     if name == "cor1":
         return trevisan_params(n, eps, m, design_kind="block")
@@ -205,8 +146,6 @@ def preset(name: str, n: int, eps: Fraction, m: int, beta: float = 0.75) -> Extr
         return ExtractorParams(
             **{**p.__dict__, "preset": "cor2", "notes": p.notes + stage2}
         )
-    if name == "cor4":
-        return weak_seed_params(n, eps, m, beta)
     raise ParameterError(f"unknown preset {name!r}")
 
 
@@ -231,9 +170,6 @@ def params_report_machine(p: ExtractorParams) -> dict:
         "constructible": p.constructible,
         "entropy_loss": p.entropy_loss,
         "rt_slack": p.rt_slack,
-        "seed_min_entropy": p.s_req,
-        "beta": p.beta,
-        "c_shape": p.c_shape,
         "notes": list(p.notes),
         "pinned_constants": PINNED_CONSTANTS,
     }
@@ -251,8 +187,6 @@ def params_report_text(p: ExtractorParams) -> str:
     lines.append(f"  {'eps_c':16} = {float(p.eps_c):.6g}")
     lines.append(f"  {'delta':16} = {float(p.delta):.6g}")
     lines.append(f"  {'r':16} = {p.r}")
-    if p.s_req is not None:
-        lines.append(f"  {'seed_min_entropy':16} = {p.s_req:.3f} (beta={p.beta}, c={p.c_shape:.3f})")
     for note in p.notes:
         lines.append(f"  note: {note}")
     return "\n".join(lines)

@@ -87,7 +87,7 @@ def extract(inst: TrevisanInstance, x: BitString, y: BitString) -> BitString:
     """m output bits, bit i from the one-bit extractor on y_{S_{i+1}}.
 
     The bit-serial reference oracle: the analysis harness and the tests use
-    it; streaming runs on compiled masks (:func:`seed_masks`).  x is cut
+    it; streaming runs on compiled seeds (:func:`seed_masks`).  x is cut
     into message symbols once, and each bit is one :func:`codeword_bit`.
     """
     if x.length != inst.n:
@@ -109,8 +109,8 @@ def seed_masks(inst: TrevisanInstance, seeds) -> CompiledMasks:
     compiled straight into byte columns (:func:`code_columns`); or a
     (g, ceil(d/8)) uint8 array of seed rows as the record reader returns
     them, of which only the (a, u) pair of every (seed, output) lane is
-    kept, to be evaluated in the step loop: no mask is built.  g > 1 rows
-    serve a batch of exactly g blocks, one row any batch.
+    kept, to be evaluated in the step loop: no mask is built.  g rows
+    serve a batch of exactly g blocks, block j on row j.
     """
     if isinstance(seeds, BitString):
         if seeds.length != inst.d:
@@ -201,14 +201,14 @@ class CompiledMasks:
     Held one of two ways, each with its own kernel:
 
     * ``pairs``, fresh seeds: (a, u), each a (g, m) uint64 array, the seed
-      pair of every output of g seeds, with the ``code`` they run on.  g > 1
-      seeds are one per block of a batch of g blocks; one seed serves any
-      batch.  The kernel evaluates Ext in the step loop of
-      :func:`~trevext.code_extractor._step_slices`: each (block, output)
-      lane accumulates acc ^= c_j & (M_a^T)^j u over the block's message
-      symbols c_j, and the parity of acc is the output bit, since parity is
-      linear.  Lanes run in chunks of at most _LANE_BYTES of state, so a
-      block's outputs may span chunks and memory stays bounded at any m.
+      pair of every output of g seeds, with the ``code`` they run on, one
+      seed per block of a batch of g blocks.  The kernel evaluates Ext in
+      the step loop of :func:`~trevext.code_extractor._step_slices`: each
+      (block, output) lane accumulates acc ^= c_j & (M_a^T)^j u over the
+      block's message symbols c_j, and the parity of acc is the output bit,
+      since parity is linear.  Lanes run in chunks of at most _LANE_BYTES
+      of state, so a block's outputs may span chunks and memory stays
+      bounded at any m.
     * ``columns``, a reused seed: (8, ceil(n/8), ceil(m/64)) uint64 byte
       columns as :func:`~trevext.code_extractor.code_columns` packs them.
       The kernel is byte-indexed XOR tables (the Method of Four Russians),
@@ -232,8 +232,8 @@ class CompiledMasks:
 
         ``blocks`` is a (B, ceil(n/8)) uint8 array, one block per row,
         MSB-first and zero-padded at the end; the result is (B, ceil(m/8))
-        uint8 in the same layout, output bit 0 first.  With g > 1 fresh
-        seeds B must be g, block j running on seed j.
+        uint8 in the same layout, output bit 0 first.  With g fresh seeds
+        B must be g, block j running on seed j.
         """
         return self._evaluate(blocks) if self._columns is None else self._lookup(blocks)
 
@@ -241,7 +241,7 @@ class CompiledMasks:
         """Ext in the step loop, a chunk of (block, output) lanes at a time,
         lane b*m + i being output i of block b."""
         sets, m = self._pairs[0].shape
-        if sets > 1 and len(blocks) != sets:
+        if len(blocks) != sets:
             raise ParameterError(f"{len(blocks)} blocks for {sets} seeds")
         total = len(blocks) * m
         # chunks of equal size: a short last chunk would cost a full step loop
@@ -263,13 +263,12 @@ class CompiledMasks:
         a, u = self._pairs
         lane = np.arange(lo, hi)
         block = lane // m
-        pair = lane if len(a) > 1 else lane % m
         owner = block - block[0]
         mine = blocks[block[0] : block[-1] + 1]
         width = min(_FRESH_WIDTH, code.ell)
         acc = np.zeros((width, hi - lo), dtype=np.uint64)
         term = np.empty_like(acc)
-        for j, steps in _step_slices(code, a.reshape(-1)[pair], u.reshape(-1)[pair], width):
+        for j, steps in _step_slices(code, a.reshape(-1)[lane], u.reshape(-1)[lane], width):
             c = len(steps)
             _symbols(code, mine, j, c).T.take(owner, axis=1, out=term[:c], mode="clip")
             term[:c] &= steps
@@ -514,15 +513,16 @@ def extract_stream(
 
     Blocks and seeds are read by one record reader in batches of bounded
     size; only a stream's last read may end inside a byte.  Blocks run on
-    compiled parity masks.  With ``reuse_seed`` a single d-bit seed is read
-    up front, compiled once into byte columns when the input's first byte
-    has been read, before any batch buffer is allocated (so an empty input
-    compiles nothing), and applied to every batch as byte tables; the
-    report carries the union-bound error factor.
-    Otherwise each block runs on d fresh seed bits, a batch's seeds read
-    only when the batch has been read, so a clean end of input consumes no
-    further seed; each batch is one :func:`seed_masks` call, which keeps
-    the seed pairs, and one apply, which evaluates them.  A short final
+    compiled seeds (:func:`seed_masks`), one kernel per seed mode.  With
+    ``reuse_seed`` a single d-bit seed is read up front, compiled once into
+    byte columns when the input's first byte has been read, before any
+    batch buffer is allocated (so an empty input compiles nothing), and
+    applied to every batch as byte tables; the report carries the
+    union-bound error factor.  Otherwise each block runs on d fresh seed
+    bits, a batch's seeds read only when the batch has been read, so a
+    clean end of input consumes no further seed; each batch is one
+    :func:`seed_masks` call, which keeps the seed pairs, and one apply,
+    which evaluates them.  A short final
     source block is an error; nothing is implicitly padded.  Seed bits left
     after the last block are reported, not rejected.
     """

@@ -1,6 +1,8 @@
+import argparse
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +15,7 @@ from trevext.cli import (
     EXIT_OK,
     EXIT_PARAMETER,
     EXIT_VERIFICATION,
+    build_parser,
     main,
 )
 from trevext.code_extractor import CodeSpec
@@ -49,10 +52,16 @@ def test_params_text_report(capsys):
 
 
 def test_params_machine_report(capsys):
-    assert run(["params", "--preset", "cor4", "--n", 1024, "--m", 64,
+    assert run(["params", "--preset", "cor2", "--n", 1024, "--m", 64,
                 "--eps", "1/1024", "--report", "machine"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema_version"] == 1 and doc["preset"] == "weak-seed"
+    assert doc["schema_version"] == 2 and doc["preset"] == "cor2"
+    # the keys of schema 2; a removed or renamed key needs a new version
+    assert set(doc) == {
+        "schema_version", "preset", "n", "m", "eps", "k", "d", "t", "r", "delta",
+        "eps_c", "k_c", "symbol_bits", "constructible", "entropy_loss", "rt_slack",
+        "notes", "pinned_constants",
+    }
 
 
 def test_params_bad_eps(capsys):
@@ -67,6 +76,41 @@ def test_params_unsupported_preset_exit(capsys):
         run(["params", "--preset", "cor3", "--n", 64, "--m", 2, "--eps", "1/4"])
     assert exc.value.code == EXIT_PARAMETER
     assert "invalid choice: 'cor3'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["--preset", "cor4"], "invalid choice: 'cor4'"),
+    (["--preset", "cor1", "--beta", "0.75"], "unrecognized arguments: --beta"),
+], ids=["preset-cor4", "beta"])
+def test_params_weak_seed_options_refused(capsys, argv, refusal):
+    # the weak-seed preset and its beta are gone: argparse exits 2
+    with pytest.raises(SystemExit) as exc:
+        run(["params", "--n", 1024, "--m", 64, "--eps", "1/1024"] + argv)
+    assert exc.value.code == EXIT_PARAMETER
+    assert refusal in capsys.readouterr().err
+
+
+def _preset_choices(command):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest == "preset")
+
+
+def test_preset_choices_match_the_planner(tmp_path, capsys):
+    # every params --preset choice plans, extract offers only those, and
+    # extract runs cor1 alone: the others exit 2 before anything is written
+    planned = _preset_choices("params")
+    for name in planned:
+        assert preset(name, 16, Fraction(1, 2), 2).m == 2
+    offered = _preset_choices("extract")
+    assert "cor1" in offered and set(offered) <= set(planned)
+    (tmp_path / "in.bin").write_bytes(b"\x12\x34")
+    for name in set(offered) - {"cor1"}:
+        assert run(["extract", "--preset", name, "--n", 16, "--m", 2, "--eps", "1/2",
+                    "--in", tmp_path / "in.bin", "--out", tmp_path / "out.bin"]) \
+            == EXIT_PARAMETER
+        assert "does not support extraction" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin"]
 
 
 def _write_micro_inputs(tmp_path, blocks=2, reuse=False):
@@ -201,6 +245,51 @@ def test_failed_extract_leaves_no_files(tmp_path, capsys):
               "--in", tmp_path / "in.bin", "--out", tmp_path / "out.bin"])
     assert rc == EXIT_PARAMETER
     assert "input" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin"]
+
+
+def test_extract_temporaries_are_fresh_and_private(tmp_path):
+    # the output and the seed record are streamed into fresh temporaries of
+    # mode 0600 (the output is key material): a file at <out>.tmp is left as
+    # it is, and no temporary remains after a successful or a failed run
+    stale = b"bytes of another run"
+    (tmp_path / "out.bin.tmp").write_bytes(stale)
+    (tmp_path / "in.bin").write_bytes(b"\x12\x34\x56\x78")
+    argv = ["extract", "--preset", "cor1", "--n", 16, "--m", 2, "--eps", "1/2",
+            "--in", tmp_path / "in.bin", "--out", tmp_path / "out.bin"]
+    assert run(argv) == EXIT_OK
+    assert (tmp_path / "out.bin.tmp").read_bytes() == stale
+    for name in ("out.bin", "out.bin.seed"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o600
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(files) == ["in.bin", "out.bin", "out.bin.seed", "out.bin.tmp"]
+    (tmp_path / "in.bin").write_bytes(b"\x12\x34\x56")  # short final block
+    files["in.bin"] = b"\x12\x34\x56"
+    assert run(argv) == EXIT_PARAMETER
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
+def test_extract_moves_seed_record_first(tmp_path, capsys, monkeypatch):
+    # the seed record is in place before the output; when the output's move
+    # fails, the run removes the record it moved, and no temporary remains
+    import trevext.cli as cli
+
+    (tmp_path / "in.bin").write_bytes(b"\x12\x34")
+    out = tmp_path / "out.bin"
+    moves = []
+    replace = os.replace
+
+    def spy(src, dst):
+        moves.append(os.path.basename(dst))
+        if dst == str(out):
+            raise OSError(28, "No space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", spy)
+    assert run(["extract", "--preset", "cor1", "--n", 16, "--m", 2, "--eps", "1/2",
+                "--in", tmp_path / "in.bin", "--out", out]) == EXIT_IO
+    assert "No space left" in capsys.readouterr().err
+    assert moves == ["out.bin.seed", "out.bin"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin"]
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -146,20 +147,16 @@ def test_wrong_length_output_rejected():
 # -- flat-source family search -----------------------------------------------
 
 
-@pytest.mark.parametrize("ext, k, kwargs, max_error, regime, checked, worst", [
-    (toeplitz_extractor(4, 2, Fraction(1, 4)), 2, {}, Fraction(21, 64),
-     "exhaustive", 1820, [0, 1, 4, 5]),
-    (toeplitz_extractor(4, 2, Fraction(1, 4)), 3, {}, Fraction(29, 128),
-     "exhaustive", 12870, [0, 1, 2, 3, 4, 8, 13, 15]),
-    (toeplitz_extractor(4, 2, Fraction(1, 4)), 4, {}, Fraction(9, 128),
-     "exhaustive", 1, list(range(16))),
-    (micro_instance(), 1, {}, Fraction(39, 64), "exhaustive", 120, [0, 1]),
-    (toeplitz_extractor(6, 2, Fraction(1, 4)), 3, {"samples": 15}, Fraction(123, 512),
-     "sampled", 212, [15, 21, 25, 30, 35, 58, 59, 63]),
-], ids=["toeplitz-k2", "toeplitz-k3", "toeplitz-k4", "trevisan-k1", "toeplitz6-sampled"])
-def test_flat_family_reports_pinned(ext, k, kwargs, max_error, regime, checked, worst):
-    rep = max_error_flat_sources(ext, k, **kwargs)
-    assert (rep.max_error, rep.regime, rep.sources_checked) == (max_error, regime, checked)
+@pytest.mark.parametrize("ext, k, max_error, checked, worst", [
+    (toeplitz_extractor(4, 2, Fraction(1, 4)), 2, Fraction(21, 64), 1820, [0, 1, 4, 5]),
+    (toeplitz_extractor(4, 2, Fraction(1, 4)), 3, Fraction(29, 128), 12870,
+     [0, 1, 2, 3, 4, 8, 13, 15]),
+    (toeplitz_extractor(4, 2, Fraction(1, 4)), 4, Fraction(9, 128), 1, list(range(16))),
+    (micro_instance(), 1, Fraction(39, 64), 120, [0, 1]),
+], ids=["toeplitz-k2", "toeplitz-k3", "toeplitz-k4", "trevisan-k1"])
+def test_flat_family_reports_pinned(ext, k, max_error, checked, worst):
+    rep = max_error_flat_sources(ext, k)
+    assert (rep.max_error, rep.regime, rep.sources_checked) == (max_error, "exhaustive", checked)
     assert [x.value for x in rep.worst_support] == worst
     assert all(x.length == ext.n for x in rep.worst_support)
     assert extractor_error(ext, flat_source(rep.worst_support)) == max_error
@@ -282,7 +279,7 @@ def test_flat_family_evaluates_ext_once_per_pair():
     assert rep.sources_checked == 1820
     assert sorted(calls) == [(x, y) for x in range(16) for y in range(32)]
     calls.clear()
-    max_error_flat_sources(ext, 3, samples=2)  # any k: one tabulation
+    max_error_flat_sources(ext, 3)  # any k: one tabulation
     assert len(calls) == len(set(calls)) == 16 * 32
 
 
@@ -314,13 +311,21 @@ def test_flat_family_exhaustive_identity():
     assert rep.max_error == Fraction(1, 2)
 
 
-def test_flat_family_sampled_regime():
-    # first-bit projection of a 6-bit input; comb(64, 8) >> exhaustive limit
-    ext = AdvertisedExtractor(lambda x, y: x.prefix(1), 6, 0, 1, 3, Fraction(0))
-    rep = max_error_flat_sources(ext, k=3, samples=3, hillclimb_passes=1)
-    assert rep.regime == "sampled"
-    # a support contained in one half-space is the worst case
-    assert 0 <= rep.max_error <= Fraction(1, 2)
+def test_flat_family_refuses_past_family_guard():
+    # comb(64, 8) supports are past MAX_EXHAUSTIVE_FAMILIES: no maximum is
+    # reported that was not taken over every support, and Ext is not run
+    inner = toeplitz_extractor(6, 2, Fraction(1, 4))
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return inner(x, y)
+
+    ext = AdvertisedExtractor(counted, inner.n, inner.d, inner.m, inner.k, inner.eps)
+    assert math.comb(64, 8) > harness.MAX_EXHAUSTIVE_FAMILIES
+    with pytest.raises(SizeGuardError, match="flat-source search"):
+        max_error_flat_sources(ext, 3)
+    assert not calls
 
 
 def test_flat_family_monotone_in_k():

@@ -15,7 +15,6 @@ from trevext.params import (
     rt_upper_bound,
     smooth_budget,
     trevisan_params,
-    weak_seed_params,
 )
 from trevext.weak_design import block_design, ceil_div_ln, greedy_basic_design
 
@@ -113,29 +112,9 @@ def test_parameter_guards():
         trevisan_params(64, Fraction(1, 4), 0)
     with pytest.raises(ParameterError):
         preset("nope", 64, Fraction(1, 4), 4)
-
-
-def test_weak_seed_shape_and_clamp():
-    p = preset("cor4", 1024, Fraction(1, 1024), 64)
-    assert p.preset == "weak-seed"
-    assert p.eps_c == (Fraction(1, 1024) / 384) ** 2
-    assert p.t == math.ceil(8 * (2 * p.s_bits) / 0.75)
-    assert p.c_shape == pytest.approx(p.d / p.t)
-    # beta > 1/2 drives the raw requirement above d; clamped to d
-    assert p.s_req == float(p.d)
-    assert any("clamped" in note for note in p.notes)
-    assert not p.constructible
-    assert p.k_c == pytest.approx(
-        3 * math.log2(1 / float(p.eps_c)) + PINNED_CONSTANTS["weak_seed_one_bit_additive"],
-        rel=1e-9,
-    )
-
-
-def test_weak_seed_beta_guard():
-    with pytest.raises(ParameterError):
-        weak_seed_params(64, Fraction(1, 4), 2, beta=0.5)
-    with pytest.raises(ParameterError):
-        weak_seed_params(64, Fraction(1, 4), 2, beta=1.0)
+    # the weak-seed preset planned only a uniform seed it could not build
+    with pytest.raises(ParameterError, match="unknown preset 'cor4'"):
+        preset("cor4", 1024, Fraction(1, 1024), 64)
 
 
 def test_two_stage_preset_notes():
@@ -172,7 +151,7 @@ def test_machine_report_schema():
 
 
 def test_text_report_mentions_key_fields():
-    p = preset("cor4", 1024, Fraction(1, 1024), 64)
+    p = preset("cor1", 1024, Fraction(1, 1024), 64)
     text = params_report_text(p)
-    assert "seed_min_entropy" in text and "note:" in text
+    assert "rt_slack" in text and "note:" in text
     assert f"d {' ' * 15}= {p.d}".replace(" ", "") in text.replace(" ", "")

@@ -147,9 +147,10 @@ def test_seed_masks_equivalence():
         assert (masks.m, masks.n) == (inst.m, inst.n)
         direct = [extract(inst, BitString(4, xv), y).value for xv in range(16)]
         assert _values(masks.apply(_rows(range(16), 4)), inst.m) == direct
-        # the seed as a one-row set runs the step loop to the same outputs
+        # the seed as one row per block runs the step loop to the same outputs
         row = np.frombuffer(y.to_bytes(), dtype=np.uint8)[None]
-        assert _values(seed_masks(inst, row).apply(_rows(range(16), 4)), inst.m) == direct
+        rows = np.repeat(row, 16, axis=0)
+        assert _values(seed_masks(inst, rows).apply(_rows(range(16), 4)), inst.m) == direct
 
 
 def test_length_checks():
@@ -798,14 +799,15 @@ def test_fresh_evaluation_matches_extract(n, s, m, monkeypatch):
     shared = [extract(inst, x, ys[0]).value for x in xs]
     blocks = _rows([x.value for x in xs], n)
     row = np.frombuffer(ys[0].to_bytes(), dtype=np.uint8)[None]
+    same = np.repeat(row, most, axis=0)
     for lanes in (1, m // 2 + 1, 5 * m // 2, None):
         with monkeypatch.context() as patch:
             if lanes:
                 _lanes_of(patch, lanes)
             out, report = extract_bytes(inst, data.to_bytes(), seeds.to_bytes())
             assert out == fresh and report.blocks == most
-            # one seed row broadcast over every block of the batch
-            assert _values(seed_masks(inst, row).apply(blocks), m) == shared
+            # one seed row repeated for every block of the batch
+            assert _values(seed_masks(inst, same).apply(blocks), m) == shared
 
 
 def test_fresh_layers_called_once_per_batch(monkeypatch):
@@ -850,8 +852,8 @@ def test_fresh_layers_called_once_per_batch(monkeypatch):
 
 def test_seed_rows_compile_like_bitstrings():
     # g seed rows compile to the (a, u) pairs each seed has on its own, and
-    # each row, broadcast over a batch in the step loop, gives the outputs
-    # its seed gives on the byte tables; d = 15
+    # each row, repeated for every block of a batch in the step loop, gives
+    # the outputs its seed gives on the byte tables; d = 15
     inst = _odd_instance()
     rng = random.Random(28)
     ys = [BitString(15, rng.getrandbits(15)) for _ in range(3)]
@@ -864,9 +866,13 @@ def test_seed_rows_compile_like_bitstrings():
         one = seed_masks(inst, rows[j : j + 1])
         assert (one._pairs[0] == a[j]).all() and (one._pairs[1] == u[j]).all()
         tables = seed_masks(inst, y)
-        assert (one.apply(blocks) == tables.apply(blocks)).all()
+        same = seed_masks(inst, np.repeat(rows[j : j + 1], len(blocks), axis=0))
+        assert (same.apply(blocks) == tables.apply(blocks)).all()
+        with pytest.raises(ParameterError):  # one row serves one block only
+            one.apply(blocks)
         assert (grouped.apply(blocks[:3])[j] == tables.apply(blocks[j : j + 1])[0]).all()
-    assert one.apply(blocks[:0]).shape == tables.apply(blocks[:0]).shape == (0, 2)
+    none = seed_masks(inst, rows[:0])
+    assert none.apply(blocks[:0]).shape == tables.apply(blocks[:0]).shape == (0, 2)
     with pytest.raises(ParameterError):
         seed_masks(inst, rows[:, :1])
 
