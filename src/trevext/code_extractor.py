@@ -199,28 +199,33 @@ def _step_slices(spec: CodeSpec, a: np.ndarray, u: np.ndarray, width: int):
         )
     del rows, columns
     flat = tables.reshape(-1)
-    base = np.arange(0, 16 * nibbles * k, 16, dtype=np.intp).reshape(nibbles, k)
+    # the index is int64, what take reads as intp (without a copy where
+    # intp is 64 bits), so the shift of an int64 step writes it uncast
+    base = np.arange(0, 16 * nibbles * k, 16, dtype=np.int64).reshape(nibbles, k)
     shifts = np.arange(0, 4 * nibbles, 4, dtype=np.int64)[:, None]
-    index = np.empty((nibbles, k), dtype=np.intp)
+    nibble = np.int64(15)
+    index = np.empty((nibbles, k), dtype=np.int64)
     got = np.empty((nibbles, k), dtype=np.uint64)
     steps = np.empty((min(width, ell), k), dtype=np.uint64)
-    last = u
+    # each row of steps, and its int64 reading: row i - 1 holds the step
+    # before row i's, and for i = 0 (row -1) the last row of the slice before
+    rows, signed = list(steps), list(steps.view(np.int64))
+    right_shift, bitwise_and, add, reduce = (
+        np.right_shift, np.bitwise_and, np.add, np.bitwise_xor.reduce
+    )
+    take = flat.take
+    steps[0] = u
     for j in range(0, ell, width):
-        part = steps[: min(width, ell - j)]
-        for i in range(len(part)):
-            if j + i:
-                # nibble p of u is bits 4p..4p+3 of its int64 reading, whose
-                # sign bits the mask drops; on a 64-bit intp the shift
-                # writes the index buffer without a cast
-                np.right_shift(last.view(np.int64), shifts, out=index, casting="unsafe")
-                index &= 15
-                index += base
-                flat.take(index, out=got, mode="clip")
-                np.bitwise_xor.reduce(got, axis=0, out=part[i])
-            else:
-                part[0] = u
-            last = part[i]
-        yield j, part
+        c = min(width, ell - j)
+        for i in range(1 if j == 0 else 0, c):
+            # nibble p of the step before is bits 4p..4p+3 of its int64
+            # reading, whose sign bits the mask drops
+            right_shift(signed[i - 1], shifts, index)
+            bitwise_and(index, nibble, index)
+            add(index, base, index)
+            take(index, 0, got, "clip")
+            reduce(got, 0, None, rows[i])
+        yield j, steps[:c]
 
 
 # mask words per slice of code_columns (256 KiB): the symbols of a slice are

@@ -15,8 +15,10 @@ batch stepped together on per-lane nibble tables of M_a^T, in chunks of
 bounded state; no mask is built.  A reused seed is compiled once into byte
 columns, and every batch runs on byte tables built from them, its byte
 positions split into one range of whole table chunks per CPU (at most 2),
-each range on its own thread with its own scratch.  The bit-serial
-:func:`extract` is the reference oracle they are tested against.
+each range on its own thread with its own scratch.  The compiled seed keeps
+each worker's scratch from batch to batch and lends it to one call at a
+time.  The bit-serial :func:`extract` is the reference oracle they are
+tested against.
 """
 
 from __future__ import annotations
@@ -215,9 +217,12 @@ class CompiledMasks:
       built for each batch a chunk of byte positions at a time; each chunk's
       entries for the whole batch are gathered by one ``take``.  The chunks
       are split into contiguous ranges, one per worker thread, up to one
-      per CPU and at most _MAX_WORKERS, each with its own tables, gather
-      and sums (~1.8 MiB at n = 2^16, m = 256); the output is the XOR of
-      the ranges' sums.
+      per CPU and at most _MAX_WORKERS, each with its own sums and its own
+      scratch of tables, input bytes, index and gather (~1.8 MiB at
+      n = 2^16, m = 256); the output is the XOR of the ranges' sums.  The
+      seed keeps each worker's scratch from batch to batch, a shorter
+      batch on prefix views of it, and lends it to one apply at a time: an
+      apply made while another holds it makes its own.
     """
 
     def __init__(self, n: int, m: int, columns=None, code=None, pairs=None):
@@ -226,6 +231,8 @@ class CompiledMasks:
         self._columns = columns
         self._code = code
         self._pairs = pairs
+        self._lock = threading.Lock()
+        self._scratch = []  # byte-table workers' scratch, while no call holds it
 
     def apply(self, blocks: np.ndarray) -> np.ndarray:
         """Outputs of a batch of blocks.
@@ -278,19 +285,25 @@ class CompiledMasks:
     def _lookup(self, blocks: np.ndarray) -> np.ndarray:
         """Byte tables over contiguous ranges of whole table chunks, one
         range per worker: range 0 on the calling thread, each other one on a
-        thread of its own; the output is the XOR of the ranges' sums."""
+        thread of its own, each worker on its own scratch; the output is the
+        XOR of the ranges' sums.  The seed lends its scratch to one call at
+        a time: a call made while another holds it makes its own, and the
+        seed keeps one of them when both have returned."""
         _, nb, w = self._columns.shape
         # byte positions per chunk: its tables and its gather both bounded
         g = max(1, min(_TABLE_WORDS // 256, _TAKE_WORDS // max(1, len(blocks))) // w)
         chunks = -(-nb // g)
         workers = min(_cpus(), chunks, _MAX_WORKERS)
         cuts = [min(nb, g * (chunks * i // workers)) for i in range(workers + 1)]
+        with self._lock:
+            scratch, self._scratch = self._scratch, []
+        scratch += [_TableScratch() for _ in range(workers - len(scratch))]
         sums = [None] * workers
         errors = []
 
         def run(i):
             try:
-                sums[i] = self._lookup_range(blocks, cuts[i], cuts[i + 1], g)
+                sums[i] = self._lookup_range(scratch[i], blocks, cuts[i], cuts[i + 1], g)
             except Exception as exc:
                 errors.append(exc)
 
@@ -300,48 +313,116 @@ class CompiledMasks:
                 thread = threading.Thread(target=run, args=(i,))
                 thread.start()
                 threads.append(thread)
-            acc = self._lookup_range(blocks, cuts[0], cuts[1], g)
+            acc = self._lookup_range(scratch[0], blocks, cuts[0], cuts[1], g)
         finally:
             for thread in threads:
                 thread.join()
+            with self._lock:
+                if not self._scratch:
+                    self._scratch = scratch
         if errors:
             raise errors[0]
         for part in sums[1:]:
             acc ^= part
         return acc.view(np.uint8)[:, : (self.m + 7) // 8]
 
-    def _lookup_range(self, blocks: np.ndarray, lo: int, hi: int, g: int) -> np.ndarray:
+    def _lookup_range(
+        self, scratch: _TableScratch, blocks: np.ndarray, lo: int, hi: int, g: int
+    ) -> np.ndarray:
         """(B, ceil(m/64)) uint64: the XOR over byte positions lo..hi-1 of
         each block's table entries.  For each chunk of g byte positions,
         entry v of byte p's table is the XOR of the columns of the bits set
         in v, built by doubling; the chunk's bytes of every block are copied
         into one contiguous buffer, indexed once, gathered by one take and
-        XOR-reduced, with the sums so far, into the sums."""
+        XOR-reduced, with the sums so far, into the sums.  The buffers,
+        their views and the bound take are the scratch's and the ufuncs are
+        bound once per call, so a chunk makes only its numpy calls."""
         cols = self._columns
-        w, count = cols.shape[2], len(blocks)
-        table = np.empty(256 * g * w, dtype=np.uint64)
-        offsets = np.arange(g, dtype=np.intp)[:, None]
-        data = np.empty(count * g, dtype=np.uint8)
-        index = np.empty(g * count, dtype=np.intp)
-        got = np.empty(g * count * w, dtype=np.uint64)
-        acc = np.zeros((count, w), dtype=np.uint64)
+        count = len(blocks)
+        scratch.fit(g, count, cols.shape[2])
+        acc = np.zeros((count, cols.shape[2]), dtype=np.uint64)
+        xor, reduce, copyto, multiply, add = (
+            np.bitwise_xor, np.bitwise_xor.reduce, np.copyto, np.multiply, np.add
+        )
+        take, scale = scratch.take, scratch.scale
+        views = scratch.whole
         for p in range(lo, hi, g):
-            c = cols[:, p : min(p + g, hi)]
-            k = c.shape[1]
-            tab = table[: 256 * k * w].reshape(256, k, w)  # [v, byte, word]
-            tab[0] = 0
-            for j in range(8):
-                np.bitwise_xor(tab[: 1 << j], c[j], out=tab[1 << j : 2 << j])
-            x = data[: count * k].reshape(count, k)
-            np.copyto(x, blocks[:, p : p + k])
-            idx = index[: k * count].reshape(k, count)
-            np.multiply(x.T, np.intp(k), out=idx)
-            idx += offsets[:k]
-            val = got[: k * count * w].reshape(k, count, w)
-            np.take(tab.reshape(256 * k, w), idx, axis=0, out=val, mode="clip")
-            val[0] ^= acc
-            np.bitwise_xor.reduce(val, axis=0, out=acc)
+            end = p + g
+            if end > hi:
+                end, views = hi, scratch.part(hi - p)
+            halves, x, xt, idx, offsets, val, first = views
+            for (done, todo), c in zip(halves, cols[:, p:end]):
+                xor(done, c, todo)
+            copyto(x, blocks[:, p:end])
+            multiply(xt, scale, idx)
+            add(idx, offsets, idx)
+            take(idx, 0, val, "clip")
+            xor(first, acc, first)
+            reduce(val, 0, None, acc)
         return acc
+
+
+class _TableScratch:
+    """One byte-table worker's scratch, which a compiled seed keeps from
+    batch to batch: for chunks of g byte positions of `count` blocks with
+    w-word sums, the tables [v, byte, word] (row 0 zeroed once: the
+    doubling never writes it), the chunk's input bytes, its gather index
+    and its gathered entries, with the views of them that a chunk of
+    :meth:`CompiledMasks._lookup_range` runs on.  A shorter batch or chunk
+    takes prefix views of the same buffers, which grow only when a call
+    needs more than any call before."""
+
+    def __init__(self):
+        self._shape = None
+        self._table = np.empty(0, dtype=np.uint64)
+        self._data = np.empty(0, dtype=np.uint8)
+        self._index = np.empty(0, dtype=np.intp)
+        self._got = np.empty(0, dtype=np.uint64)
+
+    def fit(self, g: int, count: int, w: int):
+        """Fit the buffers and views to chunks of g byte positions of
+        `count` blocks with w-word sums; nothing changes when they fit."""
+        if self._shape == (g, count, w):
+            return
+        self._shape = None
+        self._table = _at_least(self._table, 256 * g * w)
+        self._data = _at_least(self._data, count * g)
+        self._index = _at_least(self._index, g * count)
+        self._got = _at_least(self._got, g * count * w)
+        tab = self._table[: 256 * g * w].reshape(256, g, w)  # [v, byte, word]
+        tab[0] = 0
+        self._tab = tab
+        self.take = tab.reshape(256 * g, w).take
+        self.scale = np.intp(g)
+        self._offsets = np.arange(g, dtype=np.intp)[:, None]
+        self._shape = (g, count, w)
+        self.whole = self.part(g)
+
+    def part(self, k: int) -> tuple:
+        """Views for a chunk of the first k <= g byte positions: the table
+        halves of each doubling, the input bytes and their transpose, the
+        index, the byte offsets, the gathered entries and their first row.
+        The tables keep the layout of g byte positions, so entry v of byte
+        b is row v*g + b whatever k is."""
+        g, count, w = self._shape
+        tab = self._tab[:, :k]
+        x = self._data[: count * k].reshape(count, k)
+        val = self._got[: k * count * w].reshape(k, count, w)
+        return (
+            [(tab[: 1 << j], tab[1 << j : 2 << j]) for j in range(8)],
+            x,
+            x.T,
+            self._index[: k * count].reshape(k, count),
+            self._offsets[:k],
+            val,
+            val[0],
+        )
+
+
+def _at_least(buffer: np.ndarray, size: int) -> np.ndarray:
+    """`buffer`, or a larger one of its dtype when it holds fewer than
+    `size` items."""
+    return buffer if len(buffer) >= size else np.empty(size, dtype=buffer.dtype)
 
 
 @dataclass
@@ -360,7 +441,7 @@ class StreamReport:
 _BATCH_BYTES = 1 << 20
 # ... and with a reused seed: 512 blocks at n = 2^16.  Each batch builds the
 # byte tables afresh, 256 entries per input byte, 32 times the mask words;
-# at n = 2^16, m = 256 that is ~5 ms of a ~19 ms batch on one thread (the
+# at n = 2^16, m = 256 that is ~4 ms of a ~19 ms batch on one thread (the
 # rest is index, gather and XOR), so larger batches spread it over more
 # blocks.  A batch's table chunks are split among up to one thread per CPU,
 # at most _MAX_WORKERS

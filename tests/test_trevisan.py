@@ -1,5 +1,6 @@
 import io
 import random
+import sys
 import threading
 import time
 import tracemalloc
@@ -458,11 +459,11 @@ def test_lookup_worker_error_raised_and_threads_joined(monkeypatch):
 
     lookup_range = CompiledMasks._lookup_range
 
-    def failing(self, blocks, lo, hi, g):
+    def failing(self, scratch, blocks, lo, hi, g):
         if lo:
             time.sleep(0.05)
             raise Boom(lo)
-        return lookup_range(self, blocks, lo, hi, g)
+        return lookup_range(self, scratch, blocks, lo, hi, g)
 
     _pin_workers(monkeypatch, 3)
     monkeypatch.setattr(CompiledMasks, "_lookup_range", failing)
@@ -551,6 +552,95 @@ def test_reused_stream_memory_bound(monkeypatch):
             batch = trevisan._batch_blocks(n, 256, 0) << 13
             assert report.blocks == blocks and peak < columns + batch + (3 << 19), (n, workers)
             assert len(held) == 1 and held[0] < 1 << 16
+
+
+def test_reused_stream_tail_reuses_scratch(monkeypatch):
+    # production shape n = 2^16, m = 256: one full 512-block batch, then a
+    # 3-block tail.  The tail runs on prefix views of the scratch that the
+    # full batch left, so the stream peaks within 64 KiB of the stream
+    # without the tail; scratch made anew for the tail's batch size would
+    # add at least a 512 KiB table per worker.  The last block matches the
+    # bit-serial extract (~2 s a block at this shape), sampled bits of two
+    # full-batch blocks match its codeword_bit, and both worker counts give
+    # the same bytes
+    n = 1 << 16
+    p = preset("cor1", n, Fraction(1, 8), 256)
+    inst = TrevisanInstance(block_design(p.t, p.m), CodeSpec(n=n, s=p.s_bits, delta=p.delta))
+    inst._seed_gather  # built once per instance, not per stream
+    full = trevisan._batch_blocks(n, 256, 0)
+    assert full == 512
+    rng = np.random.default_rng(32)
+    data = rng.integers(0, 256, (full + 3) * n // 8, dtype=np.uint8).tobytes()
+    seed = rng.integers(0, 256, (inst.d + 7) // 8, dtype=np.uint8).tobytes()
+    outs = []
+    for workers in (2, 1):
+        _pin_workers(monkeypatch, workers)
+        peaks = {}
+        for blocks in (full, full + 3):
+            source, sink = io.BytesIO(data[: blocks * n // 8]), io.BytesIO()
+            tracemalloc.start()
+            try:
+                extract_stream(inst, source, io.BytesIO(seed), sink, reuse_seed=True)
+                peaks[blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[full + 3] <= peaks[full] + (64 << 10), (workers, peaks)
+        outs.append(sink.getvalue())
+    out, y = outs[0], BitString.from_bytes(seed, inst.d)
+    assert outs[1] == out and len(out) == 32 * (full + 3)
+
+    def block(b):
+        return BitString.from_bytes(data[b * n // 8 : (b + 1) * n // 8], n)
+
+    assert out[-32:] == extract(inst, block(full + 2), y).to_bytes()
+    for b in (0, full - 1):
+        symbols = message_symbols(inst.code, block(b))
+        bits = BitString.from_bytes(out[32 * b : 32 * (b + 1)], 256)
+        for i in random.Random(b).sample(range(256), 16):
+            assert bits[i] == codeword_bit(inst.code, symbols, trevisan._bit_seed(inst, y, i)), (b, i)
+
+
+def test_concurrent_applies_get_their_own_scratch(monkeypatch):
+    # two threads apply one compiled seed at once, each to its own batch:
+    # while one call holds the seed's scratch the other makes its own, so
+    # both get the single-threaded outputs.  A barrier in the kernel holds
+    # both calls inside it together, and a short switch interval
+    # interleaves their chunks
+    rng = np.random.default_rng(33)
+    matrix = rng.integers(0, 1 << 64, size=(130, 64), dtype=np.uint64)
+    masks = _tables(matrix, 64 * 64)  # 512 byte positions, 7 chunks
+    batches = [rng.integers(0, 256, (b, 512), dtype=np.uint8) for b in (40, 41)]
+    _pin_workers(monkeypatch, 1)
+    want = [masks.apply(batch).copy() for batch in batches]
+    barrier = threading.Barrier(2, timeout=10)
+    held = []
+    lookup_range = CompiledMasks._lookup_range
+
+    def meeting(self, scratch, blocks, lo, hi, g):
+        held.append(scratch)
+        barrier.wait()
+        return lookup_range(self, scratch, blocks, lo, hi, g)
+
+    monkeypatch.setattr(CompiledMasks, "_lookup_range", meeting)
+    got = [None, None]
+
+    def run(i):
+        got[i] = masks.apply(batches[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(held) == 2 and held[0] is not held[1]
+    for i in range(2):
+        assert (got[i] == want[i]).all(), i
 
 
 @pytest.mark.parametrize("m, batch", [(2000, 1), (2000, 5), (3, 600)])
