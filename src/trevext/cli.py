@@ -143,13 +143,6 @@ def cmd_params(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    if args.preset != "cor1":
-        # cor2 adds a Toeplitz second stage that extract does not run; its
-        # output would be cor1's under cor2's advertised (k, m, eps)
-        raise ParameterError(
-            f"preset {args.preset!r} does not support extraction; "
-            "use --preset cor1 (params --preset cor2 plans the two-stage construction)"
-        )
     eps = _parse_eps(args.eps)
     p = preset(args.preset, args.n, eps, args.m)
     if not p.constructible:
@@ -222,8 +215,8 @@ def cmd_design(args) -> int:
                if getattr(args, flag) is None]
     if missing:
         raise ParameterError(f"design {args.action} needs {', '.join(missing)}")
-    r = _parse_fraction(args.r, "overlap target --r")
     if args.action == "generate":
+        r = _parse_fraction(args.r, "overlap target --r")
         design = _load_or_build_design(args.kind, args.t, args.m, r, args.design_cache, args.out)
         # r_certified is exact: from_sets summed every overlap of the design
         ok = design.r_certified <= (r if args.kind == "greedy" else 1)
@@ -389,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     pp = sub.add_parser("params", help="compute extractor parameters")
-    pp.add_argument("--preset", choices=["cor1", "cor2"], required=True)
+    pp.add_argument("--preset", choices=["cor1"], required=True)
     pp.add_argument("--n", type=int, required=True)
     pp.add_argument("--m", type=int, required=True)
     pp.add_argument("--eps", required=True)
@@ -397,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.set_defaults(fn=cmd_params)
 
     pe = sub.add_parser("extract", help="extract randomness from a file")
-    pe.add_argument("--preset", choices=["cor1", "cor2"], default="cor1")
+    pe.add_argument("--preset", choices=["cor1"], default="cor1")
     pe.add_argument("--n", type=int, required=True)
     pe.add_argument("--m", type=int, required=True)
     pe.add_argument("--eps", required=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bitfield import BitString
 from .code_extractor import extract_bit
-from .entropy import Distribution, JointDistribution, hmin_cond, variational_distance
+from .entropy import Distribution, JointDistribution, _log2, pguess_cond, variational_distance
 from .errors import ParameterError, SizeGuardError
 from .trevisan import TrevisanInstance, extract
 
@@ -38,12 +38,6 @@ def _dims(ext) -> Tuple[int, int, int]:
         return ext.n, ext.d, ext.m
     except AttributeError:
         raise ParameterError("extractor must expose n, d, m") from None
-
-
-def _apply(ext, x: BitString, y: BitString) -> BitString:
-    if isinstance(ext, TrevisanInstance):
-        return extract(ext, x, y)
-    return ext(x, y)
 
 
 def _uniform_seed(d: int) -> Distribution:
@@ -79,7 +73,7 @@ def _scaled_seed(ext, seed: Optional[Distribution]) -> Tuple[int, int, list, int
 
 
 def _output(ext, m: int, x: BitString, y: BitString) -> int:
-    z = _apply(ext, x, y)
+    z = extract(ext, x, y) if isinstance(ext, TrevisanInstance) else ext(x, y)
     if not isinstance(z, BitString) or z.length != m:
         raise ParameterError(f"extractor output {z!r} is not a {m}-bit string")
     return z.value
@@ -284,19 +278,16 @@ def hybrid_gaps(J: JointDistribution, m: int) -> HybridReport:
 
 
 def extraction_joint(inst, source, seed: Optional[Distribution] = None) -> JointDistribution:
-    """Joint of (Ext(X,Y), (Y, E)) — the input hybrid_gaps expects."""
-    n, d, _m = _dims(inst)
-    if n > MAX_EXACT_SOURCE_N:
-        raise SizeGuardError("joint build limited to micro n")
-    joint = _as_joint(source)
-    if seed is None:
-        seed = _uniform_seed(d)
-    out: Dict[tuple, Fraction] = {}
-    for (x, e), px in joint.mass.items():
-        for y, py in seed.mass.items():
-            key = (_apply(inst, x, y), (y, e))
-            out[key] = out.get(key, Fraction(0)) + px * py
-    return JointDistribution(out)
+    """Joint of (Ext(X,Y), (Y, E)) — the input hybrid_gaps expects — from
+    the integer cell masses of the error oracle, under its size guard."""
+    _n, m, seeds, ly = _scaled_seed(inst, seed)
+    sources, lx = _scaled(_as_joint(source).mass)
+    cells = _error_cells(inst, m, sources, [((y, y), py) for y, py in seeds])
+    scale = lx * ly
+    return JointDistribution({
+        (BitString(m, z), ye): Fraction(q, scale)
+        for ye, cell in cells.items() for z, q in cell.items()
+    })
 
 
 # -- distinguisher -> one-bit predictor reduction ---------------------------
@@ -507,9 +498,12 @@ def weak_seed_split_check(
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ParameterError("eps must be in (0, 1]")
-    hyz = hmin_cond(J_yz)
+    # premise (a) is decided exactly: Hmin(Y|Z) >= s + log2(1/eps) is
+    # pguess(Y|Z) * 2^s <= eps; the float entropies are for the report only
+    pg = pguess_cond(J_yz)
+    hyz = -_log2(pg)
     need = s + (-math.log2(eps))
-    if hyz < need - 1e-12:
+    if pg * 2**s > eps:
         return WeakSeedReport(None, 2 * eps, hyz, False,
                               f"Hmin(Y|Z) = {hyz:.4f} < s + log2(1/eps) = {need:.4f}", 0)
     size = 1 << s

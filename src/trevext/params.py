@@ -19,7 +19,7 @@ from .entropy import _log2
 from .errors import ParameterError
 from .weak_design import design_seed_length
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 # Pinned values for every O(1) appearing in a stated bound.
 PINNED_CONSTANTS = {
@@ -33,11 +33,6 @@ PINNED_CONSTANTS = {
     # leftover-hash threshold for two-universal hashing:
     # k >= m + 2 log2(1/eps) + 0.
     "leftover_hash_additive": 0.0,
-    # entropy-loss factors advertised for the second hashing stage:
-    # plain two-universal (implemented) vs the almost-two-universal
-    # family the optimized-loss preset is stated with.
-    "toeplitz_loss_factor": 2.0,
-    "almost_universal_loss_factor": 4.0,
 }
 
 
@@ -134,18 +129,6 @@ def preset(name: str, n: int, eps: Fraction, m: int) -> ExtractorParams:
     """Named parameter presets for the concrete constructions."""
     if name == "cor1":
         return trevisan_params(n, eps, m, design_kind="block")
-    if name == "cor2":
-        p = trevisan_params(n, eps, m, design_kind="block")
-        stage2 = (
-            "second stage: hash the residual min-entropy with a Toeplitz "
-            "two-universal family; composite error eps1 + eps2, stage-2 "
-            f"loss 2 log2(1/eps) + 0 (implemented) vs 4 log2(1/eps) + O(1) "
-            "(loss formula of the almost-two-universal family the optimized "
-            "statement is given for)",
-        )
-        return ExtractorParams(
-            **{**p.__dict__, "preset": "cor2", "notes": p.notes + stage2}
-        )
     raise ParameterError(f"unknown preset {name!r}")
 
 

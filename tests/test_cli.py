@@ -2,10 +2,13 @@ import argparse
 import json
 import os
 import random
+import re
+import shlex
 import stat
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -52,15 +55,18 @@ def test_params_text_report(capsys):
 
 
 def test_params_machine_report(capsys):
-    assert run(["params", "--preset", "cor2", "--n", 1024, "--m", 64,
+    assert run(["params", "--preset", "cor1", "--n", 1024, "--m", 64,
                 "--eps", "1/1024", "--report", "machine"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema_version"] == 2 and doc["preset"] == "cor2"
-    # the keys of schema 2; a removed or renamed key needs a new version
+    assert doc["schema_version"] == 3 and doc["preset"] == "uniform-seed/block"
+    # the keys of schema 3; a removed or renamed key needs a new version
     assert set(doc) == {
         "schema_version", "preset", "n", "m", "eps", "k", "d", "t", "r", "delta",
         "eps_c", "k_c", "symbol_bits", "constructible", "entropy_loss", "rt_slack",
         "notes", "pinned_constants",
+    }
+    assert set(doc["pinned_constants"]) == {
+        "rt_additive", "preset_cor1_additive", "leftover_hash_additive",
     }
 
 
@@ -96,21 +102,12 @@ def _preset_choices(command):
     return next(a.choices for a in sub.choices[command]._actions if a.dest == "preset")
 
 
-def test_preset_choices_match_the_planner(tmp_path, capsys):
-    # every params --preset choice plans, extract offers only those, and
-    # extract runs cor1 alone: the others exit 2 before anything is written
+def test_preset_choices_match_the_planner():
+    # every params --preset choice plans, and extract offers exactly those
     planned = _preset_choices("params")
     for name in planned:
         assert preset(name, 16, Fraction(1, 2), 2).m == 2
-    offered = _preset_choices("extract")
-    assert "cor1" in offered and set(offered) <= set(planned)
-    (tmp_path / "in.bin").write_bytes(b"\x12\x34")
-    for name in set(offered) - {"cor1"}:
-        assert run(["extract", "--preset", name, "--n", 16, "--m", 2, "--eps", "1/2",
-                    "--in", tmp_path / "in.bin", "--out", tmp_path / "out.bin"]) \
-            == EXIT_PARAMETER
-        assert "does not support extraction" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin"]
+    assert _preset_choices("extract") == planned
 
 
 def _write_micro_inputs(tmp_path, blocks=2, reuse=False):
@@ -294,17 +291,17 @@ def test_extract_moves_seed_record_first(tmp_path, capsys, monkeypatch):
 
 
 def test_extract_cor2_rejected(tmp_path, capsys):
-    # extract runs no Toeplitz second stage, so cor2 would write cor1's bytes
-    inst, data, seed = _write_micro_inputs(tmp_path, blocks=2, reuse=True)
-    for seed_args in (["--seed-file", tmp_path / "seed.bin"], []):
-        rc = run(["extract", "--preset", "cor2", "--n", 16, "--m", 2, "--eps", "1/2",
-                  "--in", tmp_path / "in.bin", "--out", tmp_path / "out.bin",
-                  "--reuse-seed"] + seed_args)
-        assert rc == EXIT_PARAMETER
-        assert "cor2" in capsys.readouterr().err
+    # cor2 planned no second stage: argparse refuses it on both commands
+    # with exit 2, before extract opens any file
+    _write_micro_inputs(tmp_path, blocks=2, reuse=True)
+    extract = ["extract", "--in", tmp_path / "in.bin", "--out", tmp_path / "out.bin",
+               "--reuse-seed"]
+    for argv in (extract + ["--seed-file", tmp_path / "seed.bin"], extract, ["params"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--preset", "cor2", "--n", 16, "--m", 2, "--eps", "1/2"])
+        assert exc.value.code == EXIT_PARAMETER
+        assert "invalid choice: 'cor2'" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin", "seed.bin"]
-    assert run(["params", "--preset", "cor2", "--n", 16, "--m", 2,
-                "--eps", "1/2"]) == EXIT_OK
 
 
 def test_extract_low_k_warns_and_refuses(tmp_path, capsys):
@@ -331,11 +328,12 @@ def test_design_generate_verify_round_trip(tmp_path, capsys):
     assert run(["design", "generate", "--kind", "block", "--t", 4, "--m", 8,
                 "--out", path]) == EXIT_OK
     assert "ok=True" in capsys.readouterr().out
-    assert run(["design", "verify", "--in", path]) == EXIT_OK
+    # --r is generate's overlap target: verify and export never parse it
+    assert run(["design", "verify", "--in", path, "--r", "junk"]) == EXIT_OK
     assert "verified" in capsys.readouterr().out
     # export reproduces the serialization bit-exactly
     out2 = tmp_path / "copy.bin"
-    assert run(["design", "export", "--in", path, "--out", out2]) == EXIT_OK
+    assert run(["design", "export", "--in", path, "--out", out2, "--r", "junk"]) == EXIT_OK
     assert path.read_bytes() == out2.read_bytes()
 
 
@@ -593,3 +591,15 @@ def test_cli_import_does_not_load_openssl():
 
 def test_cli_import_does_not_load_mpmath():
     assert not _loaded_by_cli_import("mpmath")
+
+
+def test_readme_commands_parse():
+    # every `trevext ...` line of README's sh blocks, `\` continuations
+    # joined, is a command line the parser accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("trevext ")]
+    assert len(commands) >= 5
+    for argv in commands:
+        build_parser().parse_args(argv)

@@ -84,6 +84,35 @@ def test_error_matches_hybrid_total():
     assert rep.total == err
 
 
+def test_extraction_joint_matches_term_by_term_sum():
+    # the joint read off the oracle's integer cells equals the Fraction sum
+    # of px * py per (Ext(x, y), (y, e)), with side symbols and a skewed seed
+    inst = micro_instance()
+    src = JointDistribution({(BitString(4, v), v % 3): Fraction(v + 1, 136) for v in range(16)})
+    weights = [y % 5 + 1 for y in range(64)]
+    seed = Distribution({BitString(6, y): Fraction(w, sum(weights))
+                         for y, w in enumerate(weights)})
+    want = {}
+    for (x, e), px in src.mass.items():
+        for y, py in seed.mass.items():
+            key = (extract(inst, x, y), (y, e))
+            want[key] = want.get(key, 0) + px * py
+    assert extraction_joint(inst, src, seed).mass == want
+
+
+def test_extraction_joint_guards():
+    # outputs of the wrong length and inputs past the size guard are refused
+    # as by the error oracle
+    def short(x, y):
+        return BitString(1, 0)
+
+    short.n, short.d, short.m = 2, 0, 2  # a bare callable with a wrong claim
+    with pytest.raises(ParameterError, match="not a 2-bit string"):
+        extraction_joint(short, flat_source([BitString(2, 0)]))
+    with pytest.raises(SizeGuardError):
+        extraction_joint(identity_extractor(13), flat_source([BitString(13, 0)]))
+
+
 def fraction_extractor_error(ext, source, seed=None):
     """Reference: the exact error summed term by term over every output in
     Fraction arithmetic."""
@@ -569,6 +598,20 @@ def test_weak_seed_premise_failure_reported():
     rep = weak_seed_split_check(ext, J_yz, src, s=1, eps=Fraction(1, 2))
     assert not rep.premise_ok
     assert rep.error is None
+    assert "Hmin(Y|Z)" in rep.skipped_reason
+
+
+def test_weak_seed_premise_decided_exactly():
+    # pguess(Y|Z) = 1/2 + 2^-60 exceeds eps * 2^-s = 1/2, while the float
+    # Hmin(Y|Z) rounds to exactly s + log2(1/eps) = 1
+    ext = toeplitz_extractor(2, 1, Fraction(1, 2))
+    tiny = Fraction(1, 1 << 60)
+    J_yz = JointDistribution({(BitString(2, 0), "z"): Fraction(1, 2) + tiny,
+                              (BitString(2, 1), "z"): Fraction(1, 2) - tiny})
+    src = flat_source([BitString(2, v) for v in range(4)])
+    rep = weak_seed_split_check(ext, J_yz, src, s=0, eps=Fraction(1, 2))
+    assert rep.hmin_y_given_z == 1.0
+    assert not rep.premise_ok and rep.error is None
     assert "Hmin(Y|Z)" in rep.skipped_reason
 
 

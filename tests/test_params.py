@@ -115,16 +115,9 @@ def test_parameter_guards():
     # the weak-seed preset planned only a uniform seed it could not build
     with pytest.raises(ParameterError, match="unknown preset 'cor4'"):
         preset("cor4", 1024, Fraction(1, 1024), 64)
-
-
-def test_two_stage_preset_notes():
-    p = preset("cor2", 1024, Fraction(1, 1024), 64)
-    base = preset("cor1", 1024, Fraction(1, 1024), 64)
-    assert p.preset == "cor2"
-    assert (p.k, p.d, p.t) == (base.k, base.d, base.t)
-    assert any("Toeplitz" in note for note in p.notes)
-    assert PINNED_CONSTANTS["toeplitz_loss_factor"] == 2.0
-    assert PINNED_CONSTANTS["almost_universal_loss_factor"] == 4.0
+    # the two-stage preset only relabelled cor1's plan: it planned no stage 2
+    with pytest.raises(ParameterError, match="unknown preset 'cor2'"):
+        preset("cor2", 1024, Fraction(1, 1024), 64)
 
 
 def test_local_preset_unsupported():
