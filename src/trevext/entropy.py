@@ -53,9 +53,6 @@ class Distribution:
     def is_normalized(self) -> bool:
         return self.total == 1
 
-    def support(self):
-        return self.mass.keys()
-
     def __getitem__(self, k) -> Fraction:
         return self.mass.get(k, Fraction(0))
 

@@ -4,7 +4,8 @@ Everything here runs on explicit finite distributions in exact rational
 arithmetic: extractor error as a variational distance, the per-position
 hybrid decomposition, the distinguisher-to-predictor reduction with its
 materialized advice tables, the majority predictor, and the robustness
-statements (smoothing, weak seeds).  Side information is always classical.
+statements (smoothing; weak seeds, scored per seed).  Side information is
+always classical.  A uniform seed is built only for d <= MAX_UNIFORM_SEED_D.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ MAX_HYBRID_M = 12
 MAX_PREDICTOR_NBAR = 16
 MAX_WITNESS_N = 8
 MAX_EXACT_SOURCE_N = 12
+MAX_UNIFORM_SEED_D = 16
 MAX_EXHAUSTIVE_FAMILIES = 10**6
 
 
@@ -41,6 +43,8 @@ def _dims(ext) -> Tuple[int, int, int]:
 
 
 def _uniform_seed(d: int) -> Distribution:
+    if d > MAX_UNIFORM_SEED_D:
+        raise SizeGuardError(f"uniform seed limited to d <= {MAX_UNIFORM_SEED_D}")
     p = Fraction(1, 1 << d)
     return Distribution({BitString(d, v): p for v in range(1 << d)})
 
@@ -205,9 +209,9 @@ def max_error_flat_sources(
     first maximum in combinations order.
     """
     n, _d, _m = _dims(ext)
+    if not 0 <= k <= n:
+        raise ParameterError(f"k must be in [0, n={n}]")
     size = 1 << k
-    if size > 1 << n:
-        raise ParameterError("k exceeds n")
     if math.comb(1 << n, size) > MAX_EXHAUSTIVE_FAMILIES:
         raise SizeGuardError(
             f"flat-source search limited to {MAX_EXHAUSTIVE_FAMILIES} supports")
@@ -322,10 +326,6 @@ def reduction_witness(
     """
     if inst.n > MAX_WITNESS_N:
         raise SizeGuardError(f"reduction witness limited to n <= {MAX_WITNESS_N}")
-    joint = _as_joint(source)
-    if seed is None:
-        seed = _uniform_seed(inst.d)
-
     report = hybrid_gaps(extraction_joint(inst, source, seed), inst.m)
     i = report.argmax
     si = inst.design.sets[i]
@@ -350,32 +350,24 @@ def reduction_witness(
             tables.append((len(overlap), tab))
         return tuple(tables)
 
-    dist: Dict[tuple, Dict[int, Fraction]] = {}
-    per_w: Dict[BitString, Dict[tuple, Dict[int, Fraction]]] = {}
-    for (x, e), px in joint.mass.items():
-        for y, py in seed.mass.items():
+    # integer masses by cell (V, W, G, E) -> {C(X, V): px * py}
+    _n, _m, seeds, ly = _scaled_seed(inst, seed)
+    sources, lx = _scaled(_as_joint(source).mass)
+    cells: Dict[tuple, Dict[int, int]] = {}
+    for (x, e), px in sources:
+        for y, py in seeds:
             v = y.substring(si).prefix(inst.code.t)
-            w = y.substring(outside)
-            g = advice(x, y)
+            cell = cells.setdefault((v, y.substring(outside), advice(x, y), e), {})
             c = extract_bit(inst.code, x, v)
-            p = px * py
-            key = (v, w, g, e)
-            dist.setdefault(key, {0: Fraction(0), 1: Fraction(0)})[c] += p
-            per_w.setdefault(w, {}).setdefault(
-                key, {0: Fraction(0), 1: Fraction(0)}
-            )[c] += p
+            cell[c] = cell.get(c, 0) + px * py
+    advantage = _distance(cells.values(), 1, lx * ly)
 
-    advantage = sum(
-        (abs(cs[0] - cs[1]) for cs in dist.values()), Fraction(0)
-    ) / 2
+    per_w: Dict[BitString, list] = {}
+    for (_v, w, _g, _e), cell in cells.items():
+        per_w.setdefault(w, []).append(cell)
 
     def w_score(w) -> Fraction:
-        mass = sum((cs[0] + cs[1] for cs in per_w[w].values()), Fraction(0))
-        if mass == 0:
-            return Fraction(0)
-        return sum(
-            (abs(cs[0] - cs[1]) for cs in per_w[w].values()), Fraction(0)
-        ) / (2 * mass)
+        return _distance(per_w[w], 1, sum(sum(cell.values()) for cell in per_w[w]))
 
     best_w = max(sorted(per_w, key=lambda b: b.value), key=w_score)
 
@@ -475,29 +467,30 @@ class WeakSeedReport:
     hmin_y_given_z: float
     premise_ok: bool
     skipped_reason: Optional[str]
-    seed_sources_checked: int
 
 
 def weak_seed_split_check(
-    ext,
-    J_yz: JointDistribution,
-    source,
-    s: int,
-    eps: Fraction,
-    max_premise_checks: int = 20000,
+    ext, J_yz: JointDistribution, source, s: int, eps: Fraction
 ) -> WeakSeedReport:
     """Splitting a weak seed by classical side information Z.
 
     Premises checked on the instance itself: (a) Hmin(Y|Z) >= s + log2(1/eps)
     and (b) the extractor has error <= eps on every flat seed distribution of
-    min-entropy s (extreme points; exhaustive up to a size guard).  When both
-    hold, the exact error of (Ext(X,Y), Y, Z) against U x (Y, Z) must be at
-    most 2*eps; the check is exact.
+    min-entropy s (the extreme points).  The source is independent of (Y, Z),
+    so each error is a mixture of the per-seed errors
+    err_y = (1/2)|| (Ext(X, y), E) - U_m x E ||: (b) holds exactly when the
+    2^s largest err_y sum to at most 2^s * eps, and the error of
+    (Ext(X,Y), Y, Z) against U x (Y, Z) is sum_y P_Y(y) err_y, which must be
+    at most 2*eps when both premises hold.  Every step is exact.
     """
-    n, d, m = _dims(ext)
+    _n, d, _m = _dims(ext)
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ParameterError("eps must be in (0, 1]")
+    if not 0 <= s <= d:
+        raise ParameterError(f"seed min-entropy s must be in [0, d={d}]")
+    if any(not isinstance(y, BitString) or y.length != d for y, _z in J_yz.mass):
+        raise ParameterError(f"seed values of J_yz must be {d}-bit strings")
     # premise (a) is decided exactly: Hmin(Y|Z) >= s + log2(1/eps) is
     # pguess(Y|Z) * 2^s <= eps; the float entropies are for the report only
     pg = pguess_cond(J_yz)
@@ -505,29 +498,26 @@ def weak_seed_split_check(
     need = s + (-math.log2(eps))
     if pg * 2**s > eps:
         return WeakSeedReport(None, 2 * eps, hyz, False,
-                              f"Hmin(Y|Z) = {hyz:.4f} < s + log2(1/eps) = {need:.4f}", 0)
-    size = 1 << s
-    if math.comb(1 << d, size) > max_premise_checks:
-        return WeakSeedReport(None, 2 * eps, hyz, False,
-                              "too many flat seed sources to certify the premise", 0)
-    checked = 0
-    for sup in itertools.combinations(range(1 << d), size):
-        p = Fraction(1, size)
-        sd = Distribution({BitString(d, v): p for v in sup})
-        checked += 1
-        if extractor_error(ext, source, sd) > eps:
-            return WeakSeedReport(
-                None, 2 * eps, hyz, False,
-                f"extractor exceeds eps on flat seed support {sup}", checked
-            )
-    # exact error with the seed correlated to Z
+                              f"Hmin(Y|Z) = {hyz:.4f} < s + log2(1/eps) = {need:.4f}")
+    # one pass over every seed, each of scaled mass 1: err_y over lx
+    _n, m, seeds, _ly = _scaled_seed(ext, None)
     sources, lx = _scaled(_as_joint(source).mass)
-    seeds, lyz = _scaled(J_yz.mass)
-    cells = _error_cells(ext, m, sources, [((y, (y.value, z)), p) for (y, z), p in seeds])
-    err = _distance(cells.values(), m, lx * lyz)
-    if err > 2 * eps:
+    cells = _error_cells(ext, m, sources, [((y, y.value), py) for y, py in seeds])
+    cells_of: Dict[int, list] = {y.value: [] for y, _py in seeds}
+    for (yv, _e), cell in cells.items():
+        cells_of[yv].append(cell)
+    err = {yv: _distance(c, m, lx) for yv, c in cells_of.items()}
+    worst = sorted(err, key=err.__getitem__, reverse=True)[:1 << s]
+    if sum(err[yv] for yv in worst) > eps * len(worst):
+        return WeakSeedReport(
+            None, 2 * eps, hyz, False,
+            f"extractor exceeds eps on flat seed support {tuple(sorted(worst))}"
+        )
+    # exact error with the seed correlated to Z
+    total = sum((p * err[y.value] for (y, _z), p in J_yz.mass.items()), Fraction(0))
+    if total > 2 * eps:
         raise ParameterError("weak-seed splitting bound violated (internal error)")
-    return WeakSeedReport(err, 2 * eps, hyz, True, None, checked)
+    return WeakSeedReport(total, 2 * eps, hyz, True, None)
 
 
 # -- test-vector dump --------------------------------------------------------

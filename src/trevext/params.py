@@ -31,7 +31,7 @@ PINNED_CONSTANTS = {
     # so the advertised "+ O(1)" equals 8 log2 3.
     "preset_cor1_additive": 8 * math.log2(3),
     # leftover-hash threshold for two-universal hashing:
-    # k >= m + 2 log2(1/eps) + 0.
+    # k >= m + 2 log2(1/eps) + 0 (universal_hash.required_min_entropy).
     "leftover_hash_additive": 0.0,
 }
 

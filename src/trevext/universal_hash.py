@@ -17,6 +17,7 @@ from typing import Callable
 from .bitfield import BitString
 from .entropy import _log2
 from .errors import ParameterError
+from .params import PINNED_CONSTANTS
 
 
 @dataclass(frozen=True)
@@ -62,14 +63,13 @@ def toeplitz_hash(spec: ToeplitzSpec, x: BitString, seed: BitString) -> BitStrin
 
 
 def required_min_entropy(m_out: int, eps: Fraction) -> float:
-    """Leftover-hash threshold for two-universal hashing: m + 2*log2(1/eps).
-
-    The additive O(1) constant is pinned to 0 throughout the calculators.
+    """Leftover-hash threshold for two-universal hashing: m + 2*log2(1/eps)
+    plus the additive O(1), PINNED_CONSTANTS["leftover_hash_additive"].
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ParameterError("eps must be in (0, 1)")
-    return m_out + 2 * -_log2(eps)
+    return m_out + 2 * -_log2(eps) + PINNED_CONSTANTS["leftover_hash_additive"]
 
 
 @dataclass(frozen=True)

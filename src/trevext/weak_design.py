@@ -75,8 +75,7 @@ class DesignCertificate:
 
     overlap_sums: tuple  # sum_{j<i} 2^{|S_j cap S_i|}, big integers
     r_certified: Fraction  # max overlap sum / m
-    checked_r: Fraction | None = None
-    violating_index: int | None = None  # first i (0-based) exceeding checked_r * m
+    violating_index: int | None = None  # first i (0-based) exceeding the checked r * m
 
     @property
     def ok(self) -> bool:
@@ -216,7 +215,6 @@ def verify_design(design: WeakDesign, r: Fraction | int) -> DesignCertificate:
     return DesignCertificate(
         overlap_sums=sums,
         r_certified=r_cert,
-        checked_r=r,
         violating_index=violating,
     )
 

@@ -277,9 +277,8 @@ def test_criterion_06_hybrid_decomposition():
     report(6, "hybrid max gap >= total/m", ok, f"{checked} random joints, exact")
 
 
-def test_criterion_07_reduction_witness():
+def _criterion_07_pairs():
     rng = random.Random(1007)
-    checked = violations = 0
     for inst in _micro_instances():
         sources = [
             Distribution({BitString(4, 3): Fraction(1)}),
@@ -290,15 +289,45 @@ def test_criterion_07_reduction_witness():
                                for v in range(16)}),
         ]
         for src in sources:
-            wit = reduction_witness(inst, src)
-            checked += 1
-            eps = wit.total / 2  # any eps below the measured total
-            if wit.total > eps and not wit.advantage > eps / inst.m:
-                violations += 1
-            if wit.advice_bits > inst.design.r_certified * inst.m:
-                violations += 1
+            yield inst, src
+
+
+def test_criterion_07_reduction_witness():
+    checked = violations = 0
+    for inst, src in _criterion_07_pairs():
+        wit = reduction_witness(inst, src)
+        checked += 1
+        eps = wit.total / 2  # any eps below the measured total
+        if wit.total > eps and not wit.advantage > eps / inst.m:
+            violations += 1
+        if wit.advice_bits > inst.design.r_certified * inst.m:
+            violations += 1
     report(7, "distinguisher-to-predictor witness", violations == 0,
            f"{checked} instance/source pairs, 0 violations")
+
+
+# (index, w, advantage) of each criterion 07 pair, from the Fraction sums
+# the witness was first computed with
+CRITERION_07_WITNESSES = [
+    (0, BitString(2, 0), Fraction(1, 2)),
+    (0, BitString(2, 0), Fraction(1, 2)),
+    (1, BitString(2, 0), Fraction(29, 64)),
+    (1, BitString(2, 0), Fraction(101, 256)),
+    (0, BitString(2, 0), Fraction(1, 2)),
+    (0, BitString(4, 0), Fraction(1, 2)),
+    (0, BitString(4, 0), Fraction(1, 2)),
+    (2, BitString(4, 0), Fraction(61, 128)),
+    (2, BitString(4, 1), Fraction(13, 32)),
+    (0, BitString(4, 0), Fraction(1, 2)),
+]
+
+
+def test_criterion_07_witnesses_pinned():
+    got = []
+    for inst, src in _criterion_07_pairs():
+        wit = reduction_witness(inst, src)
+        got.append((wit.index, wit.w, wit.advantage))
+    assert got == CRITERION_07_WITNESSES
 
 
 def test_criterion_08_majority_predictor():

@@ -10,7 +10,13 @@ from trevext import harness
 
 from trevext.bitfield import BitString
 from trevext.code_extractor import CodeSpec
-from trevext.entropy import Distribution, JointDistribution, flat_source, variational_distance
+from trevext.entropy import (
+    Distribution,
+    JointDistribution,
+    flat_source,
+    pguess_cond,
+    variational_distance,
+)
 from trevext.errors import ParameterError, SizeGuardError
 from trevext.harness import (
     advice_bits,
@@ -25,9 +31,10 @@ from trevext.harness import (
     smoothing_robustness_check,
     weak_seed_split_check,
 )
+from trevext.params import preset
 from trevext.trevisan import TrevisanInstance, extract
 from trevext.universal_hash import AdvertisedExtractor, toeplitz_extractor
-from trevext.weak_design import WeakDesign
+from trevext.weak_design import WeakDesign, block_design
 
 
 def identity_extractor(n):
@@ -74,6 +81,20 @@ def test_error_side_information_leak():
 def test_error_size_guard():
     with pytest.raises(SizeGuardError):
         extractor_error(identity_extractor(13), flat_source([BitString(13, 0)]))
+
+
+def test_uniform_seed_guard(monkeypatch):
+    # cor1 at n = 8, m = 2 has d = 32: a uniform seed of 2^32 entries is
+    # refused before any seed string is built and before Ext runs
+    p = preset("cor1", 8, Fraction(1, 2), 2)
+    inst = TrevisanInstance(block_design(p.t, p.m), CodeSpec(n=8, s=p.s_bits, delta=p.delta))
+    assert inst.d == 32 > harness.MAX_UNIFORM_SEED_D
+    monkeypatch.setattr(harness, "BitString", None)
+    monkeypatch.setattr(harness, "_output", None)
+    with pytest.raises(SizeGuardError, match="uniform seed"):
+        extractor_error(inst, flat_source([BitString(8, 0)]))
+    with pytest.raises(SizeGuardError, match="uniform seed"):
+        max_error_flat_sources(inst, 1)
 
 
 def test_error_matches_hybrid_total():
@@ -357,6 +378,13 @@ def test_flat_family_refuses_past_family_guard():
     assert not calls
 
 
+def test_flat_family_rejects_negative_k():
+    with pytest.raises(ParameterError, match="k must be"):
+        max_error_flat_sources(identity_extractor(2), -1)
+    with pytest.raises(ParameterError, match="k must be"):
+        max_error_flat_sources(identity_extractor(2), 3)
+
+
 def test_flat_family_monotone_in_k():
     # flat sources of entropy k are the extreme points of the >= k polytope,
     # so the worst-case error cannot increase with k
@@ -489,6 +517,18 @@ def test_witness_point_mass():
     assert wit.advantage * inst.m >= wit.total
 
 
+def test_witness_scores_w_per_unit_mass():
+    # under a skewed seed the values of W carry unequal mass: w is chosen by
+    # the advantage given W = w, not by that value's share of the total
+    inst = micro_instance()
+    weights = [y % 5 + 1 for y in range(64)]
+    seed = Distribution({BitString(6, y): Fraction(w, sum(weights))
+                         for y, w in enumerate(weights)})
+    wit = reduction_witness(inst, flat_source([BitString(4, 0), BitString(4, 1)]), seed)
+    assert (wit.index, wit.w, wit.advantage, wit.gap) == \
+        (1, BitString(2, 1), Fraction(87, 190), Fraction(39, 95))
+
+
 def test_advice_bits_formula():
     inst = micro_instance()
     assert advice_bits(inst, 0) == 0
@@ -585,7 +625,6 @@ def test_weak_seed_independent_side_info():
     assert rep.premise_ok and rep.skipped_reason is None
     assert rep.error is not None and rep.error <= rep.bound == 1
     assert rep.error == fraction_extractor_error(ext, src)
-    assert rep.seed_sources_checked > 0
 
 
 def test_weak_seed_premise_failure_reported():
@@ -615,16 +654,88 @@ def test_weak_seed_premise_decided_exactly():
     assert "Hmin(Y|Z)" in rep.skipped_reason
 
 
-def test_weak_seed_too_many_supports_skips():
-    ext = toeplitz_extractor(2, 1, Fraction(1, 2))
-    J_yz = JointDistribution(
-        {(BitString(2, v), "z"): Fraction(1, 4) for v in range(4)}
-    )
-    src = flat_source([BitString(2, v) for v in range(4)])
-    rep = weak_seed_split_check(
-        ext, J_yz, src, s=1, eps=Fraction(1, 2), max_premise_checks=1
-    )
-    assert not rep.premise_ok and "too many" in rep.skipped_reason
+class _SideSeeded:
+    """`ext` reading a seed key (y, z) as y, so that Z stays in the
+    conditioning of the reference error."""
+
+    def __init__(self, ext):
+        self.ext, self.m = ext, ext.m
+
+    def __call__(self, x, yz):
+        return self.ext(x, yz[0])
+
+
+def flat_seed_reference(ext, J_yz, source, s, eps):
+    """Reference: premise (b) scored on every flat seed support of size 2^s
+    with `extractor_error`, the correlated error summed term by term.
+    Returns (premise_ok, error, kind of skip)."""
+    d = ext.d
+    if pguess_cond(J_yz) * 2**s > eps:
+        return False, None, "Hmin(Y|Z)"
+    size = 1 << s
+    for sup in itertools.combinations(range(1 << d), size):
+        seed = Distribution({BitString(d, v): Fraction(1, size) for v in sup})
+        if extractor_error(ext, source, seed) > eps:
+            return False, None, "exceeds eps"
+    return True, fraction_extractor_error(_SideSeeded(ext), source, Distribution(J_yz.mass)), None
+
+
+def _table_extractor(rng, n, d, m):
+    table = [rng.randrange(1 << m) for _ in range(1 << (n + d))]
+    return AdvertisedExtractor(
+        lambda x, y: BitString(m, table[(x.value << d) | y.value]), n, d, m, 0, Fraction(1))
+
+
+def test_weak_seed_matches_flat_seed_enumeration():
+    # 240 micro instances, d <= 4, s <= 2, random eps, Z correlated with Y:
+    # the per-seed decision and error equal the enumeration of every support
+    rng = random.Random(26)
+    kinds = {"certified": 0, "Hmin(Y|Z)": 0, "exceeds eps": 0}
+    for _ in range(240):
+        n, d, m = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 2)
+        ext = _table_extractor(rng, n, d, m)
+        s = rng.randint(0, min(2, d))
+        eps = Fraction(rng.randint(1, 16), 16)
+        zs = rng.randint(1, 3)
+        J_yz = JointDistribution(_random_mass(rng, [
+            (BitString(d, y), z) for y in range(1 << d) for z in range(zs)
+            if rng.random() < 0.8 or z == y % zs
+        ]))
+        src = JointDistribution(_random_mass(rng, [
+            (BitString(n, x), e) for x in rng.sample(range(1 << n), rng.randint(1, 1 << n))
+            for e in range(rng.randint(1, 2))
+        ]))
+        ok, err, kind = flat_seed_reference(ext, J_yz, src, s, eps)
+        rep = weak_seed_split_check(ext, J_yz, src, s, eps)
+        assert (rep.premise_ok, rep.error) == (ok, err)
+        assert kind is None and rep.skipped_reason is None or kind in rep.skipped_reason
+        kinds[kind or "certified"] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_weak_seed_decided_past_enumeration():
+    # d = 5, s = 2: C(32, 4) = 35 960 flat seed supports, one pass over seeds
+    ext = toeplitz_extractor(4, 2, Fraction(1, 4))
+    weights = {(BitString(5, y), y >> 4): 1 + y % 2 for y in range(32)}
+    J_yz = JointDistribution({k: Fraction(w, 48) for k, w in weights.items()})
+    src = flat_source([BitString(4, v) for v in range(16)])
+    rep = weak_seed_split_check(ext, J_yz, src, s=2, eps=Fraction(5, 8))
+    assert rep.premise_ok and rep.skipped_reason is None
+    P_Y = Distribution({y: p for (y, _z), p in J_yz.mass.items()})
+    assert rep.error == extractor_error(ext, src, P_Y) == Fraction(13, 192)
+
+
+def test_weak_seed_guards():
+    ext = toeplitz_extractor(4, 2, Fraction(1, 4))  # d = 5
+    src = flat_source([BitString(4, 0)])
+    for key in (BitString(3, 0), BitString(6, 0), 0):
+        J = JointDistribution({(key, "z"): Fraction(1)})
+        with pytest.raises(ParameterError, match="5-bit"):
+            weak_seed_split_check(ext, J, src, 0, Fraction(1, 2))
+    J = JointDistribution({(BitString(5, 0), "z"): Fraction(1)})
+    for s in (-1, 6):
+        with pytest.raises(ParameterError, match="s must be"):
+            weak_seed_split_check(ext, J, src, s, Fraction(1, 2))
 
 
 def test_weak_seed_eps_guard():

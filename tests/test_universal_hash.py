@@ -6,6 +6,7 @@ import pytest
 from trevext.bitfield import BitString
 from trevext.entropy import flat_source
 from trevext.errors import ParameterError
+from trevext.params import PINNED_CONSTANTS
 from trevext.universal_hash import (
     AdvertisedExtractor,
     ToeplitzSpec,
@@ -136,3 +137,10 @@ def test_compose_threshold_bookkeeping():
     )
     with pytest.raises(ParameterError):
         compose_params(e1, too_demanding)
+
+
+def test_required_min_entropy_reads_pinned_additive(monkeypatch):
+    base = required_min_entropy(3, Fraction(1, 4))
+    assert base == 3 + 2 * 2 + PINNED_CONSTANTS["leftover_hash_additive"]
+    monkeypatch.setitem(PINNED_CONSTANTS, "leftover_hash_additive", 1.0)
+    assert required_min_entropy(3, Fraction(1, 4)) == base + 1
