@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import math
 import os
 import sys
 import tempfile
@@ -66,25 +67,31 @@ def _cache_path(cache_dir: str, kind: str, t: int, m: int, r: Fraction) -> str:
     return os.path.join(cache_dir, name)
 
 
-def _temporary_beside(path: str) -> tuple:
-    """(fd, name) of a fresh file, mode 0600, in the directory of `path`:
-    concurrent writers of one path never share a temporary, and a move
-    into place stays on one file system."""
-    return tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-
-
-def _write_atomic(path: str, data: bytes) -> None:
-    """Write `data` to a fresh temporary file beside `path` and move it into
-    place, so a failure leaves neither a partial file at `path` nor the
-    temporary."""
-    fd, tmp = _temporary_beside(path)
+@contextlib.contextmanager
+def _atomic_outputs():
+    """Yield `create(path)`, which opens a fresh temporary, mode 0600, for
+    writing beside `path` (so concurrent writers never share one, and a move
+    stays on one file system).  On success the temporaries move into place
+    in creation order; on any failure neither they nor a moved file remain."""
+    temps = []  # (temporary, final path), in creation order
+    moved = []  # final paths already in place
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        with contextlib.ExitStack() as files:
+
+            def create(path):
+                fd, tmp = tempfile.mkstemp(
+                    dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+                temps.append((tmp, path))
+                return files.enter_context(os.fdopen(fd, "wb"))
+
+            yield create
+        for tmp, path in temps:
+            os.replace(tmp, path)
+            moved.append(path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        for path in [tmp for tmp, _ in temps] + moved:
+            if os.path.exists(path):
+                os.remove(path)
         raise
 
 
@@ -108,13 +115,13 @@ def _load_or_build_design(kind: str, t: int, m: int, r: Fraction, cache_dir=None
         design = block_design(t, m) if kind == "block" else greedy_basic_design(t, m, r)
         if path:
             os.makedirs(cache_dir, exist_ok=True)
-        # the cache entry first: a failed write of `out` leaves a valid entry
         targets = [path, out]
     targets = [target for target in targets if target]
     if targets:
         data = serialize_design(design)
-        for target in targets:
-            _write_atomic(target, data)
+        with _atomic_outputs() as create:
+            for target in targets:
+                create(target).write(data)
     return design
 
 
@@ -143,6 +150,8 @@ def cmd_params(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    if args.k is not None and not math.isfinite(args.k):
+        raise ParameterError(f"claimed source min-entropy --k {args.k} is not finite")
     eps = _parse_eps(args.eps)
     p = preset(args.preset, args.n, eps, args.m)
     if not p.constructible:
@@ -165,42 +174,23 @@ def cmd_extract(args) -> int:
     code = CodeSpec(n=args.n, s=p.s_bits, delta=p.delta)
     inst = TrevisanInstance(design, code)
 
-    source = getattr(args, "in")
-    # the output, and the seed record the run generates, are streamed into
-    # temporaries beside --out and moved into place, the seed record first:
-    # a failed run leaves neither, and an output never exists without its seed
-    temps = []  # (temporary, final path), in the order they are moved
-    moved = []  # final paths already in place
-    try:
-        with contextlib.ExitStack() as files:
-
-            def create(path):
-                fd, tmp = _temporary_beside(args.out)
-                temps.append((tmp, path))
-                return files.enter_context(os.fdopen(fd, "wb"))
-
-            if args.seed_file:
-                seed = files.enter_context(open(args.seed_file, "rb"))
-            else:
-                # seed bits are drawn as the stream reads them, so the input
-                # may be a pipe of unknown length
-                seed = _RecordedEntropy(create(args.out + ".seed"))
-            src = files.enter_context(open(source, "rb"))
-            sink = create(args.out)
-            report = extract_stream(inst, src, seed, sink, reuse_seed=args.reuse_seed)
-        for tmp, path in temps:
-            os.replace(tmp, path)
-            moved.append(path)
-    except BaseException:
-        for path in [tmp for tmp, _ in temps] + moved:
-            if os.path.exists(path):
-                os.remove(path)
-        raise
+    # the output, and the seed record the run generates, are moved into
+    # place the seed record first: a failed run leaves neither, and an
+    # output never exists without its seed
+    with _atomic_outputs() as create, contextlib.ExitStack() as inputs:
+        if args.seed_file:
+            seed = inputs.enter_context(open(args.seed_file, "rb"))
+        else:
+            # seed bits are drawn as the stream reads them, so the input
+            # may be a pipe of unknown length
+            seed = _RecordedEntropy(create(args.out + ".seed"))
+        src = inputs.enter_context(open(getattr(args, "in"), "rb"))
+        report = extract_stream(inst, src, seed, create(args.out), reuse_seed=args.reuse_seed)
+    # the per-block errors compose by the union bound in both seed modes
     print(
         f"extracted {report.blocks} block(s): n={args.n} -> m={p.m} bits each; "
-        f"advertised (k, eps) = ({p.k:.2f}, {float(p.eps):.3g})"
-        + (f"; reused seed, union-bound factor {report.joint_error_factor}"
-           if report.seed_reused else "")
+        f"advertised (k, eps) = ({p.k:.2f}, {float(p.eps):.3g}); "
+        f"joint error budget {report.blocks} × eps"
         + (f"; {report.seed_bits_unread} seed bit(s) after the last block left unread"
            if report.seed_bits_unread else "")
     )
@@ -231,7 +221,9 @@ def cmd_design(args) -> int:
         print(f"design t={design.t} m={design.m} d={design.d} "
               f"r_certified={design.r_certified} verified")
         return EXIT_OK
-    _write_atomic(args.out, serialize_design(design))
+    data = serialize_design(design)
+    with _atomic_outputs() as create:
+        create(args.out).write(data)
     print(f"exported {design.m} sets to {args.out}")
     return EXIT_OK
 

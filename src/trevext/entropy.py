@@ -34,14 +34,9 @@ class Distribution:
     """Finite pmf with exact rational masses; sub-normalized allowed."""
 
     mass: Dict[Hashable, Fraction]
-    alphabet: frozenset | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "mass", _as_fraction_map(self.mass))
-        if self.alphabet is not None:
-            missing = set(self.mass) - set(self.alphabet)
-            if missing:
-                raise ParameterError(f"mass outside alphabet: {missing}")
         if self.total > 1:
             raise ParameterError("total mass exceeds 1")
 
@@ -58,35 +53,14 @@ class Distribution:
 
 
 @dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(Distribution):
     """Exact pmf over pairs (x, e) with marginalization helpers."""
 
-    mass: Dict[Tuple[Hashable, Hashable], Fraction]
-
-    def __post_init__(self):
-        object.__setattr__(self, "mass", _as_fraction_map(self.mass))
-        if self.total > 1:
-            raise ParameterError("total mass exceeds 1")
-
-    @property
-    def total(self) -> Fraction:
-        return sum(self.mass.values(), Fraction(0))
-
-    @property
-    def is_normalized(self) -> bool:
-        return self.total == 1
-
     def marginal_x(self) -> Distribution:
-        out: Dict[Hashable, Fraction] = {}
-        for (x, _e), p in self.mass.items():
-            out[x] = out.get(x, Fraction(0)) + p
-        return Distribution(out)
+        return Distribution({x: p for (x,), p in marginalize(self.mass, (0,)).items()})
 
     def marginal_e(self) -> Distribution:
-        out: Dict[Hashable, Fraction] = {}
-        for (_x, e), p in self.mass.items():
-            out[e] = out.get(e, Fraction(0)) + p
-        return Distribution(out)
+        return Distribution({e: p for (e,), p in marginalize(self.mass, (1,)).items()})
 
 
 def pguess(P: Distribution) -> Fraction:
@@ -149,8 +123,6 @@ def hmin_smooth_classical(P: Distribution, eps: Fraction) -> float:
 
 def variational_distance(P: Distribution, Q: Distribution) -> Fraction:
     """(1/2) sum |P - Q|, exact."""
-    if P.alphabet is not None and Q.alphabet is not None and P.alphabet != Q.alphabet:
-        raise ParameterError("alphabet mismatch")
     keys = set(P.mass) | set(Q.mass)
     return sum((abs(P[k] - Q[k]) for k in keys), Fraction(0)) / 2
 

@@ -5,7 +5,8 @@ arithmetic: extractor error as a variational distance, the per-position
 hybrid decomposition, the distinguisher-to-predictor reduction with its
 materialized advice tables, the majority predictor, and the robustness
 statements (smoothing; weak seeds, scored per seed).  Side information is
-always classical.  A uniform seed is built only for d <= MAX_UNIFORM_SEED_D.
+always classical.  One builder, `_cells`, gives the oracles their integer
+cells; a uniform seed is 2^d seeds of mass 1, only for d <= MAX_UNIFORM_SEED_D.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .bitfield import BitString
 from .code_extractor import extract_bit
 from .entropy import Distribution, JointDistribution, _log2, pguess_cond, variational_distance
 from .errors import ParameterError, SizeGuardError
-from .trevisan import TrevisanInstance, extract
+from .trevisan import TrevisanInstance, _bit_seed, extract
 
 MAX_HYBRID_M = 12
 MAX_PREDICTOR_NBAR = 16
@@ -40,13 +41,6 @@ def _dims(ext) -> Tuple[int, int, int]:
         return ext.n, ext.d, ext.m
     except AttributeError:
         raise ParameterError("extractor must expose n, d, m") from None
-
-
-def _uniform_seed(d: int) -> Distribution:
-    if d > MAX_UNIFORM_SEED_D:
-        raise SizeGuardError(f"uniform seed limited to d <= {MAX_UNIFORM_SEED_D}")
-    p = Fraction(1, 1 << d)
-    return Distribution({BitString(d, v): p for v in range(1 << d)})
 
 
 def _as_joint(source) -> JointDistribution:
@@ -67,13 +61,15 @@ def _scaled(mass: dict) -> Tuple[list, int]:
 
 def _scaled_seed(ext, seed: Optional[Distribution]) -> Tuple[int, int, list, int]:
     """(n, m, scaled seed masses, their denominator) under the size guard;
-    the seed defaults to uniform."""
+    the seed defaults to uniform, every d-bit seed of scaled mass 1 over 2^d."""
     n, d, m = _dims(ext)
     if n > MAX_EXACT_SOURCE_N:
         raise SizeGuardError(f"exact error oracle limited to n <= {MAX_EXACT_SOURCE_N}")
-    if seed is None:
-        seed = _uniform_seed(d)
-    return (n, m, *_scaled(seed.mass))
+    if seed is not None:
+        return (n, m, *_scaled(seed.mass))
+    if d > MAX_UNIFORM_SEED_D:
+        raise SizeGuardError(f"uniform seed limited to d <= {MAX_UNIFORM_SEED_D}")
+    return n, m, [(BitString(d, v), 1) for v in range(1 << d)], 1 << d
 
 
 def _output(ext, m: int, x: BitString, y: BitString) -> int:
@@ -83,19 +79,23 @@ def _output(ext, m: int, x: BitString, y: BitString) -> int:
     return z.value
 
 
-def _error_cells(ext, m: int, sources: list, seeds: list) -> Dict[tuple, Dict[int, int]]:
-    """Integer masses by conditioning cell: (seed key, e) -> {Ext(x, y): px * py}.
+def _cells(ext, source, seed: Optional[Distribution]) -> Tuple[dict, int, int]:
+    """(cells, m, scale) under the size guard: integer masses by
+    conditioning cell, (y.value, e) -> {Ext(x, y): px * py}, over the
+    common denominator `scale` of the source and the seed.
 
-    `sources` holds ((x, e), px) and `seeds` holds ((y, seed key), py), both
-    as scaled by `_scaled`.
+    `source` is a Distribution over inputs or a JointDistribution over
+    (input, e); the seed defaults to uniform.
     """
+    _n, m, seeds, ly = _scaled_seed(ext, seed)
+    sources, lx = _scaled(_as_joint(source).mass)
     cells: Dict[tuple, Dict[int, int]] = {}
-    for (y, key), py in seeds:
+    for y, py in seeds:
         for (x, e), px in sources:
-            cell = cells.setdefault((key, e), {})
+            cell = cells.setdefault((y.value, e), {})
             z = _output(ext, m, x, y)
             cell[z] = cell.get(z, 0) + px * py
-    return cells
+    return cells, m, lx * ly
 
 
 def _distance(cells, m: int, scale: int) -> Fraction:
@@ -121,10 +121,8 @@ def extractor_error(ext, source, seed: Optional[Distribution] = None) -> Fractio
     independent of the source.  Masses are summed as integers over the
     common denominators of the source and the seed.
     """
-    _n, m, seeds, ly = _scaled_seed(ext, seed)
-    sources, lx = _scaled(_as_joint(source).mass)
-    cells = _error_cells(ext, m, sources, [((y, y.value), py) for y, py in seeds])
-    return _distance(cells.values(), m, lx * ly)
+    cells, m, scale = _cells(ext, source, seed)
+    return _distance(cells.values(), m, scale)
 
 
 @dataclass(frozen=True)
@@ -284,13 +282,10 @@ def hybrid_gaps(J: JointDistribution, m: int) -> HybridReport:
 def extraction_joint(inst, source, seed: Optional[Distribution] = None) -> JointDistribution:
     """Joint of (Ext(X,Y), (Y, E)) — the input hybrid_gaps expects — from
     the integer cell masses of the error oracle, under its size guard."""
-    _n, m, seeds, ly = _scaled_seed(inst, seed)
-    sources, lx = _scaled(_as_joint(source).mass)
-    cells = _error_cells(inst, m, sources, [((y, y), py) for y, py in seeds])
-    scale = lx * ly
+    cells, m, scale = _cells(inst, source, seed)
     return JointDistribution({
-        (BitString(m, z), ye): Fraction(q, scale)
-        for ye, cell in cells.items() for z, q in cell.items()
+        (BitString(m, z), (BitString(inst.d, yv), e)): Fraction(q, scale)
+        for (yv, e), cell in cells.items() for z, q in cell.items()
     })
 
 
@@ -335,17 +330,13 @@ def reduction_witness(
     def advice(x: BitString, y: BitString) -> tuple:
         tables = []
         for j in range(i):
-            sj = inst.design.sets[j]
-            overlap = [p for p in sj if p in si_set]
+            overlap = [p for p in inst.design.sets[j] if p in si_set]
             tab = 0
             for assign in range(1 << len(overlap)):
                 bits = list(y)
                 for a, p in enumerate(overlap):
                     bits[p] = (assign >> (len(overlap) - 1 - a)) & 1
-                yy = BitString.from_bits(bits)
-                b = extract_bit(
-                    inst.code, x, yy.substring(sj).prefix(inst.code.t)
-                )
+                b = extract_bit(inst.code, x, _bit_seed(inst, BitString.from_bits(bits), j))
                 tab = (tab << 1) | b
             tables.append((len(overlap), tab))
         return tuple(tables)
@@ -356,7 +347,7 @@ def reduction_witness(
     cells: Dict[tuple, Dict[int, int]] = {}
     for (x, e), px in sources:
         for y, py in seeds:
-            v = y.substring(si).prefix(inst.code.t)
+            v = _bit_seed(inst, y, i)
             cell = cells.setdefault((v, y.substring(outside), advice(x, y), e), {})
             c = extract_bit(inst.code, x, v)
             cell[c] = cell.get(c, 0) + px * py
@@ -499,14 +490,12 @@ def weak_seed_split_check(
     if pg * 2**s > eps:
         return WeakSeedReport(None, 2 * eps, hyz, False,
                               f"Hmin(Y|Z) = {hyz:.4f} < s + log2(1/eps) = {need:.4f}")
-    # one pass over every seed, each of scaled mass 1: err_y over lx
-    _n, m, seeds, _ly = _scaled_seed(ext, None)
-    sources, lx = _scaled(_as_joint(source).mass)
-    cells = _error_cells(ext, m, sources, [((y, y.value), py) for y, py in seeds])
-    cells_of: Dict[int, list] = {y.value: [] for y, _py in seeds}
+    # one pass over every seed, each of scaled mass 1: err_y over scale / 2^d
+    cells, m, scale = _cells(ext, source, None)
+    cells_of: Dict[int, list] = {yv: [] for yv in range(1 << d)}
     for (yv, _e), cell in cells.items():
         cells_of[yv].append(cell)
-    err = {yv: _distance(c, m, lx) for yv, c in cells_of.items()}
+    err = {yv: _distance(c, m, scale >> d) for yv, c in cells_of.items()}
     worst = sorted(err, key=err.__getitem__, reverse=True)[:1 << s]
     if sum(err[yv] for yv in worst) > eps * len(worst):
         return WeakSeedReport(

@@ -427,11 +427,13 @@ def _at_least(buffer: np.ndarray, size: int) -> np.ndarray:
 
 @dataclass
 class StreamReport:
+    """What one stream extracted.  Its B blocks budget the joint error as
+    B * eps in both seed modes, by the union bound, given that each block
+    has min-entropy >= k conditioned on the other blocks and the side
+    information; fresh seeds do not bring the factor down to 1."""
+
     blocks: int = 0
     seed_reused: bool = False
-    # with a reused public seed the per-block errors only compose by the
-    # union bound; callers must budget blocks * epsilon
-    joint_error_factor: int = 0
     # seed bits after the last one used; a tail under one byte is padding
     # and counts 0; None when the seed stream cannot seek
     seed_bits_unread: Optional[int] = 0
@@ -598,14 +600,14 @@ def extract_stream(
     ``reuse_seed`` a single d-bit seed is read up front, compiled once into
     byte columns when the input's first byte has been read, before any
     batch buffer is allocated (so an empty input compiles nothing), and
-    applied to every batch as byte tables; the report carries the
-    union-bound error factor.  Otherwise each block runs on d fresh seed
-    bits, a batch's seeds read only when the batch has been read, so a
-    clean end of input consumes no further seed; each batch is one
-    :func:`seed_masks` call, which keeps the seed pairs, and one apply,
-    which evaluates them.  A short final
-    source block is an error; nothing is implicitly padded.  Seed bits left
-    after the last block are reported, not rejected.
+    applied to every batch as byte tables.  Otherwise each block runs on d
+    fresh seed bits, a batch's seeds read only when the batch has been
+    read, so a clean end of input consumes no further seed; each batch is
+    one :func:`seed_masks` call, which keeps the seed pairs, and one apply,
+    which evaluates them.  A short final source block is an error; nothing
+    is implicitly padded.  Seed bits left after the last block are
+    reported, not rejected.  In either mode the report's block count B
+    budgets the joint error as B * eps (:class:`StreamReport`).
     """
     blocks = _batch_blocks(inst.n, inst.m, 0 if reuse_seed else inst.d)
     seeds = _BlockReader(seed_source, inst.d, 1 if reuse_seed else blocks, "seed")
@@ -625,7 +627,6 @@ def extract_stream(
             writer.write(seed_masks(inst, _next_seeds(seeds, len(batch))).apply(batch))
         report.blocks += len(batch)
     writer.flush()
-    report.joint_error_factor = report.blocks if reuse_seed else 1
     unread = seeds.unread_bits()
     report.seed_bits_unread = unread if unread is None or unread >= 8 else 0
     return report

@@ -397,10 +397,10 @@ def deserialize_design(data: bytes) -> WeakDesign:
         # a well-formed header with inconsistent sets means the payload
         # was corrupted, not that the caller passed bad parameters
         raise VerificationError(f"stored sets are inconsistent: {exc}") from exc
-    stored = Fraction(num, den)
-    if design.r_certified != stored:
+    # a zero denominator is no rational, so it matches no recomputation
+    if den == 0 or design.r_certified != Fraction(num, den):
         raise VerificationError(
-            f"stored r_certified {stored} does not match recomputation "
+            f"stored r_certified {num}/{den} does not match recomputation "
             f"{design.r_certified}",
         )
     return design

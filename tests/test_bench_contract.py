@@ -4,7 +4,9 @@ committed benchmark record must say what it measured.
 perfbench/child.py replaces the callables listed in its TRACED and COUNTED
 tables; a missing one breaks every traced benchmark run.  A BENCH_*.json at
 the repository root records a speed claim: the commit it compares against,
-the command that measured it, the claim and the machine.
+the command that measured it, the claim and the machine.  The exact values
+the certify_exact workload checks its runs against must be what the harness
+computes, or every run of that workload counts as incorrect.
 """
 
 import importlib
@@ -17,6 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import child  # noqa: E402
+import run  # noqa: E402
 
 sys.path.pop(0)
 
@@ -46,3 +49,10 @@ def test_bench_record_fields(path):
         assert record.get(key), f"{path.name} lacks {key}"
     commit = record["parent_commit"]
     assert len(commit) == 40 and all(c in "0123456789abcdef" for c in commit)
+
+
+def test_certify_matches_expected(tmp_path):
+    out = tmp_path / "certify.json"
+    child.certify(out)
+    got = json.loads(out.read_text())
+    assert {k: got.get(k) for k in run.CERTIFY_EXPECTED} == run.CERTIFY_EXPECTED

@@ -129,7 +129,10 @@ def test_extract_matches_library(tmp_path, capsys):
     assert rc == EXIT_OK
     expected, report = extract_bytes(inst, data, seed)
     assert (tmp_path / "out.bin").read_bytes() == expected
-    assert f"extracted {report.blocks} block(s)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"extracted {report.blocks} block(s)" in out
+    # fresh seeds budget the joint error by the union bound too
+    assert "joint error budget 2 × eps" in out
 
 
 def test_extract_reuse_seed_deterministic(tmp_path, capsys):
@@ -144,7 +147,7 @@ def test_extract_reuse_seed_deterministic(tmp_path, capsys):
     assert (tmp_path / "out.bin").read_bytes() == first
     expected, _ = extract_bytes(inst, data, seed, reuse_seed=True)
     assert first == expected
-    assert "union-bound factor 4" in capsys.readouterr().out
+    assert "joint error budget 4 × eps" in capsys.readouterr().out
 
 
 def test_extract_generates_and_records_seed(tmp_path):
@@ -314,6 +317,20 @@ def test_extract_low_k_warns_and_refuses(tmp_path, capsys):
     assert run(argv + ["--force"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("k", ["nan", "inf", "-inf"])
+def test_extract_non_finite_k_rejected(tmp_path, capsys, k):
+    # nan compares below no threshold, so it would skip the min-entropy
+    # check; a --k that is not finite is refused before any file is made
+    _write_micro_inputs(tmp_path, blocks=1)
+    rc = run(["extract", "--preset", "cor1", "--n", 16, "--m", 2, "--eps", "1/2",
+              f"--k={k}", "--in", tmp_path / "in.bin", "--out", tmp_path / "out.bin",
+              "--seed-file", tmp_path / "seed.bin", "--design-cache", tmp_path / "cache",
+              "--force"])
+    assert rc == EXIT_PARAMETER
+    assert "not finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin", "seed.bin"]
+
+
 def test_extract_unconstructible_instance(tmp_path, capsys):
     (tmp_path / "in.bin").write_bytes(b"\x00" * 128)
     rc = run(["extract", "--preset", "cor1", "--n", 1024, "--m", 64,
@@ -347,6 +364,32 @@ def test_design_corruption_detected(tmp_path, capsys):
     path.write_bytes(bytes(blob))
     assert run(["design", "verify", "--in", path]) == EXIT_VERIFICATION
     assert "verification failure" in capsys.readouterr().err
+
+
+def _zero_r_denominator(data: bytes) -> bytes:
+    """A serialized design whose stored r_certified has denominator 0."""
+    return data[:28] + (0).to_bytes(8, "little") + data[36:]
+
+
+def test_zero_r_denominator_rejected(tmp_path, capsys):
+    # a stored r of x/0 is no rational: verify and a cached read by extract
+    # both refuse it as a stored r that does not match
+    path = tmp_path / "design.bin"
+    path.write_bytes(_zero_r_denominator(serialize_design(block_design(4, 8))))
+    assert run(["design", "verify", "--in", path]) == EXIT_VERIFICATION
+    assert "does not match recomputation" in capsys.readouterr().err
+    _write_micro_inputs(tmp_path, blocks=2)
+    argv = ["extract", "--preset", "cor1", "--n", 16, "--m", 2, "--eps", "1/2",
+            "--in", tmp_path / "in.bin", "--out", tmp_path / "out.bin",
+            "--seed-file", tmp_path / "seed.bin", "--design-cache", tmp_path / "cache"]
+    assert run(argv) == EXIT_OK
+    (cached,) = (tmp_path / "cache").iterdir()
+    cached.write_bytes(_zero_r_denominator(cached.read_bytes()))
+    (tmp_path / "out.bin").unlink()
+    capsys.readouterr()
+    assert run(argv) == EXIT_VERIFICATION
+    assert "does not match recomputation" in capsys.readouterr().err
+    assert not (tmp_path / "out.bin").exists()
 
 
 def test_design_generate_small_t_block(tmp_path, capsys):

@@ -131,13 +131,6 @@ def test_variational_examples():
     assert variational_distance(P, disjoint) == 1
 
 
-def test_alphabet_mismatch():
-    P = Distribution({0: Fraction(1)}, alphabet=frozenset({0, 1}))
-    Q = Distribution({2: Fraction(1)}, alphabet=frozenset({2}))
-    with pytest.raises(ParameterError):
-        variational_distance(P, Q)
-
-
 def test_flat_source():
     assert hmin(flat_source(range(16))) == 4
     assert hmin(flat_source(["only"])) == 0
@@ -151,6 +144,19 @@ def test_marginal_consistency():
     )
     assert J.marginal_x().mass == {0: Fraction(1, 3), 1: Fraction(2, 3)}
     assert J.marginal_e().mass == {"a": Fraction(2, 3), "b": Fraction(1, 3)}
+
+
+def test_joint_is_a_distribution():
+    # a joint is validated, totalled and indexed as any distribution
+    J = JointDistribution({(0, "a"): Fraction(1, 2), (1, "a"): 0, (1, "b"): Fraction(1, 4)})
+    assert isinstance(J, Distribution)
+    assert J.mass == {(0, "a"): Fraction(1, 2), (1, "b"): Fraction(1, 4)}
+    assert J.total == Fraction(3, 4) and not J.is_normalized
+    assert J[(1, "b")] == Fraction(1, 4) and J[(1, "a")] == 0
+    with pytest.raises(ParameterError, match="negative"):
+        JointDistribution({(0, "a"): Fraction(-1, 2)})
+    with pytest.raises(ParameterError, match="exceeds 1"):
+        JointDistribution({(0, "a"): Fraction(2, 3), (0, "b"): Fraction(2, 3)})
 
 
 def _random_triple(rng, sizes=(3, 3, 3)):

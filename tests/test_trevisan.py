@@ -186,7 +186,8 @@ def test_stream_reuse_seed_joint_factor():
     out, report = extract_bytes(
         inst, data_bits.to_bytes(), seed.to_bytes(), reuse_seed=True
     )
-    assert report.seed_reused and report.joint_error_factor == 8
+    # the joint error budget is blocks * eps
+    assert report.seed_reused and report.blocks == 8
     expected = BitString(0, 0)
     for b in range(8):
         x = data_bits.substring(range(4 * b, 4 * (b + 1)))
@@ -292,7 +293,7 @@ def test_stream_matches_blockwise_extract(n, s, delta, m, extra, monkeypatch):
         assert report.blocks == blocks
         assert fresh == _join(fresh_want[:blocks]).to_bytes()
         reused, report = extract_bytes(inst, part, ys[0].to_bytes(), reuse_seed=True)
-        assert report.joint_error_factor == blocks
+        assert report.blocks == blocks
         assert reused == _join(reused_want[:blocks]).to_bytes()
 
 
@@ -351,7 +352,7 @@ def test_reused_stream_across_real_batch_edges(monkeypatch):
             out = io.BytesIO()
             report = extract_stream(inst, wrap(part), wrap(y.to_bytes()), out, reuse_seed=True)
             assert out.getvalue() == _join(want[:blocks]).to_bytes()
-            assert report.blocks == report.joint_error_factor == blocks
+            assert report.blocks == blocks
 
 
 def test_fresh_stream_needs_no_seed_past_last_block():
