@@ -179,8 +179,8 @@ class BitString:
         )
 
     def substring(self, indices: Sequence[int]) -> "BitString":
-        """Bits at the given positions, in ascending index order."""
-        idx = sorted(indices)
+        """Bits at the given (int or numpy int) positions, ascending."""
+        idx = sorted(map(int, indices))
         if idx and (idx[0] < 0 or idx[-1] >= self.length):
             raise ParameterError("substring index out of range")
         v, x, last = 0, self.value, self.length - 1

@@ -152,6 +152,9 @@ def cmd_params(args) -> int:
 def cmd_extract(args) -> int:
     if args.k is not None and not math.isfinite(args.k):
         raise ParameterError(f"claimed source min-entropy --k {args.k} is not finite")
+    if args.k is not None and args.k > args.n:
+        raise ParameterError(
+            f"claimed source min-entropy --k {args.k} exceeds the block length n = {args.n}")
     eps = _parse_eps(args.eps)
     p = preset(args.preset, args.n, eps, args.m)
     if not p.constructible:
@@ -208,7 +211,7 @@ def cmd_design(args) -> int:
     if args.action == "generate":
         r = _parse_fraction(args.r, "overlap target --r")
         design = _load_or_build_design(args.kind, args.t, args.m, r, args.design_cache, args.out)
-        # r_certified is exact: from_sets summed every overlap of the design
+        # r_certified is exact: the design summed every overlap when made
         ok = design.r_certified <= (r if args.kind == "greedy" else 1)
         print(f"design t={design.t} m={design.m} d={design.d} "
               f"r_certified={design.r_certified} ok={ok}")
@@ -232,6 +235,8 @@ def _selftest_checks(full: bool, rng_seed: int):
     """Yield (name, callable) pairs; callables raise on failure."""
     import random
 
+    import numpy as np
+
     from .entropy import Distribution, JointDistribution, flat_source
     from .universal_hash import ToeplitzSpec, toeplitz_hash
     from .weak_design import WeakDesign
@@ -248,7 +253,7 @@ def _selftest_checks(full: bool, rng_seed: int):
                     raise VerificationError(
                         f"design t={t} m={m} fails at {cert.violating_index}")
                 back = deserialize_design(serialize_design(des))
-                if back.sets != des.sets:
+                if not np.array_equal(back.sets, des.sets):
                     raise VerificationError("serialization round trip changed sets")
 
     def check_hybrids():

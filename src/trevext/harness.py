@@ -303,8 +303,8 @@ class ReductionWitness:
 
 
 def advice_bits(inst: TrevisanInstance, i: int) -> int:
-    si = set(inst.design.sets[i])
-    return sum(1 << len(si & set(inst.design.sets[j])) for j in range(i))
+    sets = inst.design.sets
+    return sum(1 << int(o) for o in np.isin(sets[:i], sets[i]).sum(axis=1))
 
 
 def reduction_witness(
@@ -323,14 +323,14 @@ def reduction_witness(
         raise SizeGuardError(f"reduction witness limited to n <= {MAX_WITNESS_N}")
     report = hybrid_gaps(extraction_joint(inst, source, seed), inst.m)
     i = report.argmax
-    si = inst.design.sets[i]
-    si_set = set(si)
-    outside = [p for p in range(inst.d) if p not in si_set]
+    sets = inst.design.sets
+    inside = np.isin(np.arange(inst.d), sets[i])
+    outside = np.flatnonzero(~inside)
+    overlaps = [row[inside[row]] for row in sets[:i]]  # S_j ∩ S_i, ascending
 
     def advice(x: BitString, y: BitString) -> tuple:
         tables = []
-        for j in range(i):
-            overlap = [p for p in inst.design.sets[j] if p in si_set]
+        for j, overlap in enumerate(overlaps):
             tab = 0
             for assign in range(1 << len(overlap)):
                 bits = list(y)

@@ -94,6 +94,9 @@ def trevisan_params(
         "radius instead gives the laxer delta = eps^2/9m^2 = "
         f"{float(eps**2 / (9 * m**2)):.3g} (we use {float(delta):.3g})",
     )
+    if k > n:
+        notes += (f"required min-entropy k = {k:.2f} exceeds the block length n = {n}, "
+                  "so no source of n-bit blocks meets it",)
     return ExtractorParams(
         n=n, k=k, eps=eps, m=m, d=d, t=t, r=r, delta=delta,
         preset=f"uniform-seed/{design_kind}", eps_c=eps_c, k_c=k_c,

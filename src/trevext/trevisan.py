@@ -75,14 +75,15 @@ class TrevisanInstance:
         first t of S_i in ascending order (what _bit_seed takes), as bit
         `shift` of byte `byte` of a packed seed row (MSB-first, as the
         record reader packs); built once per instance."""
-        index = np.sort(np.array(self.design.sets, dtype=np.intp), axis=1)[:, : self.code.t]
+        index = self.design.sets[:, : self.code.t]
         at, shift = index >> 3, (7 - (index & 7)).astype(np.uint8)
         at.flags.writeable = shift.flags.writeable = False
         return at, shift
 
 
 def _bit_seed(inst: TrevisanInstance, y: BitString, i: int) -> BitString:
-    return y.substring(inst.design.sets[i]).prefix(inst.code.t)
+    # row i ascends, so its first t indices are the first t bits of y_{S_i}
+    return y.substring(inst.design.sets[i, : inst.code.t])
 
 
 def extract(inst: TrevisanInstance, x: BitString, y: BitString) -> BitString:
@@ -90,7 +91,9 @@ def extract(inst: TrevisanInstance, x: BitString, y: BitString) -> BitString:
 
     The bit-serial reference oracle: the analysis harness and the tests use
     it; streaming runs on compiled seeds (:func:`seed_masks`).  x is cut
-    into message symbols once, and each bit is one :func:`codeword_bit`.
+    into message symbols once, and each bit is one :func:`codeword_bit` on
+    the seed bits :func:`_bit_seed` takes, read from rows of Python ints,
+    which the bit loop shifts faster than numpy scalars.
     """
     if x.length != inst.n:
         raise ParameterError(f"input length {x.length} != n={inst.n}")
@@ -98,8 +101,8 @@ def extract(inst: TrevisanInstance, x: BitString, y: BitString) -> BitString:
         raise ParameterError(f"seed length {y.length} != d={inst.d}")
     symbols = message_symbols(inst.code, x)
     v = 0
-    for i in range(inst.m):
-        v = (v << 1) | codeword_bit(inst.code, symbols, _bit_seed(inst, y, i))
+    for row in inst.design.sets[:, : inst.code.t].tolist():
+        v = (v << 1) | codeword_bit(inst.code, symbols, y.substring(row))
     return BitString(inst.m, v)
 
 

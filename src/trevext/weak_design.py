@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -82,49 +82,44 @@ class DesignCertificate:
         return self.violating_index is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeakDesign:
-    t: int
+    """m sets of t distinct indices in [0, d), checked and certified once,
+    when made.  ``sets`` is the design's one in-memory form: a read-only
+    (m, t) int64 array, each row ascending (the constructor takes rows in
+    any order).  Designs compare by identity, as arrays have no single
+    truth value."""
+
     d: int
-    m: int
-    sets: tuple  # m sorted tuples of distinct indices in [0, d)
-    r_certified: Fraction
+    sets: np.ndarray
+    r_certified: Fraction = field(init=False)  # max overlap sum / m
 
     def __post_init__(self):
-        _check_sets(self.t, self.d, self.m, self.sets)
+        sets = np.asarray(self.sets, dtype=np.int64)
+        if sets.ndim != 2:
+            raise ParameterError("each set must hold t distinct indices")
+        sets = np.sort(sets, axis=1)  # a copy, so no caller can write into it
+        if sets.size:  # a malformed family never reaches the kernel
+            if not (sets[:, 1:] != sets[:, :-1]).all():
+                raise ParameterError("each set must hold t distinct indices")
+            if sets[:, 0].min() < 0 or sets[:, -1].max() >= self.d:
+                raise ParameterError("set index outside universe")
+        sets.flags.writeable = False
+        sums = overlap_sums(sets)
+        object.__setattr__(self, "sets", sets)
+        object.__setattr__(self, "r_certified", Fraction(max(sums, default=0), len(sums) or 1))
+
+    t = property(lambda self: self.sets.shape[1])
+    m = property(lambda self: self.sets.shape[0])
 
     @classmethod
-    def from_sets(cls, d: int, sets: Sequence[Sequence[int]]):
-        tsets = tuple(tuple(sorted(s)) for s in sets)
-        t = len(tsets[0]) if tsets else 0
-        _check_sets(t, d, len(tsets), tsets)  # a malformed family never reaches the kernel
-        sums = overlap_sums(tsets)
-        r_cert = Fraction(max(sums), len(tsets)) if tsets else Fraction(0)
-        return cls(t=t, d=d, m=len(tsets), sets=tsets, r_certified=r_cert)
-
-
-def _flat(sets: Sequence[Sequence[int]], size: int) -> np.ndarray:
-    """The elements of every set, set after set, as one int64 array."""
-    return np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64, count=size)
-
-
-def _check_sets(t: int, d: int, m: int, sets: Sequence[Sequence[int]]) -> None:
-    """Raise ParameterError unless `sets` is m sets of t distinct indices in
-    [0, d).  Checked in one pass over the elements; a failing family is
-    walked set by set, so the first faulty set names the error."""
-    if len(sets) != m:
-        raise ParameterError("set count does not match m")
-    if all(len(s) == t for s in sets):
-        rows = np.sort(_flat(sets, m * t).reshape(m, t), axis=1)
-        if not (m and t) or (
-            (rows[:, 1:] != rows[:, :-1]).all() and rows[:, 0].min() >= 0 and rows[:, -1].max() < d
-        ):
-            return
-    for s in sets:
-        if len(s) != t or len(set(s)) != t:
-            raise ParameterError("each set must hold t distinct indices")
-        if s and (min(s) < 0 or max(s) >= d):
-            raise ParameterError("set index outside universe")
+    def from_sets(cls, d: int, sets: Sequence[Sequence[int]]) -> "WeakDesign":
+        """The design of m integer sequences of one length, in any order."""
+        try:
+            array = np.array(sets, dtype=np.int64)
+        except ValueError:  # sequences of different lengths
+            raise ParameterError("each set must hold t distinct indices") from None
+        return cls(d, array)
 
 
 # pair keys counted at once by overlap_sums: 2 MiB of int64 keys, or one
@@ -132,9 +127,9 @@ def _check_sets(t: int, d: int, m: int, sets: Sequence[Sequence[int]]) -> None:
 _PAIR_CHUNK = 1 << 18
 
 
-def overlap_sums(sets: Sequence[Sequence[int]]) -> tuple:
+def overlap_sums(sets: np.ndarray | Sequence[Sequence[int]]) -> tuple:
     """Exact prefix overlap sums ``sum_{j<i} 2^{|S_j ∩ S_i|}``, one per set,
-    as Python ints.
+    as Python ints, of a design's (m, t) array or of any integer sets.
 
     Counted from the element → set incidence.  The (element, set) pairs are
     sorted by element; a set holding an element pairs with each earlier set
@@ -149,13 +144,16 @@ def overlap_sums(sets: Sequence[Sequence[int]]) -> tuple:
     however much the sets overlap; no m×m or m×d array is built.
     """
     m = len(sets)
-    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=m)
-    elems = _flat(sets, int(sizes.sum()))
+    if isinstance(sets, np.ndarray):  # a design's (m, t) rows
+        sizes, elems = np.full(m, sets.shape[1]), sets.reshape(-1)
+    else:  # any integer sets: ragged, unsorted, repeating elements
+        sizes = np.fromiter(map(len, sets), dtype=np.int64, count=m)
+        elems = np.fromiter(itertools.chain.from_iterable(sets), np.int64, int(sizes.sum()))
     if not len(elems):
         return tuple(range(m))
     low, high = int(elems.min()), int(elems.max())
     if (high - low + 1) * m < 1 << 63:
-        elems -= low
+        elems = elems - low
     else:  # the keys below would overflow: the elements' ranks, same order
         elems = np.searchsorted(np.sort(elems), elems)
     # the incidence as (element, set) keys, sorted and each pair once: an
@@ -204,18 +202,11 @@ def verify_design(design: WeakDesign, r: Fraction | int) -> DesignCertificate:
     Returns the certificate; ``violating_index`` names the first failing set
     (the certificate is still fully populated on failure).
     """
-    r = Fraction(r)
-    sums = overlap_sums(design.sets)
-    r_cert = Fraction(max(sums), design.m) if sums else Fraction(0)
-    violating = None
-    for i, s in enumerate(sums):
-        if s > r * design.m:
-            violating = i
-            break
+    sums, budget = overlap_sums(design.sets), Fraction(r) * design.m
     return DesignCertificate(
         overlap_sums=sums,
-        r_certified=r_cert,
-        violating_index=violating,
+        r_certified=Fraction(max(sums, default=0), design.m or 1),
+        violating_index=next((i for i, s in enumerate(sums) if s > budget), None),
     )
 
 
@@ -286,18 +277,16 @@ def _grid_sets(t: int, count: int, rows: int) -> np.ndarray:
     return f.T * t + np.arange(t)
 
 
-def greedy_basic_design(t: int, m: int, r_target: Fraction | float) -> WeakDesign:
+def greedy_basic_design(t: int, m: int, r_target: Fraction | int) -> WeakDesign:
     """Weak design on one grid of min(m, ceil(t/ln r_target)) rows, so
     d = t·min(m, ceil(t/ln r_target)) and r_certified <= r_target."""
     if t < 1 or m < 1:
         raise ParameterError("t and m must be >= 1")
-    r_target = Fraction(r_target).limit_denominator(10**12) if not isinstance(
-        r_target, Fraction
-    ) else r_target
+    r_target = Fraction(r_target)
     if r_target <= 1:
         raise ParameterError("r_target must be > 1")
     d = design_seed_length(t, m, "greedy", r_target)
-    design = WeakDesign.from_sets(d, _grid_sets(t, m, d // t).tolist())
+    design = WeakDesign(d, _grid_sets(t, m, d // t))
     if design.r_certified > r_target:
         raise ConstructionError(
             f"greedy design certification failed: r = {design.r_certified} > {r_target}"
@@ -346,7 +335,7 @@ def block_design(t: int, m: int) -> WeakDesign:
         blocks.append(_grid_sets(t, size, rows) + offset)
         offset += t * rows
     d = design_seed_length(t, m, "block", Fraction(1))
-    design = WeakDesign.from_sets(d, np.concatenate(blocks).tolist())
+    design = WeakDesign(d, np.concatenate(blocks))
     if design.r_certified > 1:
         raise ConstructionError(
             f"block design certification failed: r = {design.r_certified}"
@@ -360,7 +349,7 @@ def block_design_length_bound(t: int, m: int) -> int:
 
 
 def serialize_design(design: WeakDesign) -> bytes:
-    """Versioned binary format: header + m sorted u32-LE index arrays."""
+    """Versioned binary format: header + the m ascending rows as u32-LE."""
     r = design.r_certified
     head = SERIAL_MAGIC + struct.pack(
         "<IIIIQQ",
@@ -371,10 +360,7 @@ def serialize_design(design: WeakDesign) -> bytes:
         r.numerator,
         r.denominator,
     )
-    body = b"".join(
-        struct.pack(f"<{design.t}I", *s) for s in design.sets
-    )
-    return head + body
+    return head + design.sets.astype("<u4").tobytes()
 
 
 def deserialize_design(data: bytes) -> WeakDesign:
@@ -388,11 +374,8 @@ def deserialize_design(data: bytes) -> WeakDesign:
         raise ParameterError(f"unsupported design version {version}")
     if len(data) != off + 4 * t * m:
         raise ParameterError("design payload length mismatch")
-    sets = []
-    for i in range(m):
-        sets.append(struct.unpack_from(f"<{t}I", data, off + 4 * t * i))
     try:
-        design = WeakDesign.from_sets(d, sets)
+        design = WeakDesign(d, np.frombuffer(data, "<u4", t * m, off).reshape(m, t))
     except ParameterError as exc:
         # a well-formed header with inconsistent sets means the payload
         # was corrupted, not that the caller passed bad parameters

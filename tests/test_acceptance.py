@@ -488,7 +488,7 @@ def test_criterion_14_engineering(tmp_path):
     design = block_design(4, 8)
     blob = serialize_design(design)
     ok_serial = (
-        deserialize_design(blob).sets == design.sets
+        np.array_equal(deserialize_design(blob).sets, design.sets)
         and serialize_design(deserialize_design(blob)) == blob
     )
 

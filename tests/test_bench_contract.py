@@ -12,6 +12,7 @@ computes, or every run of that workload counts as incorrect.
 import importlib
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,38 @@ def test_certify_matches_expected(tmp_path):
     child.certify(out)
     got = json.loads(out.read_text())
     assert {k: got.get(k) for k in run.CERTIFY_EXPECTED} == run.CERTIFY_EXPECTED
+
+
+@pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "fresh"])
+def test_output_oracles_accept_micro_extract(tmp_path, reuse):
+    # the benchmark's spot checks, child.check_reuse and child.check_fresh,
+    # on a `trevext extract` output whose seed is over 64 bits: every
+    # sampled output must match the oracle, and a flipped output bit must not
+    import random
+
+    from trevext.cli import main
+    from trevext.params import preset
+
+    n, m, eps, blocks = 16, 3, "1/2", 8
+    d = preset("cor1", n, Fraction(eps), m).d
+    assert d > 64
+    rng = random.Random(11)
+    paths = {name: tmp_path / f"{name}.bin" for name in ("source", "seed", "output")}
+    paths["source"].write_bytes(rng.randbytes(blocks * n // 8))
+    paths["seed"].write_bytes(rng.randbytes((d * (1 if reuse else blocks) + 7) // 8))
+    argv = ["extract", "--preset", "cor1", "--n", n, "--m", m, "--eps", eps,
+            "--in", paths["source"], "--out", paths["output"], "--seed-file", paths["seed"],
+            "--design-cache", tmp_path / "cache"] + (["--reuse-seed"] if reuse else [])
+    assert main([str(a) for a in argv]) == 0
+    (design,) = (tmp_path / "cache").glob("*.bin")
+    if reuse:
+        check, samples = child.check_reuse, [[b, i] for b in range(blocks) for i in range(m)]
+    else:
+        check, samples = child.check_fresh, list(range(blocks))
+    spec = {"n": n, "m": m, "eps": eps, "design": str(design), "samples": samples,
+            **{name: str(path) for name, path in paths.items()}}
+    assert check(spec) == []
+    out = bytearray(paths["output"].read_bytes())
+    out[0] ^= 0x80  # output bit 0 of block 0
+    paths["output"].write_bytes(bytes(out))
+    assert check(spec) == ([[0, 0]] if reuse else [0])

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,6 +56,17 @@ def test_substring_ascending_order():
     assert b.substring([]) == BitString(0, 0)
     with pytest.raises(ParameterError):
         b.substring([5])
+
+
+def test_substring_numpy_indices_past_63_bits():
+    # a design row is an int64 array: a numpy shift count would push the
+    # seed's value into int64 and overflow once the seed is over 63 bits
+    y = BitString(100, (1 << 99) | (1 << 2))  # bits 0 and 97 set
+    rows = np.array([[97, 0, 99], [98, 50, 1]], dtype=np.int64)
+    assert y.substring(rows[0]) == y.substring([0, 97, 99]) == BitString(3, 0b110)
+    assert y.substring(rows[1]) == BitString(3, 0)
+    with pytest.raises(ParameterError):
+        y.substring(np.array([100]))
 
 
 def test_substring_composition_exhaustive():

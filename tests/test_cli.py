@@ -331,6 +331,22 @@ def test_extract_non_finite_k_rejected(tmp_path, capsys, k):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin", "seed.bin"]
 
 
+def test_extract_k_above_n_rejected(tmp_path, capsys):
+    # no 16-bit block has 100 bits of min-entropy: refused with exit 2
+    # before any file is made, even with --force
+    _write_micro_inputs(tmp_path, blocks=1)
+    argv = ["extract", "--preset", "cor1", "--n", 16, "--m", 2, "--eps", "1/2",
+            "--in", tmp_path / "in.bin", "--out", tmp_path / "out.bin",
+            "--seed-file", tmp_path / "seed.bin", "--design-cache", tmp_path / "cache"]
+    for k in ("100", "16.5"):
+        assert run(argv + ["--k", k, "--force"]) == EXIT_PARAMETER
+        assert "exceeds the block length n = 16" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin", "seed.bin"]
+    # k = n is a claim a source can meet; without --k the shape still runs
+    assert run(argv + ["--k", "16", "--force"]) == EXIT_OK
+    assert run(argv) == EXIT_OK
+
+
 def test_extract_unconstructible_instance(tmp_path, capsys):
     (tmp_path / "in.bin").write_bytes(b"\x00" * 128)
     rc = run(["extract", "--preset", "cor1", "--n", 1024, "--m", 64,

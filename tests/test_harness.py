@@ -533,6 +533,11 @@ def test_advice_bits_formula():
     inst = micro_instance()
     assert advice_bits(inst, 0) == 0
     assert advice_bits(inst, 1) == 1 << 2  # |S_0 cap S_1| = 2
+    # every set of a 16-set design, against the definition over Python sets
+    inst = TrevisanInstance(block_design(4, 16), CodeSpec(n=4, s=2, delta=Fraction(3, 8)))
+    rows = [set(map(int, s)) for s in inst.design.sets]
+    for i in range(inst.m):
+        assert advice_bits(inst, i) == sum(1 << len(rows[j] & rows[i]) for j in range(i))
 
 
 def test_witness_size_guard():

@@ -120,6 +120,19 @@ def test_parameter_guards():
         preset("cor2", 1024, Fraction(1, 1024), 64)
 
 
+def test_planned_k_above_n_is_noted():
+    # a 16-bit block holds at most 16 bits of min-entropy
+    p = preset("cor1", 16, Fraction(1, 2), 2)
+    assert p.k > p.n == 16
+    note = "required min-entropy k = 30.68 exceeds the block length n = 16"
+    assert any(n.startswith(note) for n in p.notes)
+    assert f"note: {note}" in params_report_text(p)
+    assert any(n.startswith(note) for n in json.loads(params_report_json(p))["notes"])
+    fits = preset("cor1", 1 << 16, Fraction(1, 8), 256)
+    assert fits.k <= fits.n
+    assert not any("exceeds the block length" in n for n in fits.notes)
+
+
 def test_local_preset_unsupported():
     # the local-extractor preset was never built; it is an unknown name
     with pytest.raises(ParameterError, match="unknown preset 'cor3'"):

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 
 from trevext.errors import ConstructionError, ParameterError, VerificationError
 from trevext.weak_design import (
+    SERIAL_MAGIC,
+    SERIAL_VERSION,
     WeakDesign,
     _grid_sets,
     block_design,
@@ -123,7 +126,7 @@ def test_greedy_t3_m8():
 def test_greedy_deterministic():
     a = greedy_basic_design(4, 16, 2)
     b = greedy_basic_design(4, 16, 2)
-    assert a.sets == b.sets
+    assert np.array_equal(a.sets, b.sets)
 
 
 # serialize_design digests of the grid-greedy designs (construction
@@ -344,7 +347,7 @@ def test_serialize_round_trip():
     d = greedy_basic_design(3, 8, 2)
     data = serialize_design(d)
     back = deserialize_design(data)
-    assert back.sets == d.sets
+    assert np.array_equal(back.sets, d.sets)
     assert back.t == d.t and back.m == d.m and back.d == d.d
     assert back.r_certified == d.r_certified
 
@@ -370,7 +373,7 @@ def _with_index(data, k, value):
 def test_deserialize_rejects_corrupt_indices():
     d = block_design(4, 16)
     data = serialize_design(d)
-    repeated = _with_index(data, 1, d.sets[0][0])  # set 0 holds its first index twice
+    repeated = _with_index(data, 1, int(d.sets[0, 0]))  # set 0 holds its first index twice
     with pytest.raises(VerificationError, match="t distinct indices"):
         deserialize_design(repeated)
     for value in (d.d, 2**32 - 1):  # an index outside [0, d)
@@ -392,13 +395,61 @@ def test_deserialize_equal_sets_certified_exactly():
     assert deserialize_design(head + body).r_certified == r
 
 
+MALFORMED = [
+    (3, [(0, 1), (1, 3)], "set index outside universe"),
+    (4, [(0, 1), (-1, 2)], "set index outside universe"),
+    (4, [(0, 0, 1)], "each set must hold t distinct indices"),
+    (4, [(0, 1), (2,)], "each set must hold t distinct indices"),
+]
+
+
 def test_from_sets_validation():
-    with pytest.raises(ParameterError):
-        WeakDesign.from_sets(3, [(0, 1), (1, 3)])  # index out of range
-    with pytest.raises(ParameterError):
-        WeakDesign.from_sets(4, [(0, 0, 1)])  # repeated element
-    with pytest.raises(ParameterError):
-        WeakDesign.from_sets(4, [(0, 1), (2,)])  # inconsistent set size
+    for d, sets, message in MALFORMED:
+        with pytest.raises(ParameterError, match=message):
+            WeakDesign.from_sets(d, sets)
+
+
+def test_constructor_validates_arrays():
+    with pytest.raises(ParameterError, match="t distinct indices"):
+        WeakDesign(4, np.array([0, 1, 2]))  # one row, not an (m, t) array
+    with pytest.raises(ParameterError, match="t distinct indices"):
+        WeakDesign(4, np.array([[0, 1], [3, 3]]))
+    with pytest.raises(ParameterError, match="outside universe"):
+        WeakDesign(4, np.array([[0, 1], [2, 4]]))
+
+
+def test_design_rows_sorted_read_only_and_owned():
+    rows = np.array([[3, 0], [1, 2], [2, 0]])
+    d = WeakDesign(4, rows)
+    assert d.sets.dtype == np.int64 and d.sets.shape == (d.m, d.t) == (3, 2)
+    assert d.sets.tolist() == [[0, 3], [1, 2], [0, 2]]
+    assert d.r_certified == Fraction(max(overlap_sums_oracle(rows.tolist())), 3)
+    with pytest.raises(ValueError):
+        d.sets[0, 0] = 1
+    rows[0, 0] = 1  # the caller's array is not the design's
+    assert d.sets[0, 1] == 3
+    # the same sets make a second design, equal only to itself
+    assert d == d and d != WeakDesign(4, rows)
+
+
+def test_r_certified_is_derived_not_taken():
+    sets = np.array([[0, 1], [1, 2], [0, 1]])
+    with pytest.raises(TypeError):
+        WeakDesign(4, sets, Fraction(0))
+    with pytest.raises(TypeError):
+        WeakDesign(d=4, sets=sets, r_certified=Fraction(0))
+    assert WeakDesign(4, sets).r_certified == Fraction(2 + 4, 3)
+
+
+@pytest.mark.parametrize("d, sets, message", [MALFORMED[0], MALFORMED[2]], ids=str)
+def test_deserialize_malformed_sets_raise_verification(d, sets, message):
+    # a payload is fixed-width (m, t) u32 rows: a family that fits it but
+    # breaks the design's rules loads as corrupt, not as a parameter error
+    t, m = len(sets[0]), len(sets)
+    head = SERIAL_MAGIC + struct.pack("<IIIIQQ", SERIAL_VERSION, t, m, d, 0, 1)
+    body = np.array(sets, dtype="<u4").tobytes()
+    with pytest.raises(VerificationError, match=f"stored sets are inconsistent: {message}"):
+        deserialize_design(head + body)
 
 
 def test_from_sets_validates_before_certifying(monkeypatch):
