@@ -56,6 +56,12 @@ class Distribution:
 class JointDistribution(Distribution):
     """Exact pmf over pairs (x, e) with marginalization helpers."""
 
+    def __post_init__(self):
+        for k in self.mass:
+            if not (isinstance(k, tuple) and len(k) == 2):
+                raise ParameterError(f"joint key {k!r} is not an (x, e) pair")
+        super().__post_init__()
+
     def marginal_x(self) -> Distribution:
         return Distribution({x: p for (x,), p in marginalize(self.mass, (0,)).items()})
 

@@ -7,6 +7,10 @@ materialized advice tables, the majority predictor, and the robustness
 statements (smoothing; weak seeds, scored per seed).  Side information is
 always classical.  One builder, `_cells`, gives the oracles their integer
 cells; a uniform seed is 2^d seeds of mass 1, only for d <= MAX_UNIFORM_SEED_D.
+Every oracle reads Ext from one table, `_table`: a Trevisan instance is
+tabulated from its one-bit extractor, `codeword_bit` once per (input,
+one-bit seed) pair, since output bit i of Ext(x, y) is C(x, y_{S_i}); any
+other extractor is called once per (input, seed) pair.
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .bitfield import BitString
-from .code_extractor import extract_bit
+from .code_extractor import codeword_bit, message_symbols
 from .entropy import Distribution, JointDistribution, _log2, pguess_cond, variational_distance
 from .errors import ParameterError, SizeGuardError
-from .trevisan import TrevisanInstance, _bit_seed, extract
+from .trevisan import TrevisanInstance, _bit_seed
 
 MAX_HYBRID_M = 12
 MAX_PREDICTOR_NBAR = 16
@@ -73,10 +77,49 @@ def _scaled_seed(ext, seed: Optional[Distribution]) -> Tuple[int, int, list, int
 
 
 def _output(ext, m: int, x: BitString, y: BitString) -> int:
-    z = extract(ext, x, y) if isinstance(ext, TrevisanInstance) else ext(x, y)
+    z = ext(x, y)
     if not isinstance(z, BitString) or z.length != m:
         raise ParameterError(f"extractor output {z!r} is not a {m}-bit string")
     return z.value
+
+
+def _table(ext, xs: list, ys: list) -> list:
+    """Ext(x, y) as ints, one row per seed: row j lists Ext(x, ys[j]) for x
+    in xs, in order.  Every input must be an n-bit and every seed a d-bit
+    BitString; both are checked before Ext runs.
+
+    A Trevisan instance is tabulated one input at a time.  Output bit i is
+    C(x, v) at the one-bit seed v = y_{S_i} that `_bit_seed` projects, so
+    the input is cut into message symbols once, `codeword_bit` runs once
+    per distinct v of any (y, i), and every output is assembled from those
+    bits, which are dropped before the next input.  Any other extractor is
+    called once per pair (`_output`).
+    """
+    n, d, m = _dims(ext)
+    for what, keys, length in (("input", xs, n), ("seed", ys, d)):
+        for key in keys:
+            if not isinstance(key, BitString) or key.length != length:
+                raise ParameterError(f"{what} {key!r} is not a {length}-bit string")
+    if not isinstance(ext, TrevisanInstance):
+        return [[_output(ext, m, x, y) for x in xs] for y in ys]
+    code, index = ext.code, {}  # one-bit seed -> its position in `index`
+    picks = [[index.setdefault(_bit_seed(ext, y, i), len(index)) for i in range(m)]
+             for y in ys]
+    table = [[0] * len(xs) for _ in ys]
+    for col, x in enumerate(xs):
+        symbols = message_symbols(code, x)
+        bits = [codeword_bit(code, symbols, v) for v in index]
+        for row, pick in zip(table, picks):
+            z = 0
+            for k in pick:
+                z = (z << 1) | bits[k]
+            row[col] = z
+    return table
+
+
+def _inputs(sources: list) -> dict:
+    """The distinct inputs of scaled (x, e) masses, each to its column."""
+    return {x: col for col, x in enumerate(dict.fromkeys(x for (x, _e), _p in sources))}
 
 
 def _cells(ext, source, seed: Optional[Distribution]) -> Tuple[dict, int, int]:
@@ -85,15 +128,18 @@ def _cells(ext, source, seed: Optional[Distribution]) -> Tuple[dict, int, int]:
     common denominator `scale` of the source and the seed.
 
     `source` is a Distribution over inputs or a JointDistribution over
-    (input, e); the seed defaults to uniform.
+    (input, e); the seed defaults to uniform.  Ext is tabulated once per
+    (distinct input, seed) pair (`_table`).
     """
     _n, m, seeds, ly = _scaled_seed(ext, seed)
     sources, lx = _scaled(_as_joint(source).mass)
+    inputs = _inputs(sources)
+    table = _table(ext, list(inputs), [y for y, _py in seeds])
     cells: Dict[tuple, Dict[int, int]] = {}
-    for y, py in seeds:
+    for (y, py), row in zip(seeds, table):
         for (x, e), px in sources:
             cell = cells.setdefault((y.value, e), {})
-            z = _output(ext, m, x, y)
+            z = row[inputs[x]]
             cell[z] = cell.get(z, 0) + px * py
     return cells, m, lx * ly
 
@@ -140,12 +186,14 @@ _FLAT_CELLS = 1 << 14
 class _FlatKernel:
     """Exact errors of flat sources with 2^k-element supports, in integers.
 
-    Ext is evaluated once per (input, seed) pair into a (2^n, seeds) int64
-    table.  Entry (x, y) is the rank of Ext(x, y) among the distinct outputs
-    of seed y, so a support's counts take at most 2^n cells per seed,
-    whatever m is.  A support S of size K puts mass p_y·c_{y,z}/K on cell
-    (y, z), c_{y,z} = #{x in S: Ext(x, y) = z}; scaled by K·L, the
-    numerator of `_distance` is the integer total Σ_y p_y·D_y with
+    Ext is tabulated once for every input and seed (`_table`: for a
+    Trevisan instance, one `codeword_bit` per input and one-bit seed), and
+    kept as a (2^n, seeds) int64 table of ranks: entry (x, y) is the rank
+    of Ext(x, y) among the distinct outputs of seed y, so a support's
+    counts take at most 2^n cells per seed, whatever m is.  A support S of
+    size K puts mass p_y·c_{y,z}/K on cell (y, z), c_{y,z} = #{x in S:
+    Ext(x, y) = z}; scaled by K·L, the numerator of `_distance` is the
+    integer total Σ_y p_y·D_y with
 
         D_y = Σ_{z < 2^m} |2^m·c_{y,z} − K|
             = Σ_{r < R} |2^m·c_{y,r} − K| + (2^m − R)·K,
@@ -161,8 +209,7 @@ class _FlatKernel:
         n, m, seeds, ly = _scaled_seed(ext, seed)
         inputs = [BitString(n, xv) for xv in range(1 << n)]
         ranks = []
-        for y, _py in seeds:
-            column = [_output(ext, m, x, y) for x in inputs]
+        for column in _table(ext, inputs, [y for y, _py in seeds]):
             rank = {z: r for r, z in enumerate(dict.fromkeys(column))}
             ranks.append([rank[z] for z in column])
         self.width = 1 << m  # 2^m
@@ -201,10 +248,10 @@ def max_error_flat_sources(
     Flat sources are the extreme points of the min-entropy-k polytope, so
     the max over them bounds the max over all k-sources.  Every support is
     scored, so the maximum is exact; more than MAX_EXHAUSTIVE_FAMILIES
-    supports raise SizeGuardError.  Ext is evaluated once per (input, seed)
-    pair, whatever the number of supports; a chunk of supports is scored per
-    call in exact integer totals (`_FlatKernel`).  The worst support is the
-    first maximum in combinations order.
+    supports raise SizeGuardError.  Ext is tabulated once for every input
+    and seed, whatever the number of supports; a chunk of supports is
+    scored per call in exact integer totals (`_FlatKernel`).  The worst
+    support is the first maximum in combinations order.
     """
     n, _d, _m = _dims(ext)
     if not 0 <= k <= n:
@@ -322,34 +369,56 @@ def reduction_witness(
     if inst.n > MAX_WITNESS_N:
         raise SizeGuardError(f"reduction witness limited to n <= {MAX_WITNESS_N}")
     report = hybrid_gaps(extraction_joint(inst, source, seed), inst.m)
-    i = report.argmax
+    i, d, m = report.argmax, inst.d, inst.m
     sets = inst.design.sets
-    inside = np.isin(np.arange(inst.d), sets[i])
+    inside = np.isin(np.arange(d), sets[i])
     outside = np.flatnonzero(~inside)
-    overlaps = [row[inside[row]] for row in sets[:i]]  # S_j ∩ S_i, ascending
 
-    def advice(x: BitString, y: BitString) -> tuple:
+    def reassigned(overlap) -> Tuple[int, int, list]:
+        """(|S_j ∩ S_i|, the mask of those bits in a seed value, the bits of
+        each assignment to them in order, the first position most significant)."""
+        bits = [1 << (d - 1 - int(p)) for p in overlap]
+        values = [0]
+        for b in bits:
+            values = [v | f for v in values for f in (0, b)]
+        return len(bits), sum(bits), values
+
+    overlaps = [reassigned(row[inside[row]]) for row in sets[:i]]  # S_j ∩ S_i, ascending
+    _n, _m, seeds, ly = _scaled_seed(inst, seed)
+    sources, lx = _scaled(_as_joint(source).mass)
+    # one table row per seed value: every seed, and every seed with the bits
+    # of some S_j ∩ S_i reassigned; C(X, V) is bit i of Ext at the seed, and
+    # the advice table of j is bit j of Ext at its reassignments
+    rows: Dict[int, int] = {}
+    for y, _py in seeds:
+        rows.setdefault(y.value, len(rows))
+        for _size, mask, values in overlaps:
+            for f in values:
+                rows.setdefault((y.value & ~mask) | f, len(rows))
+    inputs = _inputs(sources)
+    table = _table(inst, list(inputs), [BitString(d, yv) for yv in rows])
+
+    def bit(col: int, yv: int, j: int) -> int:
+        """Output bit j of Ext at the input of column col and seed value yv."""
+        return (table[rows[yv]][col] >> (m - 1 - j)) & 1
+
+    def advice(col: int, yv: int) -> tuple:
         tables = []
-        for j, overlap in enumerate(overlaps):
+        for j, (size, mask, values) in enumerate(overlaps):
             tab = 0
-            for assign in range(1 << len(overlap)):
-                bits = list(y)
-                for a, p in enumerate(overlap):
-                    bits[p] = (assign >> (len(overlap) - 1 - a)) & 1
-                b = extract_bit(inst.code, x, _bit_seed(inst, BitString.from_bits(bits), j))
-                tab = (tab << 1) | b
-            tables.append((len(overlap), tab))
+            for f in values:
+                tab = (tab << 1) | bit(col, (yv & ~mask) | f, j)
+            tables.append((size, tab))
         return tuple(tables)
 
     # integer masses by cell (V, W, G, E) -> {C(X, V): px * py}
-    _n, _m, seeds, ly = _scaled_seed(inst, seed)
-    sources, lx = _scaled(_as_joint(source).mass)
     cells: Dict[tuple, Dict[int, int]] = {}
     for (x, e), px in sources:
+        col = inputs[x]
         for y, py in seeds:
-            v = _bit_seed(inst, y, i)
-            cell = cells.setdefault((v, y.substring(outside), advice(x, y), e), {})
-            c = extract_bit(inst.code, x, v)
+            key = (_bit_seed(inst, y, i), y.substring(outside), advice(col, y.value), e)
+            cell = cells.setdefault(key, {})
+            c = bit(col, y.value, i)
             cell[c] = cell.get(c, 0) + px * py
     advantage = _distance(cells.values(), 1, lx * ly)
 
@@ -522,11 +591,17 @@ def format_test_vector(name: str, params: Dict[str, object], value: Fraction) ->
 
 
 def parse_test_vector(line: str) -> Tuple[str, Dict[str, str], Fraction]:
+    """(name, params, value) of a record of `format_test_vector`; any other
+    line raises ParameterError."""
     head, _, val = line.rpartition(" = ")
     parts = head.split()
     if not parts or parts[0] != TEST_VECTOR_VERSION:
         raise ParameterError(f"unsupported test-vector record: {line!r}")
-    name = parts[1]
-    params = dict(p.split("=", 1) for p in parts[2:])
-    num, den = val.split("/")
-    return name, params, Fraction(int(num), int(den))
+    if len(parts) < 2 or any("=" not in p for p in parts[2:]):
+        raise ParameterError(f"test-vector record needs a name and key=value fields: {line!r}")
+    num, _, den = val.partition("/")
+    try:
+        value = Fraction(int(num), int(den))
+    except (ValueError, ZeroDivisionError):
+        raise ParameterError(f"test-vector value is not a fraction p/q: {line!r}") from None
+    return parts[1], dict(p.split("=", 1) for p in parts[2:]), value

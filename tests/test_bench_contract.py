@@ -92,3 +92,21 @@ def test_output_oracles_accept_micro_extract(tmp_path, reuse):
     out[0] ^= 0x80  # output bit 0 of block 0
     paths["output"].write_bytes(bytes(out))
     assert check(spec) == ([[0, 0]] if reuse else [0])
+
+
+def test_certify_runs_without_bit_serial_oracle(tmp_path, monkeypatch):
+    # the exact harness tabulates Trevisan outputs from the one-bit oracle
+    # codeword_bit; neither extract nor extract_bit is on its path
+    from trevext import code_extractor, trevisan
+
+    def refuse(*args):
+        raise AssertionError("bit-serial oracle called")
+
+    for name, fn in (("extract", trevisan.extract), ("extract_bit", code_extractor.extract_bit)):
+        for mod in [mod for key, mod in sys.modules.items() if key.split(".")[0] == "trevext"]:
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, refuse)
+    out = tmp_path / "certify.json"
+    child.certify(out)
+    got = json.loads(out.read_text())
+    assert {k: got.get(k) for k in run.CERTIFY_EXPECTED} == run.CERTIFY_EXPECTED

@@ -159,6 +159,16 @@ def test_joint_is_a_distribution():
         JointDistribution({(0, "a"): Fraction(2, 3), (0, "b"): Fraction(2, 3)})
 
 
+def test_joint_rejects_keys_that_are_not_pairs():
+    # every joint routine reads its keys as (x, e); any other key is refused
+    # when the joint is built, even at zero mass
+    for key in (0, (0,), (0, "a", "b"), "ab"):
+        with pytest.raises(ParameterError, match="not an \\(x, e\\) pair"):
+            JointDistribution({key: Fraction(1, 2), (1, "a"): Fraction(1, 2)})
+    with pytest.raises(ParameterError, match="not an \\(x, e\\) pair"):
+        JointDistribution({(0, "a"): Fraction(1), (0, "a", "b"): 0})
+
+
 def _random_triple(rng, sizes=(3, 3, 3)):
     w = {
         (a, b, c): rng.randint(0, 4)

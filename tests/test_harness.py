@@ -9,7 +9,7 @@ import pytest
 from trevext import harness
 
 from trevext.bitfield import BitString
-from trevext.code_extractor import CodeSpec
+from trevext.code_extractor import CodeSpec, extract_bit, message_symbols
 from trevext.entropy import (
     Distribution,
     JointDistribution,
@@ -32,7 +32,7 @@ from trevext.harness import (
     weak_seed_split_check,
 )
 from trevext.params import preset
-from trevext.trevisan import TrevisanInstance, extract
+from trevext.trevisan import TrevisanInstance, _bit_seed, extract
 from trevext.universal_hash import AdvertisedExtractor, toeplitz_extractor
 from trevext.weak_design import WeakDesign, block_design
 
@@ -119,6 +119,63 @@ def test_extraction_joint_matches_term_by_term_sum():
             key = (extract(inst, x, y), (y, e))
             want[key] = want.get(key, 0) + px * py
     assert extraction_joint(inst, src, seed).mass == want
+
+
+@pytest.mark.parametrize("ext", [micro_instance(), toeplitz_extractor(4, 2, Fraction(1, 4))],
+                         ids=["trevisan", "toeplitz"])
+def test_malformed_keys_refused_before_ext_runs(monkeypatch, ext):
+    # an input that is not an n-bit BitString, or a seed key that is not a
+    # d-bit one, raises ParameterError on every path through the table
+    monkeypatch.setattr(harness, "codeword_bit", None)
+    monkeypatch.setattr(harness, "_output", None)
+    x = BitString(ext.n, 0)
+    for bad in (5, BitString(ext.n + 1, 0), (x,)):
+        with pytest.raises(ParameterError, match=f"input .* is not a {ext.n}-bit string"):
+            extractor_error(ext, flat_source([bad]))
+        with pytest.raises(ParameterError, match=f"input .* is not a {ext.n}-bit string"):
+            extraction_joint(ext, JointDistribution({(bad, "e"): Fraction(1)}))
+    for bad in (3, BitString(ext.d - 1, 0)):
+        with pytest.raises(ParameterError, match=f"seed .* is not a {ext.d}-bit string"):
+            extractor_error(ext, flat_source([x]), flat_source([bad]))
+        with pytest.raises(ParameterError, match=f"seed .* is not a {ext.d}-bit string"):
+            max_error_flat_sources(ext, 1, flat_source([bad]))
+
+
+# (n, s, delta) of small valid codes, t = 2s from 2 to 6
+_SMALL_CODES = [(1, 1, Fraction(1, 4)), (2, 2, Fraction(1, 4)), (4, 2, Fraction(3, 8)),
+                (3, 3, Fraction(1, 4)), (5, 3, Fraction(1, 4))]
+
+
+def test_table_matches_extract_on_random_instances():
+    # the table equals the bit-serial extract on every (x, y) of random
+    # instances whose design sets may be longer than the code's seed, d up
+    # to 9; the joint built from it matches the term-by-term sum under a
+    # skewed seed, with one input under two side symbols
+    rng = random.Random(29)
+    for trial in range(10):
+        n, s, delta = _SMALL_CODES[trial % len(_SMALL_CODES)]
+        code = CodeSpec(n=n, s=s, delta=delta)
+        size = code.t + (1 if trial < 5 else rng.randint(0, 2))
+        d = 9 if trial % 3 == 0 else rng.randint(size, 9)
+        m = rng.randint(1, 4)
+        inst = TrevisanInstance(
+            WeakDesign.from_sets(d, [rng.sample(range(d), size) for _ in range(m)]), code)
+        xs = [BitString(n, xv) for xv in range(1 << n)]
+        ys = [BitString(d, yv) for yv in range(1 << d)]
+        assert harness._table(inst, xs, ys) == \
+            [[extract(inst, x, y).value for x in xs] for y in ys]
+
+        twice = rng.choice(xs)
+        others = rng.sample(xs, min(3, len(xs)))
+        src = JointDistribution(_random_mass(
+            rng, [(twice, "a"), (twice, "b")] + [(x, "c") for x in others]))
+        seed = Distribution(_random_mass(rng, rng.sample(ys, rng.randint(2, 12))))
+        want = {}
+        for (x, e), px in src.mass.items():
+            for y, py in seed.mass.items():
+                key = (extract(inst, x, y), (y, e))
+                want[key] = want.get(key, 0) + px * py
+        assert extraction_joint(inst, src, seed).mass == want
 
 
 def test_extraction_joint_guards():
@@ -338,20 +395,29 @@ def test_flat_family_evaluates_ext_once_per_pair():
     (toeplitz_extractor(4, 2, Fraction(1, 4)), 2, Fraction(21, 64), 1820),
 ], ids=["trevisan-k1", "toeplitz-k2"])
 def test_flat_family_tabulates_each_pair_once(monkeypatch, ext, k, max_error, checked):
-    calls = []
-    output = harness._output
+    # a Trevisan instance runs its one-bit oracle once per (input, one-bit
+    # seed) pair; any other extractor runs once per (input, seed) pair
+    trevisan = isinstance(ext, TrevisanInstance)
+    name = "codeword_bit" if trevisan else "_output"
+    oracle, calls = getattr(harness, name), []
 
-    def spy(ext_, m, x, y):
-        calls.append((x, y))
-        return output(ext_, m, x, y)
+    def spy(*args):
+        calls.append(args[-2:])  # (message symbols, v) or (x, y)
+        return oracle(*args)
 
-    monkeypatch.setattr(harness, "_output", spy)
+    monkeypatch.setattr(harness, name, spy)
     rep = max_error_flat_sources(ext, k)
     assert (rep.max_error, rep.regime, rep.sources_checked) == (max_error, "exhaustive", checked)
-    assert sorted((x.value, y.value) for x, y in calls) == \
-        [(x, y) for x in range(1 << ext.n) for y in range(1 << ext.d)]
-    # one input BitString per value, shared by every seed
-    assert len({id(x) for x, _y in calls}) == 1 << ext.n
+    if trevisan:
+        assert len(calls) == 16 * 16
+        assert sorted((tuple(sym), v.value) for sym, v in calls) == sorted(
+            (tuple(message_symbols(ext.code, BitString(ext.n, xv))), v)
+            for xv in range(1 << ext.n) for v in range(1 << ext.code.t))
+    else:
+        assert sorted((x.value, y.value) for x, y in calls) == \
+            [(x, y) for x in range(1 << ext.n) for y in range(1 << ext.d)]
+        # one input BitString per value, shared by every seed
+        assert len({id(x) for x, _y in calls}) == 1 << ext.n
 
 
 def test_flat_family_exhaustive_identity():
@@ -497,6 +563,61 @@ def test_hybrid_size_guard():
 
 
 # -- reduction witness -------------------------------------------------------
+
+
+def fraction_witness(inst, source, seed, i):
+    """Reference: (advantage, w) of the advice distinguisher at position i,
+    every advice entry one extract_bit at a reassigned seed, in Fraction
+    arithmetic."""
+    sets = [[int(p) for p in row] for row in inst.design.sets]
+    outside = [p for p in range(inst.d) if p not in sets[i]]
+    overlaps = [[p for p in row if p in sets[i]] for row in sets[:i]]
+    cells = {}
+    for (x, e), px in source.mass.items():
+        for y, py in seed.mass.items():
+            advice = []
+            for j, overlap in enumerate(overlaps):
+                tab = 0
+                for assign in range(1 << len(overlap)):
+                    bits = list(y)
+                    for a, p in enumerate(overlap):
+                        bits[p] = (assign >> (len(overlap) - 1 - a)) & 1
+                    y_j = _bit_seed(inst, BitString.from_bits(bits), j)
+                    tab = (tab << 1) | extract_bit(inst.code, x, y_j)
+                advice.append((len(overlap), tab))
+            v = _bit_seed(inst, y, i)
+            cell = cells.setdefault((v, y.substring(outside), tuple(advice), e), [0, 0])
+            cell[extract_bit(inst.code, x, v)] += px * py
+    # a bit's distance from uniform in a cell of masses (q0, q1) is |q0 - q1| / 2
+    advantage = sum((abs(q0 - q1) for q0, q1 in cells.values()), Fraction(0)) / 2
+    per_w = {}
+    for (_v, w, _g, _e), (q0, q1) in cells.items():
+        gap, mass = per_w.get(w, (0, 0))
+        per_w[w] = (gap + abs(q0 - q1) / 2, mass + q0 + q1)
+    best = max(sorted(per_w, key=lambda w: w.value),
+               key=lambda w: per_w[w][0] / per_w[w][1])
+    return advantage, best
+
+
+def test_witness_matches_bit_serial_reference():
+    # on random instances with side symbols and skewed seeds, the witness
+    # built from the table equals the reference built from extract_bit
+    rng = random.Random(31)
+    reached = set()
+    for trial in range(24):
+        n, s, delta = _SMALL_CODES[1 + trial % 3]
+        code = CodeSpec(n=n, s=s, delta=delta)
+        d, m, size = rng.randint(code.t + 1, 8), rng.randint(2, 3), code.t + trial % 2
+        inst = TrevisanInstance(
+            WeakDesign.from_sets(d, [rng.sample(range(d), size) for _ in range(m)]), code)
+        src = JointDistribution(_random_mass(rng, [
+            (BitString(n, rng.randrange(1 << n)), rng.randrange(2)) for _ in range(4)]))
+        seed = Distribution(_random_mass(
+            rng, [BitString(d, yv) for yv in rng.sample(range(1 << d), 24)]))
+        wit = reduction_witness(inst, src, seed)
+        assert (wit.advantage, wit.w) == fraction_witness(inst, src, seed, wit.index)
+        reached.add((m, wit.index))
+    assert any(i < m - 1 for m, i in reached)  # not only the last output bit
 
 
 def test_witness_low_entropy_source():
@@ -762,6 +883,18 @@ def test_vector_round_trip():
     assert name == "extractor_error"
     assert params == {"n": "4", "k": "2", "seed": "uniform"}
     assert value == Fraction(3, 16)
+
+
+@pytest.mark.parametrize("line", [
+    "TV1 = 1/2",
+    "TV1 x = 1",
+    "TV1 x a = 1/2",
+    "TV1 x = a/b",
+    "TV1 x = 1/0",
+], ids=["no-name", "no-slash", "field-without-equals", "not-integers", "zero-denominator"])
+def test_vector_rejects_malformed_record(line):
+    with pytest.raises(ParameterError, match="test-vector"):
+        parse_test_vector(line)
 
 
 def test_vector_rejects_unknown_version():
