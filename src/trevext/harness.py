@@ -292,6 +292,11 @@ class HybridReport:
         return len(self.gaps)
 
 
+def _hybrid_guard(m: int) -> None:
+    if not 1 <= m <= MAX_HYBRID_M:
+        raise SizeGuardError(f"hybrid enumeration limited to 1 <= m <= {MAX_HYBRID_M}")
+
+
 def hybrid_gaps(J: JointDistribution, m: int) -> HybridReport:
     """Exact per-position hybrid distances for an m-bit value with side info.
 
@@ -299,18 +304,24 @@ def hybrid_gaps(J: JointDistribution, m: int) -> HybridReport:
     uniform bits; gap i is the distance between hybrids i and i-1, so the
     gaps telescope the total distance of (Z, E) from U_m x E.
     """
-    if not 1 <= m <= MAX_HYBRID_M:
-        raise SizeGuardError(f"hybrid enumeration limited to 1 <= m <= {MAX_HYBRID_M}")
+    _hybrid_guard(m)
     masses, scale = _scaled(J.mass)
+    for (z, _e), _p in masses:
+        if not isinstance(z, BitString) or z.length != m:
+            raise ParameterError("Z values must be m-bit strings")
+    return _hybrid([((z.value, e), p) for (z, e), p in masses], m, scale)
+
+
+def _hybrid(masses: list, m: int, scale: int) -> HybridReport:
+    """:func:`hybrid_gaps` of integer masses ((z, e), p) over `scale`, each
+    z an m-bit int."""
 
     def cells(lo: int, width: int) -> list:
         """Masses of Z's integer bits [lo, lo+width) given the bits above and E."""
         out: Dict[tuple, Dict[int, int]] = {}
         for (z, e), p in masses:
-            if not isinstance(z, BitString) or z.length != m:
-                raise ParameterError("Z values must be m-bit strings")
-            cell = out.setdefault((z.value >> (lo + width), e), {})
-            bits = (z.value >> lo) & ((1 << width) - 1)
+            cell = out.setdefault((z >> (lo + width), e), {})
+            bits = (z >> lo) & ((1 << width) - 1)
             cell[bits] = cell.get(bits, 0) + p
         return list(out.values())
 
@@ -368,35 +379,44 @@ def reduction_witness(
     """
     if inst.n > MAX_WITNESS_N:
         raise SizeGuardError(f"reduction witness limited to n <= {MAX_WITNESS_N}")
-    report = hybrid_gaps(extraction_joint(inst, source, seed), inst.m)
-    i, d, m = report.argmax, inst.d, inst.m
-    sets = inst.design.sets
-    inside = np.isin(np.arange(d), sets[i])
-    outside = np.flatnonzero(~inside)
+    d, m, sets = inst.d, inst.m, inst.design.sets
+    _hybrid_guard(m)
 
-    def reassigned(overlap) -> Tuple[int, int, list]:
-        """(|S_j ∩ S_i|, the mask of those bits in a seed value, the bits of
-        each assignment to them in order, the first position most significant)."""
-        bits = [1 << (d - 1 - int(p)) for p in overlap]
-        values = [0]
-        for b in bits:
-            values = [v | f for v in values for f in (0, b)]
-        return len(bits), sum(bits), values
+    def overlaps_of(i: int) -> list:
+        """For each S_j ∩ S_i, j < i: (its size, the mask of its bits in a
+        seed value, the bits of each assignment to them in order, the first
+        position most significant)."""
+        inside = np.isin(np.arange(d), sets[i])
+        out = []
+        for row in sets[:i]:
+            bits = [1 << (d - 1 - int(p)) for p in row[inside[row]]]
+            values = [0]
+            for b in bits:
+                values = [v | f for v in values for f in (0, b)]
+            out.append((len(bits), sum(bits), values))
+        return out
 
-    overlaps = [reassigned(row[inside[row]]) for row in sets[:i]]  # S_j ∩ S_i, ascending
     _n, _m, seeds, ly = _scaled_seed(inst, seed)
     sources, lx = _scaled(_as_joint(source).mass)
     # one table row per seed value: every seed, and every seed with the bits
-    # of some S_j ∩ S_i reassigned; C(X, V) is bit i of Ext at the seed, and
-    # the advice table of j is bit j of Ext at its reassignments
-    rows: Dict[int, int] = {}
-    for y, _py in seeds:
-        rows.setdefault(y.value, len(rows))
-        for _size, mask, values in overlaps:
-            for f in values:
-                rows.setdefault((y.value & ~mask) | f, len(rows))
+    # of some S_j ∩ S_i (j < i) reassigned, for whichever i the hybrids pick
+    # (nothing to add once the seeds take every d-bit value); the hybrids
+    # read Ext at the seeds, C(X, V) is bit i of Ext at the seed, and the
+    # advice table of j is bit j of Ext at its reassignments
+    rows = dict.fromkeys(y.value for y, _py in seeds)
+    if len(rows) < 1 << d:
+        for i in range(1, m):
+            for _size, mask, values in overlaps_of(i):
+                for y, _py in seeds:
+                    rows.update(dict.fromkeys((y.value & ~mask) | f for f in values))
+    rows = {yv: row for row, yv in enumerate(rows)}
     inputs = _inputs(sources)
     table = _table(inst, list(inputs), [BitString(d, yv) for yv in rows])
+    report = _hybrid([((table[rows[y.value]][inputs[x]], (y.value, e)), px * py)
+                      for (x, e), px in sources for y, py in seeds], m, lx * ly)
+    i = report.argmax
+    outside = np.flatnonzero(~np.isin(np.arange(d), sets[i]))
+    overlaps = overlaps_of(i)
 
     def bit(col: int, yv: int, j: int) -> int:
         """Output bit j of Ext at the input of column col and seed value yv."""
@@ -462,6 +482,8 @@ def majority_predictor(P: Distribution, nbar: int, delta: Fraction) -> MajorityR
     positions with probability more than delta; both sides are computed
     exactly and the implication is asserted when the premise holds.
     """
+    if nbar < 1:
+        raise ParameterError("nbar must be >= 1")
     if nbar > MAX_PREDICTOR_NBAR:
         raise SizeGuardError(f"predictor limited to nbar <= {MAX_PREDICTOR_NBAR}")
     delta = Fraction(delta)

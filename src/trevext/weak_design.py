@@ -2,9 +2,10 @@
 
 A family S_1..S_m of t-subsets of [d] is a weak (t,r)-design when every
 prefix overlap sum ``sum_{j<i} 2^{|S_j ∩ S_i|}`` is at most ``r*m``.  Two
-constructions are provided, both drawing their sets from one grid greedy:
+constructions are provided, both laid out by one rule, :func:`_layout`,
+which gives a design's grids, so its sets and its seed length d:
 
-* :func:`greedy_basic_design` — one grid of L = ceil(t / ln r) rows, or m
+* :func:`greedy_basic_design` — one grid of L = grid_rows(t, r) rows, or m
   rows when m < L, so d = t·min(m, L), certifying ``r_certified <= r``.
 * :func:`block_design` — the r=1 composition: set indices are partitioned
   into shrinking blocks, each block a grid on its own disjoint universe, so
@@ -25,34 +26,32 @@ The factor is the same for every v, so the greedy (method of conditional
 expectations) takes the lowest v with the least bin sum
 sum_{j: f_j(a) = v} 2^{o_j}: exact integers, one bincount, no ties to
 resolve.  The bins average to the conditional expectation, so it never
-grows: set k sums to at most k·(1 + 1/rows)^t <= k·e^{t/rows}, which is
-at most k·r when rows >= t/ln r.  The same bound caps every bin sum, which
-stays exact in float64 below 2^53 (larger requests are refused).  While
-k < rows some bin is empty, so the first min(m, rows) sets are the
-constant rows, pairwise disjoint.
+grows: set k sums to at most k·(1 + 1/rows)^t.  The same bound caps every
+bin sum, which stays exact in float64 below 2^53 (larger requests are
+refused).  While k < rows some bin is empty, so the first min(m, rows)
+sets are the constant rows, pairwise disjoint.
+
+The row rule.  :func:`grid_rows` gives the least L with (1 + 1/L)^t <= r,
+in Python ints: set k of a grid of L rows sums to at most k·(1 + 1/L)^t <= k·r.
 
 The block budget.  :func:`block_layout` sizes each block floor(R/2) + 1,
 where R counts the sets not yet placed, and each block is a grid of
-min(size, ceil(t/ln 2)) rows, so in-block sums are at most 2k.  Set k of a
-block after E earlier sets then sums to at most E + 2k <= E + R = m: the
-design has r <= 1 by construction.
+min(size, grid_rows(t, 2)) rows, so in-block sums are at most 2k.  Set k
+of a block after E earlier sets then sums to at most E + 2k <= E + R = m:
+the design has r <= 1 by construction.
 
 Certification is always exact (big integers / rationals), independent of how
 the sets were produced.  :func:`overlap_sums` counts every overlap from the
-element → set incidence (sorted (element, set) pairs; each element pairs the
-sets holding it, and a pair of sets met at o elements overlaps in o), then
-adds hist[o]·(2^o − 1) per set in Python ints; building, loading and
-verifying a design all certify through it, and both builders raise
-:class:`ConstructionError` if the certified r exceeds their target.
-
-Universe sizes are exact too.  :func:`design_seed_length` is the one rule
-for a design's d, and the ceil(t/ln r) in it is resolved in rational
-arithmetic (:func:`ceil_div_ln`), so no rounding can move d.
+element → set incidence (sorted (element, set) keys, below d·m < 2^63; each
+element pairs the sets holding it, and a pair of sets met at o elements
+overlaps in o), then adds hist[o]·(2^o − 1) per set in Python ints;
+building, loading and verifying a design all certify through it, and both
+builders raise :class:`ConstructionError` if the certified r exceeds their
+target.
 """
 
 from __future__ import annotations
 
-import itertools
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,8 +64,9 @@ from .errors import ConstructionError, ParameterError, VerificationError
 SERIAL_MAGIC = b"WDSN"
 SERIAL_VERSION = 1
 # the builders' construction: design caches are keyed by it, so a cache
-# never serves the sets of an earlier construction (2: the grid greedy)
-CONSTRUCTION_REVISION = 2
+# never serves the sets of an earlier construction (2: the grid greedy;
+# 3: grids of grid_rows(t, r) rows, the least with (1 + 1/L)^t <= r)
+CONSTRUCTION_REVISION = 3
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,8 @@ class WeakDesign:
                 raise ParameterError("each set must hold t distinct indices")
             if sets[:, 0].min() < 0 or sets[:, -1].max() >= self.d:
                 raise ParameterError("set index outside universe")
+        if self.d * len(sets) >= 1 << 63:  # overlap_sums keys each (element, set) below d·m
+            raise ParameterError("d·m must be below 2^63")
         sets.flags.writeable = False
         sums = overlap_sums(sets)
         object.__setattr__(self, "sets", sets)
@@ -127,9 +129,10 @@ class WeakDesign:
 _PAIR_CHUNK = 1 << 18
 
 
-def overlap_sums(sets: np.ndarray | Sequence[Sequence[int]]) -> tuple:
+def overlap_sums(sets: np.ndarray) -> tuple:
     """Exact prefix overlap sums ``sum_{j<i} 2^{|S_j ∩ S_i|}``, one per set,
-    as Python ints, of a design's (m, t) array or of any integer sets.
+    as Python ints, of a design's (m, t) array: each row t distinct indices
+    in [0, d), with d·m < 2^63 (:class:`WeakDesign` holds both).
 
     Counted from the element → set incidence.  The (element, set) pairs are
     sorted by element; a set holding an element pairs with each earlier set
@@ -143,23 +146,12 @@ def overlap_sums(sets: np.ndarray | Sequence[Sequence[int]]) -> tuple:
     ``_PAIR_CHUNK`` keys or one set's, so memory stays linear in the input
     however much the sets overlap; no m×m or m×d array is built.
     """
-    m = len(sets)
-    if isinstance(sets, np.ndarray):  # a design's (m, t) rows
-        sizes, elems = np.full(m, sets.shape[1]), sets.reshape(-1)
-    else:  # any integer sets: ragged, unsorted, repeating elements
-        sizes = np.fromiter(map(len, sets), dtype=np.int64, count=m)
-        elems = np.fromiter(itertools.chain.from_iterable(sets), np.int64, int(sizes.sum()))
-    if not len(elems):
+    m, t = sets.shape
+    if not sets.size:
         return tuple(range(m))
-    low, high = int(elems.min()), int(elems.max())
-    if (high - low + 1) * m < 1 << 63:
-        elems = elems - low
-    else:  # the keys below would overflow: the elements' ranks, same order
-        elems = np.searchsorted(np.sort(elems), elems)
-    # the incidence as (element, set) keys, sorted and each pair once: an
-    # element's sets are ascending, and one repeated within a set counts once
-    key = np.sort(elems * m + np.repeat(np.arange(m), sizes))
-    key = key[np.append(True, key[1:] != key[:-1])]
+    # the incidence as (element, set) keys, sorted: each key is below d·m,
+    # an element's sets come out ascending, and no key repeats
+    key = np.sort(sets.reshape(-1) * m + np.repeat(np.arange(m), t))
     elem, owner = np.divmod(key, m)
     pos = np.arange(len(key))
     first = np.maximum.accumulate(np.where(np.append(True, elem[1:] != elem[:-1]), pos, 0))
@@ -171,7 +163,7 @@ def overlap_sums(sets: np.ndarray | Sequence[Sequence[int]]) -> tuple:
     earlier = act - first[act]
     ends = np.cumsum(earlier)
     sums = list(range(m))
-    width = int(sizes.max()) + 1
+    width = t + 1
     weight = [(1 << o) - 1 for o in range(width)]
     lo = 0
     while lo < len(act):
@@ -210,51 +202,24 @@ def verify_design(design: WeakDesign, r: Fraction | int) -> DesignCertificate:
     )
 
 
-def _ln_bounds(r: Fraction, terms: int) -> tuple:
-    """Rationals lo < ln r < hi for r > 1, from `terms` terms of atanh.
-
-    ln r = k·ln 2 + ln x with x = r/2^k in [1, 2), and each logarithm is
-    ln y = 2·atanh(z) = 2·sum_j z^(2j+1)/(2j+1) with z = (y−1)/(y+1) in
-    [0, 1/3].  Every term is nonnegative, so a partial sum is a lower
-    bound; the tail after N terms is below z^(2N+1)/((2N+1)(1−z²)).
-    """
-
-    def two_atanh(z: Fraction) -> tuple:
-        z2, power, total = z * z, z, Fraction(0)
-        for j in range(terms):
-            total += power / (2 * j + 1)
-            power *= z2
-        tail = power / ((2 * terms + 1) * (1 - z2))
-        return 2 * total, 2 * (total + tail)
-
-    k = r.numerator.bit_length() - r.denominator.bit_length()
-    if r < 1 << k:
-        k -= 1
-    x = r / (1 << k)
-    ln2_lo, ln2_hi = two_atanh(Fraction(1, 3))
-    lnx_lo, lnx_hi = two_atanh((x - 1) / (x + 1))
-    return k * ln2_lo + lnx_lo, k * ln2_hi + lnx_hi
-
-
-def ceil_div_ln(t: int, r: Fraction) -> int:
-    """ceil(t / ln r), exact, in rational arithmetic.
-
-    ln r is bounded between two rationals lo < ln r < hi (:func:`_ln_bounds`)
-    and the number of series terms is doubled until ceil(t/hi) equals
-    ceil(t/lo).  The loop ends: ln r is irrational for rational r > 1, so
-    t/ln r is not an integer and the shrinking interval around it
-    eventually contains none.
-    """
+def grid_rows(t: int, r: Fraction | int) -> int:
+    """The least L >= 1 with (1 + 1/L)^t <= r, i.e. (L + 1)^t·den(r) <=
+    num(r)·L^t in Python ints, found by doubling and bisection ((1 + 1/L)^t
+    falls as L grows).  L <= ceil(t/ln r), since (1 + 1/L)^t < e^{t/L}."""
+    r = Fraction(r)
     if r <= 1:
         raise ParameterError("r must be > 1")
-    r = Fraction(r)
-    terms = 8
-    while True:
-        lo, hi = _ln_bounds(r, terms)
-        ceil = -(-t // hi)
-        if ceil == -(-t // lo):
-            return ceil
-        terms *= 2
+
+    def fits(rows: int) -> bool:
+        return (rows + 1) ** t * r.denominator <= r.numerator * rows**t
+
+    lo, hi = 0, 1  # lo does not fit (0: none below 1), hi fits once the doubling stops
+    while not fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
 
 
 def _grid_sets(t: int, count: int, rows: int) -> np.ndarray:
@@ -277,23 +242,6 @@ def _grid_sets(t: int, count: int, rows: int) -> np.ndarray:
     return f.T * t + np.arange(t)
 
 
-def greedy_basic_design(t: int, m: int, r_target: Fraction | int) -> WeakDesign:
-    """Weak design on one grid of min(m, ceil(t/ln r_target)) rows, so
-    d = t·min(m, ceil(t/ln r_target)) and r_certified <= r_target."""
-    if t < 1 or m < 1:
-        raise ParameterError("t and m must be >= 1")
-    r_target = Fraction(r_target)
-    if r_target <= 1:
-        raise ParameterError("r_target must be > 1")
-    d = design_seed_length(t, m, "greedy", r_target)
-    design = WeakDesign(d, _grid_sets(t, m, d // t))
-    if design.r_certified > r_target:
-        raise ConstructionError(
-            f"greedy design certification failed: r = {design.r_certified} > {r_target}"
-        )
-    return design
-
-
 def block_layout(m: int) -> tuple:
     """Block sizes floor(R/2) + 1, R the sets not yet placed."""
     sizes, rest = [], m
@@ -303,49 +251,58 @@ def block_layout(m: int) -> tuple:
     return tuple(sizes)
 
 
-def design_seed_length(t: int, m: int, kind: str, r: Fraction) -> int:
-    """Universe size d, the seed length, of a design of m t-sets.
-
-    ``"greedy"`` (:func:`greedy_basic_design`): t·min(m, ceil(t/ln r)).
-    ``"block"`` (:func:`block_design`, r ignored): t·min(size, ceil(t/ln 2))
-    per block of :func:`block_layout`.
-    """
+def _layout(t: int, m: int, kind: str, r: Fraction) -> list:
+    """(sets, rows) of each grid of a design, in order, each grid on its
+    own t·rows elements (module docstring); r is ignored by ``"block"``."""
+    if t < 1 or m < 1:
+        raise ParameterError("t and m must be >= 1")
     if kind == "block":
-        rows = ceil_div_ln(t, 2)
-        return t * sum(min(size, rows) for size in block_layout(m))
+        rows = grid_rows(t, 2)
+        return [(size, min(size, rows)) for size in block_layout(m)]
     if kind == "greedy":
         if r <= 1:
             raise ParameterError("greedy design needs r > 1")
-        return t * min(m, ceil_div_ln(t, r))
+        return [(m, min(m, grid_rows(t, r)))]
     raise ParameterError(f"unknown design kind {kind!r}")
 
 
-def block_design(t: int, m: int) -> WeakDesign:
-    """Weak (t,1)-design: one grid of min(size, ceil(t/ln 2)) rows per block
-    of :func:`block_layout`, each on its own universe.
+def design_seed_length(t: int, m: int, kind: str, r: Fraction) -> int:
+    """Universe size d, the seed length, of a design of m t-sets:
+    t times the rows of its grids (:func:`_layout`)."""
+    return t * sum(rows for _count, rows in _layout(t, m, kind, r))
 
-    d is at most t·ceil(t/ln 2)·ceil(log2(4m)), the r=1 construction's
-    parameter shape.
-    """
-    if t < 1 or m < 1:
-        raise ParameterError("t and m must be >= 1")
-    max_rows, offset, blocks = ceil_div_ln(t, 2), 0, []
-    for size in block_layout(m):
-        rows = min(size, max_rows)
-        blocks.append(_grid_sets(t, size, rows) + offset)
+
+def _build(t: int, m: int, kind: str, r: Fraction) -> WeakDesign:
+    """The design of :func:`_layout`'s grids, certified to r."""
+    offset, grids = 0, []
+    for count, rows in _layout(t, m, kind, r):
+        grids.append(_grid_sets(t, count, rows) + offset)
         offset += t * rows
-    d = design_seed_length(t, m, "block", Fraction(1))
-    design = WeakDesign(d, np.concatenate(blocks))
-    if design.r_certified > 1:
+    design = WeakDesign(offset, np.concatenate(grids))
+    if design.r_certified > r:
         raise ConstructionError(
-            f"block design certification failed: r = {design.r_certified}"
+            f"{kind} design certification failed: r = {design.r_certified} > {r}"
         )
     return design
 
 
+def greedy_basic_design(t: int, m: int, r_target: Fraction | int) -> WeakDesign:
+    """Weak design on one grid of min(m, grid_rows(t, r_target)) rows, so
+    d = t·min(m, grid_rows(t, r_target)) and r_certified <= r_target."""
+    return _build(t, m, "greedy", Fraction(r_target))
+
+
+def block_design(t: int, m: int) -> WeakDesign:
+    """Weak (t,1)-design: one grid of min(size, grid_rows(t, 2)) rows per
+    block of :func:`block_layout`, each on its own universe, so d is at most
+    :func:`block_design_length_bound`, the r=1 construction's shape."""
+    return _build(t, m, "block", Fraction(1))
+
+
 def block_design_length_bound(t: int, m: int) -> int:
-    """Upper bound t*ceil(t/ln 2)*ceil(log2(4m)) on block_design's d."""
-    return t * ceil_div_ln(t, Fraction(2)) * (4 * m - 1).bit_length()
+    """Upper bound t·grid_rows(t, 2)·ceil(log2(4m)) on block_design's d,
+    at most t·ceil(t/ln 2)·ceil(log2(4m))."""
+    return t * grid_rows(t, 2) * (4 * m - 1).bit_length()
 
 
 def serialize_design(design: WeakDesign) -> bytes:

@@ -94,8 +94,8 @@ def test_criterion_01_design_certification():
 
 
 # SHA-256 over serialize_design of the (block, greedy r=2) designs of each
-# GRID point in order, built by the grid greedy (construction revision 2)
-GRID_DESIGN_DIGEST = "e9a53db7ae373de7b9ca2dffe0bf0bb6e1f693ce47b7d93d77e5e10cee8bafa5"
+# GRID point in order, built by the grid greedy (construction revision 3)
+GRID_DESIGN_DIGEST = "7f7db451b49302cc12c842bc1c53261612bb68bcb554148397d083efaf26f209"
 
 
 def test_grid_design_bytes_pinned(grid_designs):

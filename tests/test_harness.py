@@ -650,6 +650,29 @@ def test_witness_scores_w_per_unit_mass():
         (1, BitString(2, 1), Fraction(87, 190), Fraction(39, 95))
 
 
+def test_witness_tabulates_once(monkeypatch):
+    # the hybrid report and the advice read one table, under a uniform seed
+    # and under a seed on a few values, whose reassignments it must add
+    calls = []
+    table = harness._table
+
+    def spy(*args):
+        calls.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(harness, "_table", spy)
+    inst = micro_instance()
+    src = flat_source([BitString(4, 0), BitString(4, 1), BitString(4, 6)])
+    few = Distribution({BitString(6, y): Fraction(1, 3) for y in (0, 9, 46)})
+    for seed in (None, few):
+        calls.clear()
+        wit = reduction_witness(inst, src, seed)
+        assert len(calls) == 1
+        seed = seed or Distribution({BitString(6, y): Fraction(1, 64) for y in range(64)})
+        assert wit.total == extractor_error(inst, src, seed)
+        assert wit.gap == hybrid_gaps(extraction_joint(inst, src, seed), inst.m).gaps[wit.index]
+
+
 def test_advice_bits_formula():
     inst = micro_instance()
     assert advice_bits(inst, 0) == 0
@@ -686,6 +709,12 @@ def test_majority_uniform_premise_fails():
     rep = majority_predictor(P, 3, Fraction(1, 8))
     assert rep.advantage == 0
     assert not rep.premise_holds
+
+
+def test_majority_refuses_empty_strings():
+    for nbar in (0, -1):
+        with pytest.raises(ParameterError, match="nbar must be >= 1"):
+            majority_predictor(Distribution({BitString(0, 0): Fraction(1)}), nbar, Fraction(1, 4))
 
 
 def test_majority_random_sources():

@@ -16,7 +16,7 @@ from trevext.params import (
     smooth_budget,
     trevisan_params,
 )
-from trevext.weak_design import block_design, ceil_div_ln, greedy_basic_design
+from trevext.weak_design import block_design, greedy_basic_design, grid_rows
 
 
 def test_rt_bound_examples():
@@ -73,7 +73,7 @@ def test_planned_seed_length_is_built_design_length(n, eps, m):
 
 def test_greedy_design_kind():
     g = trevisan_params(1024, Fraction(1, 1024), 64, design_kind="greedy", r=Fraction(2))
-    assert g.d == g.t * min(64, ceil_div_ln(g.t, 2))
+    assert g.d == g.t * min(64, grid_rows(g.t, 2))
     assert g.r == 2
     # the overlap parameter enters the threshold linearly
     b = trevisan_params(1024, Fraction(1, 1024), 64)

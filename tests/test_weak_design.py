@@ -1,4 +1,5 @@
 import hashlib
+import math
 import struct
 from fractions import Fraction
 
@@ -13,11 +14,11 @@ from trevext.weak_design import (
     _grid_sets,
     block_design,
     block_layout,
-    ceil_div_ln,
     deserialize_design,
     design_seed_length,
     greedy_basic_design,
     block_design_length_bound,
+    grid_rows,
     overlap_sums,
     serialize_design,
     verify_design,
@@ -34,14 +35,14 @@ def overlap_sums_oracle(sets):
 
 
 def test_overlap_sums_definition():
-    sets = [(0, 1), (1, 2), (2, 3)]
+    sets = np.array([(0, 1), (1, 2), (2, 3)])
     # sums of 2^{|S_j cap S_i|} over j < i
     assert overlap_sums(sets) == (0, 2, 1 + 2)
 
 
 def _random_families(rng):
-    """Families of t-subsets of [d]: t = 1, t = d, m in {0, 1}, repeated
-    sets, and random shapes in between."""
+    """(m, t) arrays of t-subsets of [d]: t = 1, t = d, m in {0, 1},
+    repeated sets, and random shapes in between."""
     for _ in range(300):
         d = int(rng.integers(1, 24))
         t = int(rng.choice([1, d, int(rng.integers(1, d + 1))]))
@@ -50,7 +51,7 @@ def _random_families(rng):
         if m > 1 and rng.random() < 0.3:  # repeat some sets
             picks = rng.integers(0, m, m)
             sets = [sets[min(int(p), i)] for i, p in enumerate(picks)]
-        yield sets
+        yield np.array(sets, dtype=np.int64).reshape(m, t)
 
 
 def test_overlap_sums_match_oracle_on_random_families():
@@ -67,23 +68,8 @@ def test_overlap_sums_match_oracle_in_small_chunks(monkeypatch):
         monkeypatch.setattr(wd, "_PAIR_CHUNK", chunk)
         for sets in list(_random_families(np.random.default_rng(chunk)))[:80]:
             assert overlap_sums(sets) == overlap_sums_oracle(sets), (chunk, sets)
-        eq = [(0, 1, 2)] * 9
+        eq = np.array([(0, 1, 2)] * 9)
         assert overlap_sums(eq) == tuple(i << 3 for i in range(9))
-
-
-def test_overlap_sums_general_sequences():
-    # the definition holds for any integer sets: ragged, repeated elements,
-    # negative or far-apart values
-    for sets in (
-        [(0, 1, 2), (1,), (), (2, 1, 1, 0), (5, 1)],
-        [(-3, 7), (7, -3, 2**40), (2**40, 2**41), (2**41,)],
-        [(2**62, 0), (0, 2**62), (1, 2**62)],
-        [(-(2**62), 2**62), (2**62, 5), (-(2**62),)],
-        [[3, 1], [1, 3], [3]],
-    ):
-        assert overlap_sums(sets) == overlap_sums_oracle(sets), sets
-    assert overlap_sums([]) == ()
-    assert overlap_sums([(), ()]) == (0, 1)
 
 
 def test_overlap_sums_match_oracle_on_dense_greedy_families():
@@ -95,7 +81,7 @@ def test_overlap_sums_match_oracle_on_dense_greedy_families():
 def test_overlap_sums_equal_sets_closed_form():
     # m equal t-sets: each earlier set overlaps in t, so sums[i] = i·2^t;
     # t·m(m−1)/2 pair keys, counted in bounded chunks
-    sets = [tuple(range(1000, 1064))] * 512
+    sets = np.array([tuple(range(1000, 1064))] * 512)
     assert overlap_sums(sets) == tuple(i << 64 for i in range(512))
 
 
@@ -117,7 +103,7 @@ def test_greedy_t2_m3():
 
 def test_greedy_t3_m8():
     d = greedy_basic_design(3, 8, 2)
-    assert d.d == 15
+    assert d.d == 12  # 4 rows: (5/4)^3 <= 2
     cert = verify_design(d, 2)
     assert cert.ok
     assert d.r_certified == Fraction(5, 4)
@@ -129,15 +115,16 @@ def test_greedy_deterministic():
     assert np.array_equal(a.sets, b.sets)
 
 
-# serialize_design digests of the grid-greedy designs (construction
-# revision 2); the scored greedy's designs, cached under names without a
-# construction revision, are never read again
+# serialize_design digests of the grid-greedy designs with grid_rows rows
+# (construction revision 3); designs of earlier constructions, cached under
+# other names, are never read again
 PINNED = {
     ("block", 124, 256): "da37e991a6ae60793413a4971efedadbcde237a5c8b9e1c87021d86f8dab9738",
     ("block", 3, 7): "7d378ae2463e1c4d1b670cfaff4360b684173052a011ff0ba027484074b18f32",
     ("block", 4, 16): "8adbd063efdd76398ff6681fd78a005c8915d1d54b7b5907aa4e9fa6db9ff67b",
     ("block", 8, 64): "34d78439dc5af2abbd52382545c31dbc559037b89e7bf2aecb3801a393c2b05f",
-    ("greedy", 3, 8, 2): "53bb282faa538dfec5c9eeda07c748fa4cfd4e7f79436dac53e1fdb83339e574",
+    ("block", 94, 32): "90fb5de3d9c54caffc274ac35da0cac2f0ceeb7c07bff1e1fe8674354737d5c6",
+    ("greedy", 3, 8, 2): "8291898519c02d4f2b73a9d47b6f20db427af3de80b4f3b1a98daf636220572c",
     ("greedy", 4, 16, 2): "fc89fbe0e4bfe45e3d5a080b8af8ae45ec056355a28a54d4abd68fa26b3b6518",
     ("greedy", 8, 64, Fraction(3, 2)):
         "5998ea06ad15b54ea286e4f6d262e8428f0e9eb49938e640089b5ce121d53780",
@@ -155,36 +142,29 @@ def test_design_bytes_pinned(shape):
     assert design.r_certified == Fraction(max(sums), design.m)
 
 
-def test_ceil_div_ln_values():
-    import math
+def test_grid_rows_is_least_fitting():
+    def fits(t, r, rows):
+        return (1 + Fraction(1, rows)) ** t <= r
 
-    assert ceil_div_ln(2, 2) == math.ceil(2 / math.log(2))
-    assert ceil_div_ln(16, 2) == math.ceil(16 / math.log(2))
-    assert ceil_div_ln(3, Fraction(3, 2)) == math.ceil(3 / math.log(1.5))
-
-
-def test_ceil_div_ln_matches_high_precision_oracle():
-    import random
-
-    from mpmath import mp, mpf
-
-    rng = random.Random(2)
-    rs = [Fraction(2), Fraction(3, 2), Fraction(1001, 1000), 1 + Fraction(1, 10**12),
-          1 + Fraction(1, 2**40), Fraction(7), Fraction(10**9)]
-    for _ in range(8):
-        den = rng.randrange(1, 10**6)
-        rs.append(Fraction(den + rng.randrange(1, 10**6), den))
-    ts = [*range(1, 300), 10**3, 4096, 10**6, 10**9]
-    with mp.workdps(120):
-        for r in rs:
-            ln_r = mp.log(mpf(r.numerator) / r.denominator)
-            for t in ts:
-                q = mpf(t) / ln_r
-                assert abs(q - mp.nint(q)) > mpf(10) ** -100  # the oracle's ceiling is sure
-                assert ceil_div_ln(t, r) == int(mp.ceil(q)), (t, r)
-    for r in (1, Fraction(1, 2), Fraction(0)):
+    for r in (Fraction(1001, 1000), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(16)):
+        for t in (*range(1, 60), 124, 300):
+            rows = grid_rows(t, r)
+            assert fits(t, r, rows), (t, r)
+            assert rows == 1 or not fits(t, r, rows - 1), (t, r)
+    assert grid_rows(124, 2) == 179 and grid_rows(3, 2) == 4 and grid_rows(1, 2) == 1
+    for r in (1, Fraction(1, 2), Fraction(0), Fraction(-3)):
         with pytest.raises(ParameterError, match="r must be > 1"):
-            ceil_div_ln(3, r)
+            grid_rows(3, r)
+
+
+def test_grid_rows_at_most_ceil_t_over_ln_r():
+    # (1 + 1/L)^t < e^{t/L} <= r at L = ceil(t/ln r), so no seed grows
+    for r in (Fraction(1001, 1000), Fraction(3, 2), 2, 3, 16, 2**60):
+        for t in range(1, 501):
+            q = t / math.log(r)
+            if abs(q - round(q)) < 1e-6:  # the float ceiling is unsure
+                continue
+            assert grid_rows(t, r) <= math.ceil(q), (t, r)
 
 
 def test_design_seed_length_guards():
@@ -192,6 +172,15 @@ def test_design_seed_length_guards():
         design_seed_length(4, 2, "greedy", Fraction(1))
     with pytest.raises(ParameterError, match="unknown design kind 'grid'"):
         design_seed_length(4, 2, "grid", Fraction(2))
+
+
+@pytest.mark.parametrize("kind", ["block", "greedy"])
+def test_design_seed_length_is_built_d(kind):
+    build = {"block": lambda t, m, r: block_design(t, m), "greedy": greedy_basic_design}[kind]
+    for t in (1, 2, 3, 5, 8, 13):
+        for m in (1, 2, 3, 7, 40, 129):
+            for r in (Fraction(3, 2), Fraction(2), Fraction(5)):
+                assert design_seed_length(t, m, kind, r) == build(t, m, r).d, (t, m, r)
 
 
 def test_block_layout():
@@ -242,7 +231,7 @@ def test_sets_disjoint_across_blocks():
     # share no element
     for t, m in [(3, 7), (4, 16), (8, 64)]:
         d = block_design(t, m)
-        rows = ceil_div_ln(t, Fraction(2))
+        rows = grid_rows(t, 2)
         owner = {}  # element -> the block whose set holds it
         first = low = 0
         for b, size in enumerate(block_layout(m)):
@@ -286,24 +275,24 @@ def test_grid_first_sets_are_constant_rows():
 
 @pytest.mark.parametrize("r", [Fraction(3, 2), Fraction(2), Fraction(3)], ids=str)
 def test_grid_sums_within_conditional_expectation(r):
-    # set k of a grid of L = ceil(t/ln r) rows sums to at most
+    # set k of a grid of L = grid_rows(t, r) rows sums to at most
     # k·(1 + 1/L)^t <= k·r, in exact rationals, for the bare grid and for
     # the greedy kind built on it (L rows, or m when m < L)
     for t in range(1, 9):
-        rows = ceil_div_ln(t, r)
+        rows = grid_rows(t, r)
         growth = (1 + Fraction(1, rows)) ** t
         assert growth <= r
         for m in (1, rows, rows + 1, 3 * rows + 2, 100):
-            for sets in (_grid_sets(t, m, rows).tolist(), greedy_basic_design(t, m, r).sets):
+            for sets in (_grid_sets(t, m, rows), greedy_basic_design(t, m, r).sets):
                 sums = overlap_sums(sets)
                 assert all(s <= k * growth for k, s in enumerate(sums)), (t, m)
 
 
 def test_block_sums_within_budget():
     # set k of a block after E earlier sets: E from the earlier blocks, and
-    # at most k·(1 + 1/L)^t <= 2k within its own grid of L = ceil(t/ln 2)
+    # at most k·(1 + 1/L)^t <= 2k within its own grid of L = grid_rows(t, 2)
     for t in range(1, 9):
-        growth = (1 + Fraction(1, ceil_div_ln(t, Fraction(2)))) ** t
+        growth = (1 + Fraction(1, grid_rows(t, 2))) ** t
         assert growth <= 2
         for m in (1, 2, 7, 49, 130, 300):
             sums = overlap_sums(block_design(t, m).sets)
@@ -407,6 +396,26 @@ def test_from_sets_validation():
     for d, sets, message in MALFORMED:
         with pytest.raises(ParameterError, match=message):
             WeakDesign.from_sets(d, sets)
+
+
+def test_constructor_refuses_d_times_m_past_int64():
+    # overlap_sums keys each (element, set) pair below d·m in int64
+    with pytest.raises(ParameterError, match="2\\^63"):
+        WeakDesign(2**62, [[0], [1]])
+    assert WeakDesign(2**62 - 1, [[0], [1]]).r_certified == Fraction(1, 2)
+
+
+def test_deserialize_refuses_d_times_m_past_int64(monkeypatch):
+    import trevext.weak_design as wd
+
+    def never(sets):
+        raise AssertionError("a family past 2^63 reached overlap_sums")
+
+    # the only payload that small: t = 0, m = 2^31 + 1 and d = 2^32 − 1
+    monkeypatch.setattr(wd, "overlap_sums", never)
+    head = SERIAL_MAGIC + struct.pack("<IIIIQQ", SERIAL_VERSION, 0, 2**31 + 1, 2**32 - 1, 0, 1)
+    with pytest.raises(VerificationError, match="stored sets are inconsistent: .*2\\^63"):
+        deserialize_design(head)
 
 
 def test_constructor_validates_arrays():
