@@ -305,8 +305,8 @@ def _selftest_checks(full: bool, rng_seed: int):
         # a random micro instance streamed with fresh seeds (step loop) and
         # with one reused seed (byte tables), against extract; the full
         # level adds the step kernel's word edges, symbols of 1 and 64 bits,
-        # and a wide input whose byte tables span 2 or more chunks, split
-        # among the host's CPUs
+        # and a wide input whose byte tables span 2 or more chunks, claimed
+        # one at a time by up to one thread per CPU
         from functools import reduce
 
         from .code_extractor import code_params

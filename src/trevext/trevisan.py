@@ -13,12 +13,12 @@ kernel per seed mode.  Fresh seeds keep only the (a, u) pair of every
 (block, output) lane and evaluate Ext in the step loop, all lanes of a
 batch stepped together on per-lane nibble tables of M_a^T, in chunks of
 bounded state; no mask is built.  A reused seed is compiled once into byte
-columns, and every batch runs on byte tables built from them, its byte
-positions split into one range of whole table chunks per CPU (at most 2),
-each range on its own thread with its own scratch.  The compiled seed keeps
-each worker's scratch from batch to batch and lends it to one call at a
-time.  The bit-serial :func:`extract` is the reference oracle they are
-tested against.
+columns, and every batch runs on byte tables built from them, a chunk of
+byte positions at a time, on up to one thread per CPU (at most 2), each
+thread claiming the next chunk when it is done with one and summing on its
+own scratch.  The compiled seed keeps each worker's scratch from batch to
+batch and lends it to one call at a time.  The bit-serial :func:`extract`
+is the reference oracle they are tested against.
 """
 
 from __future__ import annotations
@@ -155,14 +155,17 @@ def _pairs(inst: TrevisanInstance, seeds: np.ndarray) -> tuple:
 
 # symbols per slice of the fresh-seed step loop
 _FRESH_WIDTH = 16
-# byte tables, per worker: at most 512 KiB of 256-entry tables per chunk of
-# byte positions, and at most 1 MiB of entries gathered from one chunk (a
-# whole batch's at n = 2^16, m = 256; a batch of more than 512 blocks takes
-# fewer byte positions per chunk)
-_TABLE_WORDS = 1 << 16
-_TAKE_WORDS = 1 << 17
-# most threads the byte-table kernel runs on, each with its own ~1.8 MiB of
-# scratch: two, the count measured (one per CPU of a 2-vCPU host)
+# byte tables, per worker: at most 256 KiB of 256-entry tables per chunk of
+# byte positions, and at most 512 KiB of entries gathered from one chunk (a
+# whole batch's at n = 2^16, m = 256, 32 byte positions; a batch of more than
+# 512 blocks takes fewer byte positions per chunk).  The chunks are small so
+# that a worker's scratch is; the workers claim them one at a time, so a
+# worker held up on a busy CPU leaves its share to the other
+_TABLE_WORDS = 1 << 15
+_TAKE_WORDS = 1 << 16
+# most threads the byte-table kernel runs on, each with its own ~0.9 MiB of
+# scratch at n = 2^16, m = 256: two, the count measured (one per CPU of a
+# 2-vCPU host)
 _MAX_WORKERS = 2
 
 
@@ -218,11 +221,11 @@ class CompiledMasks:
       columns as :func:`~trevext.code_extractor.code_columns` packs them.
       The kernel is byte-indexed XOR tables (the Method of Four Russians),
       built for each batch a chunk of byte positions at a time; each chunk's
-      entries for the whole batch are gathered by one ``take``.  The chunks
-      are split into contiguous ranges, one per worker thread, up to one
-      per CPU and at most _MAX_WORKERS, each with its own sums and its own
-      scratch of tables, input bytes, index and gather (~1.8 MiB at
-      n = 2^16, m = 256); the output is the XOR of the ranges' sums.  The
+      entries for the whole batch are gathered by one ``take``.  Up to one
+      worker thread per CPU, at most _MAX_WORKERS, claim the chunks one at
+      a time, in order, until none is left, each with its own sums and its
+      own scratch of tables, input bytes, index and gather (~0.9 MiB at
+      n = 2^16, m = 256); the output is the XOR of the workers' sums.  The
       seed keeps each worker's scratch from batch to batch, a shorter
       batch on prefix views of it, and lends it to one apply at a time: an
       apply made while another holds it makes its own.
@@ -286,18 +289,18 @@ class CompiledMasks:
         return np.bitwise_count(np.bitwise_xor.reduce(acc, axis=0)) & np.uint8(1)
 
     def _lookup(self, blocks: np.ndarray) -> np.ndarray:
-        """Byte tables over contiguous ranges of whole table chunks, one
-        range per worker: range 0 on the calling thread, each other one on a
-        thread of its own, each worker on its own scratch; the output is the
-        XOR of the ranges' sums.  The seed lends its scratch to one call at
-        a time: a call made while another holds it makes its own, and the
-        seed keeps one of them when both have returned."""
+        """Byte tables over chunks of byte positions that the workers claim
+        from one shared source of chunk starts: worker 0 is the calling
+        thread, each other one a thread of its own, each on its own scratch;
+        the output is the XOR of the workers' sums.  The seed lends its
+        scratch to one call at a time: a call made while another holds it
+        makes its own, and the seed keeps one of them when both have
+        returned."""
         _, nb, w = self._columns.shape
         # byte positions per chunk: its tables and its gather both bounded
         g = max(1, min(_TABLE_WORDS // 256, _TAKE_WORDS // max(1, len(blocks))) // w)
-        chunks = -(-nb // g)
-        workers = min(_cpus(), chunks, _MAX_WORKERS)
-        cuts = [min(nb, g * (chunks * i // workers)) for i in range(workers + 1)]
+        workers = min(_cpus(), -(-nb // g), _MAX_WORKERS)
+        starts = _Claims(range(0, nb, g))
         with self._lock:
             scratch, self._scratch = self._scratch, []
         scratch += [_TableScratch() for _ in range(workers - len(scratch))]
@@ -306,7 +309,7 @@ class CompiledMasks:
 
         def run(i):
             try:
-                sums[i] = self._lookup_range(scratch[i], blocks, cuts[i], cuts[i + 1], g)
+                sums[i] = self._lookup_range(scratch[i], blocks, starts, g)
             except Exception as exc:
                 errors.append(exc)
 
@@ -316,7 +319,7 @@ class CompiledMasks:
                 thread = threading.Thread(target=run, args=(i,))
                 thread.start()
                 threads.append(thread)
-            acc = self._lookup_range(scratch[0], blocks, cuts[0], cuts[1], g)
+            acc = self._lookup_range(scratch[0], blocks, starts, g)
         finally:
             for thread in threads:
                 thread.join()
@@ -330,18 +333,20 @@ class CompiledMasks:
         return acc.view(np.uint8)[:, : (self.m + 7) // 8]
 
     def _lookup_range(
-        self, scratch: _TableScratch, blocks: np.ndarray, lo: int, hi: int, g: int
+        self, scratch: _TableScratch, blocks: np.ndarray, starts, g: int
     ) -> np.ndarray:
-        """(B, ceil(m/64)) uint64: the XOR over byte positions lo..hi-1 of
-        each block's table entries.  For each chunk of g byte positions,
-        entry v of byte p's table is the XOR of the columns of the bits set
-        in v, built by doubling; the chunk's bytes of every block are copied
-        into one contiguous buffer, indexed once, gathered by one take and
-        XOR-reduced, with the sums so far, into the sums.  The buffers,
-        their views and the bound take are the scratch's and the ufuncs are
-        bound once per call, so a chunk makes only its numpy calls."""
+        """(B, ceil(m/64)) uint64: the XOR of each block's table entries over
+        the chunks of g byte positions whose starts this thread takes from
+        ``starts`` until none is left (threads sharing it take each chunk
+        once).  For each chunk, entry v of byte p's table is the XOR of the
+        columns of the bits set in v, built by doubling; the chunk's bytes
+        of every block are copied into one contiguous buffer, indexed once,
+        gathered by one take and XOR-reduced, with the sums so far, into the
+        sums.  The buffers, their views and the bound take are the
+        scratch's and the ufuncs are bound once per call, so a chunk makes
+        only its numpy calls and one claim."""
         cols = self._columns
-        count = len(blocks)
+        count, nb = len(blocks), cols.shape[1]
         scratch.fit(g, count, cols.shape[2])
         acc = np.zeros((count, cols.shape[2]), dtype=np.uint64)
         xor, reduce, copyto, multiply, add = (
@@ -349,10 +354,10 @@ class CompiledMasks:
         )
         take, scale = scratch.take, scratch.scale
         views = scratch.whole
-        for p in range(lo, hi, g):
+        for p in starts:
             end = p + g
-            if end > hi:
-                end, views = hi, scratch.part(hi - p)
+            if end > nb:  # the partial chunk starts last: no chunk follows it
+                end, views = nb, scratch.part(nb - p)
             halves, x, xt, idx, offsets, val, first = views
             for (done, todo), c in zip(halves, cols[:, p:end]):
                 xor(done, c, todo)
@@ -363,6 +368,22 @@ class CompiledMasks:
             xor(first, acc, first)
             reduce(val, 0, None, acc)
         return acc
+
+
+class _Claims:
+    """An iterator over ``starts`` that threads share: each next() hands one
+    item to one thread, under a lock."""
+
+    def __init__(self, starts):
+        self._starts = iter(starts)
+        self._lock = threading.Lock()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        with self._lock:
+            return next(self._starts)
 
 
 class _TableScratch:
@@ -448,7 +469,7 @@ _BATCH_BYTES = 1 << 20
 # byte tables afresh, 256 entries per input byte, 32 times the mask words;
 # at n = 2^16, m = 256 that is ~4 ms of a ~19 ms batch on one thread (the
 # rest is index, gather and XOR), so larger batches spread it over more
-# blocks.  A batch's table chunks are split among up to one thread per CPU,
+# blocks.  A batch's table chunks are claimed by up to one thread per CPU,
 # at most _MAX_WORKERS
 _REUSED_BATCH_BYTES = 1 << 22
 

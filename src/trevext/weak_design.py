@@ -33,6 +33,8 @@ sets are the constant rows, pairwise disjoint.
 
 The row rule.  :func:`grid_rows` gives the least L with (1 + 1/L)^t <= r,
 in Python ints: set k of a grid of L rows sums to at most k·(1 + 1/L)^t <= k·r.
+A grid of c sets uses min(c, L) rows, so a layout stops the search at its
+largest grid's c.
 
 The block budget.  :func:`block_layout` sizes each block floor(R/2) + 1,
 where R counts the sets not yet placed, and each block is a grid of
@@ -106,6 +108,8 @@ class WeakDesign:
                 raise ParameterError("set index outside universe")
         if self.d * len(sets) >= 1 << 63:  # overlap_sums keys each (element, set) below d·m
             raise ParameterError("d·m must be below 2^63")
+        if sets.shape[1] < 1:  # m empty sets would certify as r < 1 at any m
+            raise ParameterError("t must be >= 1")
         sets.flags.writeable = False
         sums = overlap_sums(sets)
         object.__setattr__(self, "sets", sets)
@@ -164,7 +168,6 @@ def overlap_sums(sets: np.ndarray) -> tuple:
     ends = np.cumsum(earlier)
     sums = list(range(m))
     width = t + 1
-    weight = [(1 << o) - 1 for o in range(width)]
     lo = 0
     while lo < len(act):
         # whole sets only, so each pair (j, i) lies in a single chunk
@@ -182,7 +185,7 @@ def overlap_sums(sets: np.ndarray) -> tuple:
         cells = np.flatnonzero(hist)
         for cell, count in zip(cells.tolist(), hist[cells].tolist()):
             i, o = divmod(cell, width)
-            sums[i_lo + i] += count * weight[o]
+            sums[i_lo + i] += (count << o) - count  # count·(2^o − 1)
         lo = hi
     return tuple(sums)
 
@@ -202,15 +205,20 @@ def verify_design(design: WeakDesign, r: Fraction | int) -> DesignCertificate:
     )
 
 
-def grid_rows(t: int, r: Fraction | int) -> int:
+def grid_rows(t: int, r: Fraction | int, most: int | None = None) -> int:
     """The least L >= 1 with (1 + 1/L)^t <= r, i.e. (L + 1)^t·den(r) <=
     num(r)·L^t in Python ints, found by doubling and bisection ((1 + 1/L)^t
-    falls as L grows).  L <= ceil(t/ln r), since (1 + 1/L)^t < e^{t/L}."""
+    falls as L grows).  L <= ceil(t/ln r), since (1 + 1/L)^t < e^{t/L}.
+    With ``most``, min(L, most): the search tries no row count past
+    ``most``, so it takes no power past most^t (the powers are its cost at
+    large t)."""
     r = Fraction(r)
     if r <= 1:
         raise ParameterError("r must be > 1")
 
-    def fits(rows: int) -> bool:
+    def fits(rows: int) -> bool:  # or reaches most: the least such is min(L, most)
+        if most is not None and rows >= most:
+            return True
         return (rows + 1) ** t * r.denominator <= r.numerator * rows**t
 
     lo, hi = 0, 1  # lo does not fit (0: none below 1), hi fits once the doubling stops
@@ -256,13 +264,16 @@ def _layout(t: int, m: int, kind: str, r: Fraction) -> list:
     own t·rows elements (module docstring); r is ignored by ``"block"``."""
     if t < 1 or m < 1:
         raise ParameterError("t and m must be >= 1")
+    # a grid uses at most as many rows as it has sets, so the row search
+    # stops at the largest grid's set count
     if kind == "block":
-        rows = grid_rows(t, 2)
-        return [(size, min(size, rows)) for size in block_layout(m)]
+        sizes = block_layout(m)
+        rows = grid_rows(t, 2, most=sizes[0])
+        return [(size, min(size, rows)) for size in sizes]
     if kind == "greedy":
         if r <= 1:
             raise ParameterError("greedy design needs r > 1")
-        return [(m, min(m, grid_rows(t, r)))]
+        return [(m, grid_rows(t, r, most=m))]
     raise ParameterError(f"unknown design kind {kind!r}")
 
 

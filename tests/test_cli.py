@@ -5,6 +5,7 @@ import random
 import re
 import shlex
 import stat
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,6 +26,8 @@ from trevext.code_extractor import CodeSpec
 from trevext.params import preset
 from trevext.trevisan import TrevisanInstance, extract_bytes
 from trevext.weak_design import (
+    SERIAL_MAGIC,
+    SERIAL_VERSION,
     WeakDesign,
     block_design,
     greedy_basic_design,
@@ -380,6 +383,15 @@ def test_design_corruption_detected(tmp_path, capsys):
     path.write_bytes(bytes(blob))
     assert run(["design", "verify", "--in", path]) == EXIT_VERIFICATION
     assert "verification failure" in capsys.readouterr().err
+
+
+def test_design_verify_refuses_empty_sets(tmp_path, capsys):
+    # 2^20 sets of t = 0 indices in a 36-byte payload fail verification
+    m = 1 << 20
+    path = tmp_path / "design.bin"
+    path.write_bytes(SERIAL_MAGIC + struct.pack("<IIIIQQ", SERIAL_VERSION, 0, m, 1, m - 1, m))
+    assert run(["design", "verify", "--in", path]) == EXIT_VERIFICATION
+    assert "t must be >= 1" in capsys.readouterr().err
 
 
 def _zero_r_denominator(data: bytes) -> bytes:

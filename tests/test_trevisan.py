@@ -421,14 +421,14 @@ def test_apply_matches_popcount_parity(words, m, monkeypatch):
     "n, m",
     [
         (13, 7),  # one table, shorter than a chunk
-        (797, 130),  # 3 words: 85 bytes per table, 100 = 85 + 15
-        (1600, 65),  # 2 words: 128 bytes per table, 200 = 128 + 72
-        (2397, 1),  # 1 word: 256 bytes per table, 300 = 256 + 44
+        (797, 130),  # 3 words: 42 bytes per table, 100 = 2 * 42 + 16
+        (1600, 65),  # 2 words: 64 bytes per table, 200 = 3 * 64 + 8
+        (2397, 1),  # 1 word: 128 bytes per table, 300 = 2 * 128 + 44
     ],
 )
 def test_table_kernel_matches_row_fold(n, m, monkeypatch):
-    # byte positions that end in a partial chunk, the chunks split among 1
-    # to 3 workers (more than the one or two chunks of the default tables).
+    # byte positions that end in a partial chunk, the chunks claimed by 1
+    # to 3 workers (more than the one to four chunks of the default tables).
     # Shrinking the tables, or the gather of a chunk's 131 blocks, to 1792
     # words cuts them into chunks of 1 to 13 byte positions, most shapes
     # ending in a partial chunk; with the gather shrunk, the 3-block batch
@@ -453,28 +453,75 @@ def test_table_kernel_matches_row_fold(n, m, monkeypatch):
 
 def test_lookup_worker_error_raised_and_threads_joined(monkeypatch):
     # a worker's error reaches the caller of apply, and every thread the
-    # kernel started has ended when apply returns; the workers fail late,
-    # after range 0 on the calling thread is done
+    # kernel started has ended when apply returns; the worker threads fail
+    # late, after a pause in which the calling thread claims the chunks
     class Boom(Exception):
         pass
 
     lookup_range = CompiledMasks._lookup_range
+    caller = threading.get_ident()
 
-    def failing(self, scratch, blocks, lo, hi, g):
-        if lo:
+    def failing(self, scratch, blocks, starts, g):
+        if threading.get_ident() != caller:
             time.sleep(0.05)
-            raise Boom(lo)
-        return lookup_range(self, scratch, blocks, lo, hi, g)
+            raise Boom()
+        return lookup_range(self, scratch, blocks, starts, g)
 
     _pin_workers(monkeypatch, 3)
     monkeypatch.setattr(CompiledMasks, "_lookup_range", failing)
     rng = np.random.default_rng(31)
     matrix = rng.integers(0, 1 << 64, size=(9, 64), dtype=np.uint64)
-    masks = _tables(matrix, 64 * 64)  # 512 byte positions, 2 chunks
+    masks = _tables(matrix, 64 * 64)  # 512 byte positions, 4 chunks
     before = threading.active_count()
     with pytest.raises(Boom):
         masks.apply(rng.integers(0, 256, (5, 512), dtype=np.uint8))
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["together", "late"])
+def test_lookup_chunks_claimed_once(late, monkeypatch):
+    # three workers, more than this kernel's cap and a 2-vCPU host's CPUs,
+    # share one source of chunk starts under a short switch interval: every
+    # start is taken exactly once, and the output is the one-worker output.
+    # Workers that wait before their first claim until the calling thread
+    # has run out of chunks leave them all to it, and their sums stay zero
+    rng = np.random.default_rng(34)
+    matrix = rng.integers(0, 1 << 64, size=(130, 64), dtype=np.uint64)
+    masks = _tables(matrix, 64 * 64)  # 3 words: 512 byte positions, 13 chunks of 42
+    batch = rng.integers(0, 256, (40, 512), dtype=np.uint8)
+    _pin_workers(monkeypatch, 1)
+    want = masks.apply(batch).copy()
+    caller = threading.get_ident()
+    done = threading.Event()
+    claims = []
+    lookup_range = CompiledMasks._lookup_range
+
+    def logged(starts):
+        for p in starts:
+            claims.append((threading.get_ident() == caller, p))
+            yield p
+
+    def claiming(self, scratch, blocks, starts, g):
+        if threading.get_ident() != caller:
+            assert not late or done.wait(timeout=30)
+            return lookup_range(self, scratch, blocks, logged(starts), g)
+        try:
+            return lookup_range(self, scratch, blocks, logged(starts), g)
+        finally:
+            done.set()
+
+    _pin_workers(monkeypatch, 3)
+    monkeypatch.setattr(CompiledMasks, "_lookup_range", claiming)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = masks.apply(batch)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (got == want).all()
+    assert sorted(p for _, p in claims) == list(range(0, 512, 42))
+    if late:
+        assert all(mine for mine, _ in claims)
 
 
 @pytest.mark.parametrize("width", [1, 3, None])
@@ -517,13 +564,16 @@ def test_column_compile_matches_row_transpose(n, s, k, width, monkeypatch):
 def test_reused_stream_memory_bound(monkeypatch):
     # production shape n = 2^16, m = 256: peak traced memory of a reused
     # seed's stream stays within its byte columns (2 MiB), one batch buffer
-    # and 1.5 MiB of scratch, ~0.65 MiB per byte-table worker (its tables
-    # take 512 KiB); a row matrix and a full steps array (2 MiB each here)
-    # would not fit, nor would a third worker.  At n = 2^16 - 1 the packed
-    # bits are realigned inside the batch buffer, so no second batch-sized
-    # buffer fits either.  The compile starts before any batch buffer is
-    # allocated.  The worker count is pinned to the most the kernel runs,
-    # then to 1, so the result does not depend on the host's CPUs
+    # and 1 MiB of scratch, ~0.37 MiB per byte-table worker (its tables
+    # take 256 KiB); a row matrix and a full steps array (2 MiB each here)
+    # would not fit, nor would a third worker, nor two workers on tables of
+    # 512 KiB.  At n = 2^16 - 1 the packed bits are realigned inside the
+    # batch buffer, on 1.125 MiB of scratch (512 KiB of unpacked bits,
+    # packbits' own copy of them and the packed rows), so no second
+    # batch-sized buffer fits either.  The compile starts before any batch
+    # buffer is allocated.  The worker count is pinned to the most the
+    # kernel runs, then to 1, so the result does not depend on the host's
+    # CPUs
     held = []
 
     def spy(inst, seeds):
@@ -551,7 +601,8 @@ def test_reused_stream_memory_bound(monkeypatch):
                 tracemalloc.stop()
             columns = 8 * (1 << 13) * 4 * 8
             batch = trevisan._batch_blocks(n, 256, 0) << 13
-            assert report.blocks == blocks and peak < columns + batch + (3 << 19), (n, workers)
+            scratch = 1 << 20 if n % 8 == 0 else 9 << 17
+            assert report.blocks == blocks and peak < columns + batch + scratch, (n, workers)
             assert len(held) == 1 and held[0] < 1 << 16
 
 
@@ -609,7 +660,7 @@ def test_concurrent_applies_get_their_own_scratch(monkeypatch):
     # interleaves their chunks
     rng = np.random.default_rng(33)
     matrix = rng.integers(0, 1 << 64, size=(130, 64), dtype=np.uint64)
-    masks = _tables(matrix, 64 * 64)  # 512 byte positions, 7 chunks
+    masks = _tables(matrix, 64 * 64)  # 512 byte positions, 13 chunks
     batches = [rng.integers(0, 256, (b, 512), dtype=np.uint8) for b in (40, 41)]
     _pin_workers(monkeypatch, 1)
     want = [masks.apply(batch).copy() for batch in batches]
@@ -617,10 +668,10 @@ def test_concurrent_applies_get_their_own_scratch(monkeypatch):
     held = []
     lookup_range = CompiledMasks._lookup_range
 
-    def meeting(self, scratch, blocks, lo, hi, g):
+    def meeting(self, scratch, blocks, starts, g):
         held.append(scratch)
         barrier.wait()
-        return lookup_range(self, scratch, blocks, lo, hi, g)
+        return lookup_range(self, scratch, blocks, starts, g)
 
     monkeypatch.setattr(CompiledMasks, "_lookup_range", meeting)
     got = [None, None]

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -155,6 +156,26 @@ def test_grid_rows_is_least_fitting():
     for r in (1, Fraction(1, 2), Fraction(0), Fraction(-3)):
         with pytest.raises(ParameterError, match="r must be > 1"):
             grid_rows(3, r)
+
+
+def test_grid_rows_stops_at_most():
+    # the search capped at the rows a layout can use gives min(L, most)
+    for r in (Fraction(1001, 1000), Fraction(3, 2), Fraction(2), Fraction(16)):
+        for t in (1, 2, 3, 16, 124, 300):
+            rows = grid_rows(t, r)
+            for most in {1, 2, 3, rows - 1, rows, rows + 1, 2 * rows} - {0}:
+                assert grid_rows(t, r, most) == min(rows, most), (t, r, most)
+
+
+def test_large_t_few_sets_builds_fast():
+    # the row search stops at the largest block's 2 sets, so no power of
+    # the ~144 000 rows grid_rows(10^5, 2) would take is computed, and the
+    # certification's weights are taken only at the overlaps that occur
+    start = time.perf_counter()
+    design = block_design(100_000, 2)
+    assert time.perf_counter() - start < 1.0
+    assert (design.d, design.r_certified) == (200_000, Fraction(1, 2))
+    assert design_seed_length(100_000, 2, "greedy", Fraction(2)) == 200_000
 
 
 def test_grid_rows_at_most_ceil_t_over_ln_r():
@@ -389,6 +410,7 @@ MALFORMED = [
     (4, [(0, 1), (-1, 2)], "set index outside universe"),
     (4, [(0, 0, 1)], "each set must hold t distinct indices"),
     (4, [(0, 1), (2,)], "each set must hold t distinct indices"),
+    (4, [(), ()], "t must be >= 1"),
 ]
 
 
@@ -448,6 +470,16 @@ def test_r_certified_is_derived_not_taken():
     with pytest.raises(TypeError):
         WeakDesign(d=4, sets=sets, r_certified=Fraction(0))
     assert WeakDesign(4, sets).r_certified == Fraction(2 + 4, 3)
+
+
+def test_deserialize_refuses_empty_sets():
+    # a 36-byte payload of 2^20 sets of t = 0 indices over d = 1, with the
+    # r = (m - 1)/m that m empty sets would certify, is corrupt
+    m = 1 << 20
+    head = SERIAL_MAGIC + struct.pack("<IIIIQQ", SERIAL_VERSION, 0, m, 1, m - 1, m)
+    assert len(head) == 36
+    with pytest.raises(VerificationError, match="stored sets are inconsistent: t must be >= 1"):
+        deserialize_design(head)
 
 
 @pytest.mark.parametrize("d, sets, message", [MALFORMED[0], MALFORMED[2]], ids=str)
